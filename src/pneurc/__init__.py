@@ -10,15 +10,12 @@ from .errors import (DegenerateClusteringError, DegenerateRangeError,
                      DimensionError, InvalidDataError, InvalidSpecError,
                      NumericError, PneurcError, ResourceError, StateError)
 from .esn import (EsnModel, EsnParams, EsnTrainer, TrainedEsn, esn_collect_states,
-                  esn_extended_state, esn_init, esn_readout, esn_update)
-from .fprc import (FprcModel, FprcParams, FprcState, FprcTrainer, TapBuffer,
-                   convert_angle, fprc_collect_training, fprc_feature, fprc_step,
-                   fprc_weight_analysis, lowpass_step)
-from .fuzzy import (FuzzyRuleSet, fcm_cluster, fuzzy_infer, fuzzy_infer_batch,
-                    gaussian_membership, normalize_memberships, train_fuzzy_readout)
+                  esn_init, esn_update)
+from .fprc import (FprcModel, FprcParams, FprcTrainer, convert_angle, drive_reservoir,
+                   fprc_collect_training, fprc_weight_analysis)
+from .fuzzy import (FuzzyRuleSet, fcm_cluster, fuzzy_infer_batch, train_fuzzy_readout)
 from .plant import (ActuatorPlant, DisturbanceSpec, PlayOperatorStack,
-                    ReservoirPlant, actuator_step, apply_disturbance, play_step,
-                    reservoir_step)
+                    ReservoirPlant, actuator_step, apply_disturbance, reservoir_step)
 from .signals import (DEFAULT_DT, SignalSpec, TimeSeries, gen_chirp_quadratic,
                       gen_multisine, gen_sine, gen_sweep_frequency)
 from .training import (BenchmarkResult, CvReport, SweepResult, benchmark_execution,

@@ -1,12 +1,13 @@
 """Closed- and open-loop tracking simulation at a fixed sample rate.
 
-The loop runs single-rate: per tick the harness reads the plant angle,
-forms the error, queries the feedforward model, adds the PD correction,
-and drives the plant with the clamped total pressure. Everything is
-logged so runs can be replayed and compared.
+The feedforward pressure for the whole reference is computed before the
+loop; per tick the harness then reads the plant angle, forms the error,
+adds the PD correction, and drives the plant with the clamped total
+pressure. Everything is logged so runs can be replayed and compared.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
                      NumericError)
 from .plant import (INPUT_PRESSURE_LIMIT, ActuatorPlant, DisturbanceSpec,
-                    actuator_step, apply_disturbance)
+                    actuator_step)
 from .signals import TimeSeries, format_float
 
 RUN_LOG_COLUMNS = ("t_s", "theta_d_deg", "theta_deg", "e_theta_deg", "p_ff_kpa",
@@ -147,11 +148,15 @@ def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
                     scenario: str = "", method: str = "") -> RunLog:
     """Simulate one tracking run and return its log.
 
-    ``model`` is any feedforward object with reset_state() and
-    step(theta_d, dt) -> (p_ff, p_i, p_o, p_o_filt), or None for pure
-    feedback. The logged angle is the measurement available at the tick,
-    so e_theta = theta_d - theta holds row by row; the commanded pressure
-    p_d = p_ff + p_fb is logged unclamped and clamp events are counted.
+    ``model`` is a feedforward object, or None for pure feedback. It never
+    reads the plant angle, so one call ``model.run(theta_d, dt, disturbance)``
+    before the tick loop returns the arrays (p_ff, p_i, p_o, p_o_filt,
+    disturbed) for the whole reference; a reservoir-backed model applies
+    ``disturbance`` to its reservoir there. The loop runs PD, the pressure
+    clamp and the actuator. The logged angle is the measurement available
+    at the tick, so e_theta = theta_d - theta holds row by row; the
+    commanded pressure p_d = p_ff + p_fb is logged unclamped and clamp
+    events are counted.
     """
     if reference.unit != "deg":
         raise InvalidSpecError(f"reference must be an angle in deg, got {reference.unit!r}")
@@ -159,41 +164,37 @@ def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
         raise InvalidSpecError("need a feedforward model, feedback, or both")
     dt = reference.dt
     n = len(reference)
-    if model is not None:
-        model.reset_state()
-    rng = np.random.default_rng(disturbance.seed) if disturbance is not None else None
-    cols = {name: np.empty(n) for name in
-            ("t", "theta_d", "theta", "e_theta", "p_ff", "p_fb", "p_d",
-             "p_i", "p_o", "p_o_filt", "disturbed")}
+    if model is None:
+        ff = [np.zeros(n) for _ in range(5)]
+    else:
+        ff = [np.array(c, dtype=float) for c in model.run(reference.values, dt, disturbance)]
+        if len(ff) != 5 or any(c.shape != (n,) for c in ff):
+            raise DimensionError(f"feedforward must return 5 columns of {n} samples")
+    p_ff, p_i, p_o, p_o_filt, disturbed = ff
+    cols = {name: np.empty(n) for name in ("theta", "e_theta", "p_fb", "p_d")}
+    theta_d = reference.values.tolist()
+    p_ff_k = p_ff.tolist()
     prev_error = None
     clamp_steps = 0
     for k in range(n):
-        t = k * dt
-        theta_d = float(reference.values[k])
         theta = actuator.angle_state
-        error = theta_d - theta
-        disturbed = False
-        if disturbance is not None and model is not None and getattr(model, "reservoir", None) is not None:
-            disturbed = apply_disturbance(model.reservoir, disturbance, t, rng)
-        if model is not None:
-            p_ff, p_i, p_o, p_o_filt = model.step(theta_d, dt)
-        else:
-            p_ff = p_i = p_o = p_o_filt = 0.0
+        error = theta_d[k] - theta
         p_fb = pd_step(error, prev_error, gains.pd, dt) if feedback else 0.0
-        p_d = p_ff + p_fb
+        p_d = p_ff_k[k] + p_fb
         applied = min(max(p_d, 0.0), pressure_limit)
         if applied != p_d:
             clamp_steps += 1
         theta_next = actuator_step(actuator, applied, dt)
-        if not (np.isfinite(p_ff) and np.isfinite(theta_next)):
-            raise NumericError(f"run diverged at step {k} (t={t:.3f} s)")
-        for name, val in (("t", t), ("theta_d", theta_d), ("theta", theta),
-                          ("e_theta", error), ("p_ff", p_ff), ("p_fb", p_fb),
-                          ("p_d", p_d), ("p_i", p_i), ("p_o", p_o),
-                          ("p_o_filt", p_o_filt), ("disturbed", float(disturbed))):
-            cols[name][k] = val
+        if not (math.isfinite(p_ff_k[k]) and math.isfinite(theta_next)):
+            raise NumericError(f"run diverged at step {k} (t={k * dt:.3f} s)")
+        cols["theta"][k] = theta
+        cols["e_theta"][k] = error
+        cols["p_fb"][k] = p_fb
+        cols["p_d"][k] = p_d
         prev_error = error
-    return RunLog(scenario=scenario, method=method, clamp_steps=clamp_steps, **cols)
+    return RunLog(t=np.arange(n) * dt, theta_d=reference.values.copy(), p_ff=p_ff,
+                  p_i=p_i, p_o=p_o, p_o_filt=p_o_filt, disturbed=disturbed,
+                  scenario=scenario, method=method, clamp_steps=clamp_steps, **cols)
 
 
 def run_open_loop(reference: TimeSeries, model, actuator: ActuatorPlant,

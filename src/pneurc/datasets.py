@@ -11,11 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDataError, InvalidSpecError
-from .fprc import convert_angle
-from .plant import ActuatorPlant, ReservoirPlant, actuator_step, reservoir_step
+from .fprc import drive_reservoir
+from .plant import ActuatorPlant, ReservoirPlant, actuator_step
 from .signals import TimeSeries, format_float
 
 CSV_HEADER = "t_s,theta_deg,p_exp_kpa,p_i_kpa,p_o_kpa"
+
+# relative deviation of a t_s value from t_0 + k * dt that load_csv accepts
+_TIME_RTOL = 1e-6
 
 
 @dataclass
@@ -81,7 +84,15 @@ class Dataset:
                 cols[i] = [float(p) for p in parts]
             except ValueError as exc:
                 raise InvalidDataError(f"{path}:{i + 2}: {exc}") from exc
-        dt = float(cols[1, 0] - cols[0, 0])
+        t = cols[:, 0]
+        dt = float(t[1] - t[0])
+        expected = t[0] + np.arange(n) * dt
+        tol = _TIME_RTOL * np.maximum(np.abs(expected), dt)
+        bad = np.flatnonzero(~(np.abs(t - expected) <= tol))  # NaN times are bad too
+        if bad.size:
+            k = int(bad[0])
+            raise InvalidDataError(f"{path}:{k + 2}: t_s={t[k]!r} is off the uniform "
+                                   f"clock t_0 + k*dt = {expected[k]!r}")
         return cls(theta=cols[:, 1], p_exp=cols[:, 2], p_i=cols[:, 3],
                    p_o=cols[:, 4], dt=dt)
 
@@ -92,9 +103,9 @@ def generate_dataset(excitation: TimeSeries, actuator: ActuatorPlant,
     """Run the identification experiment for one excitation record.
 
     Per sample: the actuator is pressurized with P_exp and its angle
-    measured; the measured angle is converted to reservoir input pressure
-    and the reservoir response recorded. All columns share the sample
-    clock of the excitation.
+    measured; the measured angle record then drives the reservoir through
+    the same conversion the feedforward uses, and the reservoir response
+    is recorded. All columns share the sample clock of the excitation.
     """
     if excitation.unit != "kPa":
         raise InvalidSpecError(f"excitation must be a pressure in kPa, got unit "
@@ -102,10 +113,7 @@ def generate_dataset(excitation: TimeSeries, actuator: ActuatorPlant,
     dt = excitation.dt
     n = len(excitation)
     theta = np.empty(n)
-    p_i = np.empty(n)
-    p_o = np.empty(n)
     for k in range(n):
         theta[k] = actuator_step(actuator, excitation.values[k], dt)
-        p_i[k] = convert_angle(theta[k], k_in, input_limit)
-        p_o[k] = reservoir_step(reservoir, p_i[k], dt)
+    p_i, p_o, _ = drive_reservoir(theta, reservoir, k_in, input_limit, dt)
     return Dataset(theta=theta, p_exp=excitation.values.copy(), p_i=p_i, p_o=p_o, dt=dt)

@@ -3,6 +3,8 @@
 The CLI maps these onto exit codes: specification and data problems exit
 with 2, numeric and state failures with 3, usage errors with 1.
 """
+import zipfile
+from contextlib import contextmanager
 
 
 class PneurcError(Exception):
@@ -39,3 +41,21 @@ class StateError(PneurcError, RuntimeError):
 
 class ResourceError(PneurcError):
     """A requested allocation exceeds the configured memory budget."""
+
+
+@contextmanager
+def decoding(path):
+    """Report a failure to decode the file at ``path`` as InvalidDataError.
+
+    Wraps the reading of a model artifact: malformed JSON, missing keys,
+    unknown parameters and damaged archives all name the file. Errors the
+    package raises itself pass through unchanged.
+    """
+    try:
+        yield
+    except PneurcError:
+        raise
+    except (ValueError, KeyError, TypeError, IndexError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise InvalidDataError(f"{path}: cannot decode model artifact "
+                               f"({type(exc).__name__}: {exc})") from exc

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
-                     NumericError, ResourceError, StateError)
+from .errors import (InvalidDataError, InvalidSpecError, NumericError,
+                     ResourceError, StateError, decoding)
 from .training import ridge_solve
 
 WEIGHT_DISTRIBUTIONS = ("uniform", "uniform-sym", "normal")
@@ -87,8 +87,11 @@ class EsnModel:
     def extended_dim(self) -> int:
         return 1 + self.params.n_y + self.params.reservoir_size
 
-    def reset_state(self) -> None:
-        self.state = np.zeros(self.params.reservoir_size)
+    def cold_copy(self) -> "EsnModel":
+        """The same frozen weights and readout with a zero reservoir state."""
+        return EsnModel(params=self.params, w_input=self.w_input,
+                        w_reservoir=self.w_reservoir,
+                        state=np.zeros(self.params.reservoir_size), w_out=self.w_out)
 
 
 def esn_init(params: EsnParams) -> EsnModel:
@@ -130,74 +133,35 @@ def esn_update(model: EsnModel, theta_d: float) -> np.ndarray:
     return model.state
 
 
-def esn_extended_state(model: EsnModel, theta_taps) -> np.ndarray:
-    """Extended state [1, theta taps, reservoir state]."""
-    taps = np.asarray(theta_taps, dtype=float)
-    if taps.shape != (model.params.n_y,):
-        raise DimensionError(f"expected {model.params.n_y} angle taps, got shape {taps.shape}")
-    return np.concatenate(([1.0], taps, model.state))
-
-
-def esn_readout(model: EsnModel, x_star: np.ndarray) -> float:
-    if model.w_out is None:
-        raise StateError("ESN readout is untrained")
-    if x_star.shape != (model.extended_dim,):
-        raise DimensionError(f"extended state must have dim {model.extended_dim}")
-    return float(model.w_out @ x_star)
-
-
 def esn_collect_states(model: EsnModel, theta_series) -> np.ndarray:
     """Run the reservoir over an angle record and stack extended states.
 
-    The feature row at step k pairs the taps ending at theta(k) with the
-    reservoir state accumulated from samples 0..k-1; the update with
-    theta(k) happens after the row is emitted. The first ``washout`` rows
-    are dropped to let the state forget its initialization. The model
-    state is left at its final value.
+    Row k is the extended state [1, theta taps, reservoir state]: the taps
+    end at theta(k), zero padded at the start, and the reservoir state
+    accumulates samples 0..k-1; the update with theta(k) happens after the
+    row is emitted. Every sample gives a row; callers drop the first
+    ``washout`` rows where the state has not yet forgotten its
+    initialization. The model state is left at its final value.
     """
     theta = np.asarray(theta_series, dtype=float)
     if theta.ndim != 1:
         raise InvalidDataError("theta_series must be 1-D")
-    n = theta.size
-    washout = model.params.washout
-    if n <= washout:
-        raise InvalidDataError(f"series of length {n} leaves no rows after washout {washout}")
     n_y = model.params.n_y
     taps = np.zeros(n_y)
-    rows = np.empty((n - washout, model.extended_dim))
-    for k in range(n):
+    rows = np.empty((theta.size, model.extended_dim))
+    for k in range(theta.size):
         taps[1:] = taps[:-1]
         taps[0] = theta[k]
-        if k >= washout:
-            rows[k - washout, 0] = 1.0
-            rows[k - washout, 1:1 + n_y] = taps
-            rows[k - washout, 1 + n_y:] = model.state
+        rows[k, 0] = 1.0
+        rows[k, 1:1 + n_y] = taps
+        rows[k, 1 + n_y:] = model.state
         esn_update(model, theta[k])
     return rows
 
 
-class EsnFeedforward:
-    """Stateful step-by-step wrapper used by the control harness."""
-
-    kind = "esn"
-
-    def __init__(self, model: EsnModel):
-        self.model = model
-        self._taps = np.zeros(model.params.n_y)
-
-    def reset_state(self) -> None:
-        self.model.reset_state()
-        self._taps[:] = 0.0
-
-    def step(self, theta_d: float, dt: float) -> tuple[float, float, float, float]:
-        """Returns (p_ff, p_i, p_o, p_o_filt); the pressure taps are zero
-        placeholders since the ESN has no physical reservoir."""
-        self._taps[1:] = self._taps[:-1]
-        self._taps[0] = theta_d
-        x_star = esn_extended_state(self.model, self._taps)
-        p_ff = esn_readout(self.model, x_star)
-        esn_update(self.model, theta_d)
-        return p_ff, 0.0, 0.0, 0.0
+def _check_washout(n: int, washout: int) -> None:
+    if n <= washout:
+        raise InvalidDataError(f"series of length {n} leaves no rows after washout {washout}")
 
 
 class EsnTrainer:
@@ -213,23 +177,17 @@ class EsnTrainer:
     def fit(self, segments, fold: int = 0) -> "TrainedEsn":
         if not segments:
             raise InvalidDataError("no training segments given")
+        washout = self.params.washout
         xs, ys = [], []
         for seg in segments:
-            model = self._fresh()
-            xs.append(esn_collect_states(model, seg.theta))
-            ys.append(seg.p_exp[self.params.washout:])
+            _check_washout(len(seg), washout)
+            xs.append(esn_collect_states(self._template.cold_copy(), seg.theta)[washout:])
+            ys.append(seg.p_exp[washout:])
         X = np.vstack(xs)
         y = np.concatenate(ys)
-        w_out = ridge_solve(X, y, self.alpha)
-        fitted = self._fresh()
-        fitted.w_out = w_out
+        fitted = self._template.cold_copy()
+        fitted.w_out = ridge_solve(X, y, self.alpha)
         return TrainedEsn(fitted)
-
-    def _fresh(self) -> EsnModel:
-        return EsnModel(params=self.params, w_input=self._template.w_input,
-                        w_reservoir=self._template.w_reservoir,
-                        state=np.zeros(self.params.reservoir_size),
-                        w_out=self._template.w_out)
 
 
 class TrainedEsn:
@@ -242,22 +200,31 @@ class TrainedEsn:
             raise StateError("model has no trained readout")
         self.model = model
 
+    def _replay(self, theta) -> np.ndarray:
+        """Readout over an angle record from a cold state, one value per sample."""
+        return esn_collect_states(self.model.cold_copy(), theta) @ self.model.w_out
+
     def evaluate(self, ds) -> tuple[np.ndarray, np.ndarray]:
         """Replay a dataset from a cold state; rows before washout are
         dropped from both prediction and target."""
-        runner = EsnModel(params=self.model.params, w_input=self.model.w_input,
-                          w_reservoir=self.model.w_reservoir,
-                          state=np.zeros(self.model.params.reservoir_size),
-                          w_out=self.model.w_out)
-        X = esn_collect_states(runner, ds.theta)
-        return X @ self.model.w_out, ds.p_exp[self.model.params.washout:]
+        washout = self.model.params.washout
+        _check_washout(len(ds), washout)
+        return self._replay(ds.theta)[washout:], ds.p_exp[washout:]
 
-    def feedforward(self) -> EsnFeedforward:
-        fresh = EsnModel(params=self.model.params, w_input=self.model.w_input,
-                         w_reservoir=self.model.w_reservoir,
-                         state=np.zeros(self.model.params.reservoir_size),
-                         w_out=self.model.w_out)
-        return EsnFeedforward(fresh)
+    def feedforward(self) -> "TrainedEsn":
+        """The trained ESN drives tracking runs itself; it keeps no state
+        from one run to the next."""
+        return self
+
+    def run(self, theta_d, dt: float, disturbance=None):
+        """Feedforward signals for a whole reference angle record.
+
+        Returns the arrays (p_ff, p_i, p_o, p_o_filt, disturbed); the ESN
+        has no physical reservoir, so the last four are zero.
+        """
+        p_ff = self._replay(theta_d)
+        zeros = np.zeros(p_ff.size)
+        return p_ff, zeros, zeros, zeros, zeros
 
     def save(self, path) -> None:
         p = self.model.params
@@ -270,7 +237,7 @@ class TrainedEsn:
 
     @classmethod
     def load(cls, path) -> "TrainedEsn":
-        with np.load(path) as data:
+        with decoding(path), np.load(path) as data:
             if "format_version" not in data or int(data["format_version"][0]) != 1:
                 raise InvalidDataError(f"{path}: unsupported ESN artifact format")
             meta = data["meta"]

@@ -15,10 +15,11 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
-                     NumericError, StateError)
+                     NumericError, decoding)
 from .fuzzy import (FuzzyRuleSet, fcm_cluster, fuzzy_infer_batch,
                     train_fuzzy_readout)
-from .plant import INPUT_PRESSURE_LIMIT, ReservoirPlant, reservoir_step
+from .plant import (INPUT_PRESSURE_LIMIT, DisturbanceSpec, ReservoirPlant,
+                    apply_disturbance, reservoir_step)
 
 FILTER_INIT_MODES = ("first-sample", "zero")
 
@@ -66,70 +67,36 @@ def convert_angle(theta_d: float, k_in: float,
     return float(min(max(k_in * theta_d, 0.0), limit))
 
 
-class TapBuffer:
-    """Fixed-length most-recent-first history, zero padded at startup."""
+def drive_reservoir(theta, reservoir: ReservoirPlant, k_in: float, input_limit: float,
+                    dt: float, disturbance: DisturbanceSpec | None = None):
+    """Drive the reservoir with P_i = convert_angle(theta) one sample at a time.
 
-    def __init__(self, size: int):
-        if size < 1:
-            raise InvalidSpecError("tap buffer size must be >= 1")
-        self._buf = np.zeros(size)
-
-    def push(self, value: float) -> None:
-        if not np.isfinite(value):
-            raise NumericError(f"tap value must be finite, got {value!r}")
-        self._buf[1:] = self._buf[:-1]
-        self._buf[0] = value
-
-    def view(self) -> np.ndarray:
-        """[v(k), v(k-1), ..., v(k-size+1)] as a copy."""
-        return self._buf.copy()
-
-    def reset(self) -> None:
-        self._buf[:] = 0.0
-
-    def __len__(self) -> int:
-        return self._buf.size
-
-
-class FprcState:
-    """Mutable per-run state: tap buffers and the low-pass filter memory."""
-
-    def __init__(self, params: FprcParams, reservoir_features: bool = True):
-        self.params = params
-        self.reservoir_features = reservoir_features
-        self.theta_taps = TapBuffer(params.n_y)
-        self.p_taps = TapBuffer(params.n_u)
-        self.p_o_filt: float | None = None
-
-    def reset(self) -> None:
-        self.theta_taps.reset()
-        self.p_taps.reset()
-        self.p_o_filt = None
+    With a ``disturbance`` spec the reservoir is perturbed before each
+    sample whose time k * dt falls inside the window, from a generator
+    seeded once per call with ``disturbance.seed``. Returns the arrays
+    (p_i, p_o, disturbed), one entry per sample; the reservoir is left in
+    its final state.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n = theta.size
+    p_i = np.empty(n)
+    p_o = np.empty(n)
+    disturbed = np.zeros(n)
+    rng = np.random.default_rng(disturbance.seed) if disturbance is not None else None
+    for k in range(n):
+        if disturbance is not None:
+            disturbed[k] = apply_disturbance(reservoir, disturbance, k * dt, rng)
+        p_i[k] = convert_angle(theta[k], k_in, input_limit)
+        p_o[k] = reservoir_step(reservoir, p_i[k], dt)
+    return p_i, p_o, disturbed
 
 
-def lowpass_step(state: FprcState, p_o: float, epsilon: float) -> float:
+def _lowpass_series(p_o: np.ndarray, params: FprcParams) -> np.ndarray:
     """First-order low pass p~(k) = eps p_o(k) + (1 - eps) p~(k-1).
 
     The filter memory starts at the first sample (or at zero, per the
     configured init mode), so there is no startup transient by default.
     """
-    if not np.isfinite(p_o):
-        raise NumericError(f"reservoir pressure must be finite, got {p_o!r}")
-    if state.p_o_filt is None:
-        state.p_o_filt = p_o if state.params.filter_init == "first-sample" else 0.0
-    state.p_o_filt = epsilon * p_o + (1.0 - epsilon) * state.p_o_filt
-    return state.p_o_filt
-
-
-def fprc_feature(state: FprcState) -> np.ndarray:
-    """Readout state x = [theta taps, filtered pressure taps]."""
-    if state.reservoir_features:
-        return np.concatenate([state.theta_taps.view(), state.p_taps.view()])
-    return state.theta_taps.view()
-
-
-def _lowpass_series(p_o: np.ndarray, params: FprcParams) -> np.ndarray:
-    """Vectorized filter identical (bit for bit) to repeated lowpass_step."""
     eps = params.epsilon
     init = p_o[0] if params.filter_init == "first-sample" else 0.0
     zi = np.array([(1.0 - eps) * init])
@@ -144,14 +111,20 @@ def _tap_matrix(series: np.ndarray, n_taps: int) -> np.ndarray:
     return windows[:, ::-1]
 
 
+def _feature_matrix(theta: np.ndarray, p_filt: np.ndarray | None,
+                    params: FprcParams) -> np.ndarray:
+    """Readout states [theta taps, filtered pressure taps], one row per sample;
+    angle taps only when ``p_filt`` is None (the fuzzy-linear variant)."""
+    X = _tap_matrix(theta, params.n_y)
+    return X if p_filt is None else np.hstack([X, _tap_matrix(p_filt, params.n_u)])
+
+
 def fprc_collect_training(theta, p_exp, p_o=None, params: FprcParams = None,
-                          reservoir: ReservoirPlant = None, dt: float = None,
                           reservoir_features: bool = True):
     """Assemble the training design matrix and targets from a record.
 
-    Either ``p_o`` (recorded reservoir pressure) or a ``reservoir``
-    instance plus ``dt`` (simulated on the fly from theta) must be given
-    when reservoir features are enabled. Returns (X, y).
+    The recorded reservoir pressure ``p_o`` is required when reservoir
+    features are enabled. Returns (X, y).
     """
     if params is None:
         raise InvalidSpecError("params are required")
@@ -161,30 +134,14 @@ def fprc_collect_training(theta, p_exp, p_o=None, params: FprcParams = None,
         raise InvalidDataError("theta and p_exp must be matching 1-D arrays")
     if theta.size < 1:
         raise InvalidDataError("empty training record")
-    theta_taps = _tap_matrix(theta, params.n_y)
     if not reservoir_features:
-        return theta_taps, p_exp
+        return _feature_matrix(theta, None, params), p_exp
     if p_o is None:
-        if reservoir is None or dt is None:
-            raise InvalidSpecError("need recorded p_o or a reservoir instance with dt")
-        p_o = simulate_reservoir_record(theta, reservoir, params, dt)
+        raise InvalidSpecError("need the recorded reservoir pressure p_o")
     p_o = np.asarray(p_o, dtype=float)
     if p_o.shape != theta.shape:
         raise InvalidDataError("p_o must match theta in length")
-    p_filt = _lowpass_series(p_o, params)
-    X = np.hstack([theta_taps, _tap_matrix(p_filt, params.n_u)])
-    return X, p_exp
-
-
-def simulate_reservoir_record(theta, reservoir: ReservoirPlant, params: FprcParams,
-                              dt: float) -> np.ndarray:
-    """Drive the reservoir with P_i = k_in * theta and record its pressure."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty(theta.size)
-    for k in range(theta.size):
-        p_i = convert_angle(theta[k], params.k_in, params.input_limit)
-        out[k] = reservoir_step(reservoir, p_i, dt)
-    return out
+    return _feature_matrix(theta, _lowpass_series(p_o, params), params), p_exp
 
 
 class FprcModel:
@@ -241,59 +198,48 @@ class FprcModel:
 
     @classmethod
     def load(cls, path) -> "FprcModel":
-        with open(path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
-        if doc.get("format_version") != 1:
-            raise InvalidDataError(f"{path}: unsupported model artifact format")
-        params = FprcParams(**doc["params"])
-        ruleset = FuzzyRuleSet(centers=np.array(doc["centers"]),
-                               w_out=np.array(doc["w_out"]),
-                               sigma=params.sigma, fuzziness=params.fuzziness)
-        return cls(params, ruleset, reservoir_features=(doc["kind"] == "fprc"))
+        with decoding(path):
+            with open(path, "r", encoding="ascii") as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict) or doc.get("format_version") != 1:
+                raise InvalidDataError(f"{path}: unsupported model artifact format")
+            params = FprcParams(**doc["params"])
+            ruleset = FuzzyRuleSet(centers=np.array(doc["centers"]),
+                                   w_out=np.array(doc["w_out"]),
+                                   sigma=params.sigma, fuzziness=params.fuzziness)
+            return cls(params, ruleset, reservoir_features=(doc["kind"] == "fprc"))
 
 
 class FprcFeedforward:
-    """Stateful step-by-step pipeline used by the control harness."""
+    """A trained model bound to the reservoir it drives during tracking runs."""
 
     def __init__(self, model: FprcModel, reservoir: ReservoirPlant | None):
         self.model = model
         self.reservoir = reservoir
-        self.state = FprcState(model.params, model.reservoir_features)
 
     @property
     def kind(self) -> str:
         return self.model.kind
 
-    def reset_state(self) -> None:
-        self.state.reset()
+    def run(self, theta_d, dt: float, disturbance: DisturbanceSpec | None = None):
+        """Feedforward signals for a whole reference angle record.
 
-    def step(self, theta_d: float, dt: float) -> tuple[float, float, float, float]:
-        return fprc_step(self, theta_d, dt)
-
-
-def fprc_step(ff: FprcFeedforward, theta_d: float, dt: float) -> tuple[float, float, float, float]:
-    """One live pipeline step: returns (p_ff, p_i, p_o, p_o_filt).
-
-    Pipeline order: angle-to-pressure conversion, reservoir step, low-pass
-    filter, tap update, fuzzy inference. The fuzzy-linear variant skips
-    the reservoir stages and reports zeros for the pressure signals.
-    """
-    model = ff.model
-    if model.ruleset is None:
-        raise StateError("FPRC readout is untrained")
-    state = ff.state
-    params = model.params
-    if model.reservoir_features:
-        p_i = convert_angle(theta_d, params.k_in, params.input_limit)
-        p_o = reservoir_step(ff.reservoir, p_i, dt)
-        p_filt = lowpass_step(state, p_o, params.epsilon)
-        state.p_taps.push(p_filt)
-    else:
-        p_i = p_o = p_filt = 0.0
-    state.theta_taps.push(theta_d)
-    x = fprc_feature(state)
-    p_ff = float(fuzzy_infer_batch(model.ruleset, x[None, :])[0])
-    return p_ff, p_i, p_o, p_filt
+        Returns the arrays (p_ff, p_i, p_o, p_o_filt, disturbed). The
+        reference drives the reservoir, perturbed per ``disturbance``, and
+        the readout is that of ``FprcModel.evaluate``. The fuzzy-linear
+        variant has no reservoir: its other four columns are zero.
+        """
+        params = self.model.params
+        theta_d = np.asarray(theta_d, dtype=float)
+        if self.model.reservoir_features:
+            p_i, p_o, disturbed = drive_reservoir(theta_d, self.reservoir, params.k_in,
+                                                  params.input_limit, dt, disturbance)
+            p_filt = _lowpass_series(p_o, params)
+            X = _feature_matrix(theta_d, p_filt, params)
+        else:
+            p_i = p_o = p_filt = disturbed = np.zeros(theta_d.size)
+            X = _feature_matrix(theta_d, None, params)
+        return fuzzy_infer_batch(self.model.ruleset, X), p_i, p_o, p_filt, disturbed
 
 
 class FprcTrainer:
@@ -343,7 +289,7 @@ def fprc_weight_analysis(theta, p_exp, p_o, params: FprcParams, seed: int = 0) -
     p_exp = np.asarray(p_exp, dtype=float)
     theta_n = normalize_minmax(theta)
     p_filt_n = normalize_minmax(_lowpass_series(p_o, params))
-    X = np.hstack([_tap_matrix(theta_n, params.n_y), _tap_matrix(p_filt_n, params.n_u)])
+    X = _feature_matrix(theta_n, p_filt_n, params)
     centers, u = fcm_cluster(X, params.n_c, m=params.fuzziness, tol=params.fcm_tol,
                              max_iter=params.fcm_max_iter, seed=[seed, 0])
     w_out = train_fuzzy_readout(X, p_exp, u, params.alpha)

@@ -7,16 +7,13 @@ of the same identification recipe.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateClusteringError, DimensionError,
-                     InvalidDataError, InvalidSpecError, StateError)
+                     InvalidDataError, InvalidSpecError)
 from .training import ridge_solve
-
-log = logging.getLogger(__name__)
 
 _CENTER_COLLAPSE_TOL = 1e-12
 
@@ -147,37 +144,6 @@ def train_fuzzy_readout(X, y, u, alpha: float) -> np.ndarray:
     return W
 
 
-def gaussian_membership(x, centers, sigma: float) -> np.ndarray:
-    """beta_i = exp(-||x - c_i||^2 / (2 sigma^2)) for each center."""
-    if sigma <= 0.0:
-        raise InvalidSpecError(f"sigma must be positive, got {sigma!r}")
-    x = np.asarray(x, dtype=float)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if x.shape != (centers.shape[1],):
-        raise DimensionError(f"state has dim {x.shape}, centers expect {centers.shape[1]}")
-    d2 = np.sum((centers - x[None, :]) ** 2, axis=1)
-    return np.exp(-d2 / (2.0 * sigma * sigma))
-
-
-def normalize_memberships(beta, distances_sq=None) -> np.ndarray:
-    """Normalize memberships to sum to one.
-
-    If every beta underflowed to zero, falls back to a one-hot vector on
-    the nearest center (requires ``distances_sq``) and logs a warning.
-    """
-    beta = np.asarray(beta, dtype=float)
-    total = float(np.sum(beta))
-    if total > 0.0:
-        return beta / total
-    if distances_sq is None:
-        raise StateError("all memberships underflowed and no distances were "
-                         "given for the nearest-center fallback")
-    out = np.zeros_like(beta)
-    out[int(np.argmin(distances_sq))] = 1.0
-    log.warning("all Gaussian memberships underflowed; falling back to the nearest center")
-    return out
-
-
 @dataclass
 class FuzzyRuleSet:
     """Trained Takagi-Sugeno model: centers plus per-rule affine weights."""
@@ -236,12 +202,6 @@ def fuzzy_infer_batch(ruleset: FuzzyRuleSet, X) -> np.ndarray:
     phi = np.hstack([np.ones((X.shape[0], 1)), X])
     rule_outputs = phi @ ruleset.w_out.T
     return np.sum(beta * rule_outputs, axis=1)
-
-
-def fuzzy_infer(ruleset: FuzzyRuleSet, x) -> float:
-    """Single-state inference; the convex blend of the rule outputs."""
-    x = np.asarray(x, dtype=float)
-    return float(fuzzy_infer_batch(ruleset, x[None, :])[0])
 
 
 def rule_outputs(ruleset: FuzzyRuleSet, x) -> np.ndarray:

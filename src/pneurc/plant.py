@@ -99,11 +99,6 @@ class PlayOperatorStack:
                                  output_unit=self.output_unit, last_input=self.last_input)
 
 
-def play_step(stack: PlayOperatorStack, u: float) -> tuple[PlayOperatorStack, float]:
-    """Functional-style wrapper: updates the stack in place, returns (stack, y)."""
-    return stack, stack.step(u)
-
-
 @dataclass
 class ActuatorPlant:
     """Pneumatic bending actuator: pressure (kPa) to bend angle (deg)."""

@@ -181,3 +181,39 @@ def test_missing_inputs(tmp_path, capsys):
     extra = tmp_path / "extra.json"
     extra.write_text('{"no_such_field": 1}\n')
     assert main(["--config", str(extra), "generate"]) == 2
+
+
+def _truncated_json(good: str) -> str:
+    return good[: len(good) // 2]
+
+
+def _without_params(good: str) -> str:
+    doc = json.loads(good)
+    del doc["params"]
+    return json.dumps(doc)
+
+
+def _unknown_param(good: str) -> str:
+    doc = json.loads(good)
+    doc["params"]["no_such_param"] = 1.0
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [_truncated_json, _without_params, _unknown_param])
+def test_corrupt_fprc_artifact_exits_2(workspace, tmp_path, capsys, corrupt):
+    good = (workspace["out"] / "models" / "fprc.json").read_text()
+    bad = tmp_path / "fprc.json"
+    bad.write_text(corrupt(good))
+    assert main(["--config", workspace["cfg_path"], "evaluate",
+                 "--model-artifact", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"garbage, not an archive",
+                                     b"PK\x03\x04 truncated zip archive"])
+def test_corrupt_esn_artifact_exits_2(workspace, tmp_path, capsys, content):
+    bad = tmp_path / "esn.npz"
+    bad.write_bytes(content)
+    assert main(["--config", workspace["cfg_path"], "evaluate", "--model", "esn",
+                 "--model-artifact", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err

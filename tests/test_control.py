@@ -7,29 +7,37 @@ from pneurc.control import (ControllerGains, PdGains, PiGains, RUN_LOG_COLUMNS,
                             extract_hysteresis_loop, pd_step, pi_pressure_step,
                             report_to_csv, run_closed_loop, run_open_loop,
                             shoelace_area, tracking_report)
-from pneurc.errors import (InvalidDataError, InvalidSpecError, NumericError)
-from pneurc.plant import ActuatorPlant, DisturbanceSpec, ReservoirPlant
+from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
+                           NumericError)
+from pneurc.fprc import drive_reservoir
+from pneurc.plant import (INPUT_PRESSURE_LIMIT, ActuatorPlant, DisturbanceSpec,
+                          ReservoirPlant)
 from pneurc.signals import TimeSeries
 
 
 class ConstantModel:
-    """Feedforward stub emitting a fixed pressure."""
+    """Feedforward stub emitting a fixed pressure; with a reservoir it
+    drives it from the reference, disturbance included."""
 
     def __init__(self, p_ff=100.0, reservoir=None):
         self.p_ff = p_ff
         self.reservoir = reservoir
-        self.resets = 0
+        self.calls = 0
 
-    def reset_state(self):
-        self.resets += 1
-
-    def step(self, theta_d, dt):
-        return self.p_ff, 1.0, 2.0, 3.0
+    def run(self, theta_d, dt, disturbance=None):
+        self.calls += 1
+        n = len(theta_d)
+        disturbed = np.zeros(n)
+        if self.reservoir is not None:
+            _, _, disturbed = drive_reservoir(theta_d, self.reservoir, 7.0,
+                                              INPUT_PRESSURE_LIMIT, dt, disturbance)
+        return (np.full(n, self.p_ff), np.full(n, 1.0), np.full(n, 2.0),
+                np.full(n, 3.0), disturbed)
 
 
 class DivergingModel(ConstantModel):
-    def step(self, theta_d, dt):
-        return float("inf"), 0.0, 0.0, 0.0
+    def __init__(self):
+        super().__init__(p_ff=float("inf"))
 
 
 def ref_sine(duration=2.0, dt=1 / 200, amplitude=20.0, offset=25.0, freq=0.5):
@@ -139,10 +147,21 @@ def test_loop_raises_on_divergence():
                         ControllerGains())
 
 
-def test_loop_resets_model_state():
+def test_loop_queries_feedforward_once():
     model = ConstantModel()
-    run_closed_loop(ref_sine(), model, ActuatorPlant.default(), ControllerGains())
-    assert model.resets == 1
+    log = run_closed_loop(ref_sine(), model, ActuatorPlant.default(), ControllerGains())
+    assert model.calls == 1
+    np.testing.assert_array_equal(log.p_ff, 100.0)
+    np.testing.assert_array_equal(log.p_o_filt, 3.0)
+
+
+def test_loop_rejects_feedforward_of_wrong_length():
+    class Short(ConstantModel):
+        def run(self, theta_d, dt, disturbance=None):
+            return super().run(theta_d[:-1], dt, disturbance)
+
+    with pytest.raises(DimensionError):
+        run_closed_loop(ref_sine(), Short(), ActuatorPlant.default(), ControllerGains())
 
 
 def test_disturbance_reaches_model_reservoir():

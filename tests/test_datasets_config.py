@@ -82,6 +82,23 @@ def test_dataset_csv_errors(tmp_path):
         Dataset.load_csv(path)
 
 
+def test_dataset_csv_rejects_non_uniform_clock(tmp_path):
+    ds = small_ds()
+    path = tmp_path / "data.csv"
+    ds.save_csv(path)
+    lines = path.read_text().splitlines()
+    parts = lines[4].split(",")
+    parts[0] = repr(float(parts[0]) + 0.001)
+    lines[4] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidDataError, match=":5"):
+        Dataset.load_csv(path)
+    lines[4] = ",".join(["nan"] + parts[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidDataError, match=":5"):
+        Dataset.load_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # identification experiment
 

@@ -3,11 +3,10 @@ import numpy as np
 import pytest
 
 from pneurc.datasets import Dataset
-from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
-                           ResourceError, StateError)
-from pneurc.esn import (EsnFeedforward, EsnModel, EsnParams, EsnTrainer,
-                        TrainedEsn, esn_collect_states, esn_extended_state,
-                        esn_init, esn_readout, esn_update,
+from pneurc.errors import (InvalidDataError, InvalidSpecError, ResourceError,
+                           StateError)
+from pneurc.esn import (EsnModel, EsnParams, EsnTrainer, TrainedEsn,
+                        esn_collect_states, esn_init, esn_update,
                         spectral_radius_power_iteration)
 
 TINY = dict(reservoir_size=8, washout=4, n_y=2, seed=7)
@@ -141,58 +140,45 @@ def test_states_forget_initial_condition(rng):
 
 def test_extended_state_layout():
     model = esn_init(EsnParams(**TINY))
-    model.state = np.linspace(0.1, 0.8, 8)
-    x = esn_extended_state(model, [3.0, 2.0])
-    assert x.shape == (11,)
-    assert x[0] == 1.0
-    np.testing.assert_array_equal(x[1:3], [3.0, 2.0])
-    np.testing.assert_array_equal(x[3:], model.state)
-    with pytest.raises(DimensionError):
-        esn_extended_state(model, [1.0, 2.0, 3.0])
+    state = np.linspace(0.1, 0.8, 8)
+    model.state = state.copy()
+    rows = esn_collect_states(model, [3.0, 2.0])
+    assert rows.shape == (2, 11)
+    # [1, theta taps most recent first, reservoir state before the update]
+    np.testing.assert_array_equal(rows[0], np.concatenate(([1.0, 3.0, 0.0], state)))
+    np.testing.assert_array_equal(rows[1, :3], [1.0, 2.0, 3.0])
 
 
 def test_collect_states_rows_use_pre_update_state():
     model = esn_init(EsnParams(**TINY))
-    theta = np.arange(1.0, 8.0)  # 7 samples, washout 4 -> 3 rows
+    theta = np.arange(1.0, 8.0)  # 7 samples -> 7 rows, washout left to callers
     # manual replay with an identical fresh copy
     twin = EsnModel(params=model.params, w_input=model.w_input,
                     w_reservoir=model.w_reservoir, state=np.zeros(8))
     taps = np.zeros(2)
     expected = []
-    for k, u in enumerate(theta):
+    for u in theta:
         taps[1:] = taps[:-1]
         taps[0] = u
-        if k >= 4:
-            expected.append(np.concatenate(([1.0], taps, twin.state)))
+        expected.append(np.concatenate(([1.0], taps, twin.state)))
         esn_update(twin, u)
     rows = esn_collect_states(model, theta)
-    assert rows.shape == (3, 11)
+    assert rows.shape == (7, 11)
     np.testing.assert_array_equal(rows, np.array(expected))
     # the collecting model was mutated to the same final state
     np.testing.assert_array_equal(model.state, twin.state)
 
 
-def test_collect_states_requires_rows_after_washout():
-    model = esn_init(EsnParams(**TINY))
+def test_washout_requires_rows():
+    params = EsnParams(**TINY)
+    short = make_dataset(np.zeros(4), np.zeros(4))
+    with pytest.raises(InvalidDataError, match="washout"):
+        EsnTrainer(params).fit([short])
+    trained = EsnTrainer(params).fit([make_dataset(np.arange(9.0), np.arange(9.0))])
+    with pytest.raises(InvalidDataError, match="washout"):
+        trained.evaluate(short)
     with pytest.raises(InvalidDataError):
-        esn_collect_states(model, np.zeros(4))
-    with pytest.raises(InvalidDataError):
-        esn_collect_states(model, np.zeros((3, 2)))
-
-
-def test_readout_errors():
-    model = esn_init(EsnParams(**TINY))
-    x = np.zeros(model.extended_dim)
-    with pytest.raises(StateError):
-        esn_readout(model, x)
-    model.w_out = np.arange(float(model.extended_dim))
-    assert esn_readout(model, x) == 0.0
-    with pytest.raises(DimensionError):
-        esn_readout(model, np.zeros(3))
-    x[0] = 2.0
-    assert esn_readout(model, x) == 0.0  # weight on the bias slot is zero
-    model.w_out = np.ones(model.extended_dim)
-    assert esn_readout(model, x) == pytest.approx(2.0)
+        esn_collect_states(esn_init(params), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +246,3 @@ def test_load_rejects_foreign_npz(tmp_path):
     np.savez(path, stuff=np.zeros(3))
     with pytest.raises(InvalidDataError, match="format"):
         TrainedEsn.load(path)
-
-
-# ---------------------------------------------------------------------------
-# feedforward wrapper
-
-
-def test_feedforward_step_matches_manual_readout():
-    ds = linear_plant_dataset()
-    trainer = EsnTrainer(EsnParams(reservoir_size=15, washout=10, n_y=3, seed=2),
-                         alpha=1e-6)
-    trained = trainer.fit([ds])
-    ff = trained.feedforward()
-    twin = trained.feedforward()
-
-    p1, p_i, p_o, p_f = ff.step(20.0, dt=1 / 200)
-    assert (p_i, p_o, p_f) == (0.0, 0.0, 0.0)
-    x_star = esn_extended_state(twin.model, [20.0, 0.0, 0.0])
-    assert p1 == esn_readout(twin.model, x_star)
-    esn_update(twin.model, 20.0)
-
-    p2 = ff.step(25.0, dt=1 / 200)[0]
-    x_star = esn_extended_state(twin.model, [25.0, 20.0, 0.0])
-    assert p2 == esn_readout(twin.model, x_star)
-
-    ff.reset_state()
-    assert np.all(ff.model.state == 0.0)
-    assert ff.step(20.0, dt=1 / 200)[0] == p1

@@ -5,11 +5,9 @@ import pytest
 from pneurc.datasets import Dataset
 from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
                            NumericError)
-from pneurc.fprc import (FprcFeedforward, FprcModel, FprcParams, FprcState,
-                         FprcTrainer, TapBuffer, convert_angle,
-                         fprc_collect_training, fprc_feature, fprc_step,
-                         fprc_weight_analysis, lowpass_step,
-                         simulate_reservoir_record)
+from pneurc.fprc import (FprcModel, FprcParams, FprcTrainer, _lowpass_series,
+                         convert_angle, drive_reservoir, fprc_collect_training,
+                         fprc_weight_analysis)
 from pneurc.fuzzy import FuzzyRuleSet, fuzzy_infer_batch
 from pneurc.plant import ReservoirPlant
 from pneurc.training import ridge_solve
@@ -51,66 +49,32 @@ def test_params_validation():
     assert FprcParams().replace(n_c=2).n_c == 2
 
 
-def test_tap_buffer_most_recent_first():
-    taps = TapBuffer(3)
-    np.testing.assert_array_equal(taps.view(), [0.0, 0.0, 0.0])
-    taps.push(1.0)
-    taps.push(2.0)
-    np.testing.assert_array_equal(taps.view(), [2.0, 1.0, 0.0])
-    taps.push(3.0)
-    taps.push(4.0)
-    np.testing.assert_array_equal(taps.view(), [4.0, 3.0, 2.0])
-    view = taps.view()
-    view[0] = 99.0
-    assert taps.view()[0] == 4.0  # views are copies
-    taps.reset()
-    np.testing.assert_array_equal(taps.view(), [0.0, 0.0, 0.0])
-    assert len(taps) == 3
-    with pytest.raises(InvalidSpecError):
-        TapBuffer(0)
-    with pytest.raises(NumericError):
-        taps.push(float("inf"))
-
-
 def test_lowpass_first_sample_init():
-    state = FprcState(FprcParams())
     # first-sample init: the first output equals the first input exactly
-    assert lowpass_step(state, 120.0, 0.01) == pytest.approx(120.0)
-    expected = 0.01 * 50.0 + 0.99 * 120.0
-    assert lowpass_step(state, 50.0, 0.01) == pytest.approx(expected)
+    out = _lowpass_series(np.array([120.0, 50.0]), FprcParams(epsilon=0.01))
+    assert out[0] == pytest.approx(120.0)
+    assert out[1] == pytest.approx(0.01 * 50.0 + 0.99 * 120.0)
 
 
 def test_lowpass_zero_init():
-    state = FprcState(FprcParams(filter_init="zero"))
-    assert lowpass_step(state, 120.0, 0.01) == pytest.approx(1.2)
-    with pytest.raises(NumericError):
-        lowpass_step(state, float("nan"), 0.01)
+    out = _lowpass_series(np.array([120.0]), FprcParams(epsilon=0.01, filter_init="zero"))
+    assert out[0] == pytest.approx(1.2)
 
 
 def test_lowpass_matches_scalar_recursion(rng):
-    params = FprcParams(epsilon=0.03)
-    state = FprcState(params)
     p = rng.uniform(80.0, 300.0, size=50)
-    filt = None
-    for v in p:
-        if filt is None:
-            filt = v
+    out = _lowpass_series(p, FprcParams(epsilon=0.03))
+    filt = p[0]
+    for k, v in enumerate(p):
         filt = 0.03 * v + 0.97 * filt
-        assert lowpass_step(state, v, 0.03) == pytest.approx(filt, rel=1e-14)
+        assert out[k] == pytest.approx(filt, rel=1e-14)
 
 
-def test_fprc_feature_layout():
-    state = FprcState(FprcParams(n_y=2, n_u=2))
-    state.theta_taps.push(10.0)
-    state.theta_taps.push(20.0)
-    state.p_taps.push(100.0)
-    x = fprc_feature(state)
-    np.testing.assert_array_equal(x, [20.0, 10.0, 100.0, 0.0])
-    lin = FprcState(FprcParams(n_y=2), reservoir_features=False)
-    lin.theta_taps.push(5.0)
-    np.testing.assert_array_equal(fprc_feature(lin), [5.0, 0.0])
-    lin.reset()
-    np.testing.assert_array_equal(fprc_feature(lin), [0.0, 0.0])
+def test_readout_state_layout():
+    X, _ = fprc_collect_training([10.0, 20.0], [0.0, 0.0], p_o=[100.0, 100.0],
+                                 params=FprcParams(n_y=2, n_u=2))
+    # rows are [theta taps, filtered pressure taps], most recent first
+    np.testing.assert_array_equal(X, [[10.0, 0.0, 100.0, 0.0], [20.0, 10.0, 100.0, 100.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +113,11 @@ def test_collect_validation():
 
 def test_simulated_record_matches_generated_dataset(small_dataset, default_config):
     params = default_config.fprc_params()
-    fresh = default_config.build_reservoir()
-    p_o = simulate_reservoir_record(small_dataset.theta, fresh, params,
-                                    small_dataset.dt)
+    p_i, p_o, disturbed = drive_reservoir(small_dataset.theta, default_config.build_reservoir(),
+                                          params.k_in, params.input_limit, small_dataset.dt)
+    np.testing.assert_array_equal(p_i, small_dataset.p_i)
     np.testing.assert_array_equal(p_o, small_dataset.p_o)
+    np.testing.assert_array_equal(disturbed, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +151,16 @@ def test_evaluate_matches_manual_inference(small_dataset, default_config):
     assert yhat.shape == (len(small_dataset),)
 
 
-def test_step_loop_matches_vectorized_evaluate(small_dataset, default_config):
+def test_feedforward_run_matches_vectorized_evaluate(small_dataset, default_config):
+    # the record was generated with a fresh reservoir, so driving another
+    # fresh one with its angle reproduces its reservoir pressure
     model = FprcTrainer(default_config.fprc_params(), seed=1).fit([small_dataset])
     yhat, _ = model.evaluate(small_dataset)
     ff = model.feedforward(default_config.build_reservoir())
-    stepped = np.array([ff.step(th, small_dataset.dt)[0]
-                        for th in small_dataset.theta])
-    np.testing.assert_allclose(stepped, yhat, rtol=1e-10, atol=1e-10)
-
-
-def test_step_reports_pipeline_signals(small_dataset, default_config):
-    model = FprcTrainer(default_config.fprc_params(), seed=1).fit([small_dataset])
-    ff = model.feedforward(default_config.build_reservoir())
-    p_ff, p_i, p_o, p_filt = ff.step(30.0, 1 / 200)
-    assert p_i == pytest.approx(convert_angle(30.0, model.params.k_in))
-    assert p_filt == pytest.approx(p_o)  # first-sample filter init
-    assert np.isfinite(p_ff)
+    p_ff, p_i, p_o, _, _ = ff.run(small_dataset.theta, small_dataset.dt)
+    np.testing.assert_array_equal(p_o, small_dataset.p_o)
+    np.testing.assert_array_equal(p_ff, yhat)
     assert ff.kind == "fprc"
-
-
-def test_fuzzy_linear_step_has_no_pressure_path(small_dataset, default_config):
-    trainer = FprcTrainer(default_config.fprc_params(), seed=1,
-                          reservoir_features=False)
-    model = trainer.fit([small_dataset])
-    assert model.kind == "fuzzy-linear"
-    assert model.ruleset.state_dim == model.params.n_y
-    ff = model.feedforward()
-    p_ff, p_i, p_o, p_filt = ff.step(30.0, 1 / 200)
-    assert (p_i, p_o, p_filt) == (0.0, 0.0, 0.0)
-    assert np.isfinite(p_ff)
 
 
 def test_feedforward_requires_reservoir(small_dataset, default_config):

@@ -3,11 +3,9 @@ import numpy as np
 import pytest
 
 from pneurc.errors import (DegenerateClusteringError, DimensionError,
-                           InvalidDataError, InvalidSpecError, StateError)
-from pneurc.fuzzy import (FuzzyRuleSet, fcm_cluster, fcm_objective, fuzzy_infer,
-                          fuzzy_infer_batch, gaussian_membership,
-                          normalize_memberships, rule_outputs,
-                          train_fuzzy_readout)
+                           InvalidDataError, InvalidSpecError)
+from pneurc.fuzzy import (FuzzyRuleSet, fcm_cluster, fcm_objective,
+                          fuzzy_infer_batch, rule_outputs, train_fuzzy_readout)
 from pneurc.training import ridge_solve
 
 
@@ -163,35 +161,6 @@ def test_readout_validation(rng):
 
 
 # ---------------------------------------------------------------------------
-# membership functions
-
-
-def test_gaussian_membership_hand_values():
-    centers = np.array([[0.0], [3.0]])
-    beta = gaussian_membership(np.array([1.0]), centers, sigma=2.0)
-    np.testing.assert_allclose(beta, [np.exp(-1.0 / 8.0), np.exp(-0.5)])
-    # at a center the membership is exactly one
-    assert gaussian_membership(np.array([3.0]), centers, 2.0)[1] == 1.0
-    with pytest.raises(InvalidSpecError):
-        gaussian_membership(np.array([1.0]), centers, sigma=0.0)
-    with pytest.raises(DimensionError):
-        gaussian_membership(np.array([1.0, 2.0]), centers, sigma=1.0)
-
-
-def test_normalize_memberships_hand_values():
-    np.testing.assert_allclose(normalize_memberships(np.array([0.2, 0.2])), [0.5, 0.5])
-    np.testing.assert_allclose(normalize_memberships(np.array([1.0, 3.0])), [0.25, 0.75])
-
-
-def test_normalize_memberships_underflow_fallback():
-    zeros = np.zeros(3)
-    out = normalize_memberships(zeros, distances_sq=np.array([5.0, 1.0, 9.0]))
-    np.testing.assert_array_equal(out, [0.0, 1.0, 0.0])
-    with pytest.raises(StateError):
-        normalize_memberships(zeros)
-
-
-# ---------------------------------------------------------------------------
 # inference
 
 
@@ -201,13 +170,25 @@ def random_ruleset(rng, n_rules=4, dim=3, sigma=1.5):
     return FuzzyRuleSet(centers=centers, w_out=w_out, sigma=sigma)
 
 
+def test_infer_gaussian_hand_values():
+    # rule outputs 0 and 1 make the inference the normalized membership of
+    # the second rule: beta_i = exp(-||x - c_i||^2 / (2 sigma^2))
+    rs = FuzzyRuleSet(centers=np.array([[0.0], [3.0]]),
+                      w_out=np.array([[0.0, 0.0], [1.0, 0.0]]), sigma=2.0)
+    beta = np.array([np.exp(-1.0 / 8.0), np.exp(-0.5)])
+    y = fuzzy_infer_batch(rs, np.array([[1.0], [3.0]]))
+    assert y[0] == pytest.approx(beta[1] / beta.sum())
+    # at a center its own membership is one
+    assert y[1] == pytest.approx(1.0 / (1.0 + np.exp(-9.0 / 8.0)))
+
+
 def test_inference_is_convex_blend(rng):
     rs = random_ruleset(rng)
-    for _ in range(200):
-        x = rng.normal(size=3) * 5.0
+    X = rng.normal(size=(200, 3)) * 5.0
+    y = fuzzy_infer_batch(rs, X)
+    for x, y_k in zip(X, y):
         outs = rule_outputs(rs, x)
-        y = fuzzy_infer(rs, x)
-        assert outs.min() - 1e-10 <= y <= outs.max() + 1e-10
+        assert outs.min() - 1e-10 <= y_k <= outs.max() + 1e-10
 
 
 def test_single_rule_inference_is_affine(rng):
@@ -218,20 +199,10 @@ def test_single_rule_inference_is_affine(rng):
     np.testing.assert_allclose(fuzzy_infer_batch(rs, X), expected, atol=1e-12)
 
 
-def test_fuzzy_infer_matches_batch_row(rng):
-    rs = random_ruleset(rng)
-    X = rng.normal(size=(20, 3))
-    batch = fuzzy_infer_batch(rs, X)
-    singles = np.array([fuzzy_infer(rs, x) for x in X])
-    # matmul may take different BLAS paths for (1, d) and (N, d) operands,
-    # so agreement is to rounding, not bitwise
-    np.testing.assert_allclose(singles, batch, rtol=1e-12, atol=1e-12)
-
-
 def test_far_state_degrades_to_nearest_rule(rng):
     rs = random_ruleset(rng)
     x = np.full(3, 1e6)
-    y = fuzzy_infer(rs, x)
+    y = fuzzy_infer_batch(rs, x[None, :])[0]
     assert np.isfinite(y)
     nearest = int(np.argmin(np.sum((rs.centers - x) ** 2, axis=1)))
     assert y == pytest.approx(rule_outputs(rs, x)[nearest])

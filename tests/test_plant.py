@@ -5,8 +5,7 @@ import pytest
 from pneurc.errors import InvalidSpecError, NumericError
 from pneurc.plant import (DISTURBANCE_MODES, INPUT_PRESSURE_LIMIT, ActuatorPlant,
                           DisturbanceSpec, PlayOperatorStack, ReservoirPlant,
-                          actuator_step, apply_disturbance, play_step,
-                          reservoir_step)
+                          actuator_step, apply_disturbance, reservoir_step)
 
 
 def tiny_stack() -> PlayOperatorStack:
@@ -79,13 +78,6 @@ def test_play_run_matches_step_loop():
     ran = a.run(seq)
     stepped = np.array([b.step(u) for u in seq])
     np.testing.assert_array_equal(ran, stepped)
-
-
-def test_play_step_functional_wrapper():
-    st = tiny_stack()
-    st2, y = play_step(st, 2.0)
-    assert st2 is st
-    assert y == pytest.approx(3.0)
 
 
 def test_play_copy_is_independent():
