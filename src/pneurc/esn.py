@@ -13,12 +13,16 @@ import numpy as np
 
 from .errors import (InvalidDataError, InvalidSpecError, NumericError,
                      ResourceError, StateError, decoding)
-from .training import ridge_solve
+from .signals import tap_matrix
+from .training import Trainer, ridge_solve
 
 WEIGHT_DISTRIBUTIONS = ("uniform", "uniform-sym", "normal")
 
 # refuse reservoirs whose dense recurrent matrix would exceed this budget
 _MAX_RESERVOIR_BYTES = 4 * 1024 ** 3
+
+# rows of extended state a replay holds at once (about 6.6 MB at 800 units)
+_REPLAY_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,8 @@ def esn_update(model: EsnModel, theta_d: float) -> np.ndarray:
     return model.state
 
 
-def esn_collect_states(model: EsnModel, theta_series) -> np.ndarray:
+def esn_collect_states(model: EsnModel, theta_series, start: int = 0,
+                       stop: int | None = None) -> np.ndarray:
     """Run the reservoir over an angle record and stack extended states.
 
     Row k is the extended state [1, theta taps, reservoir state]: the taps
@@ -142,20 +147,30 @@ def esn_collect_states(model: EsnModel, theta_series) -> np.ndarray:
     row is emitted. Every sample gives a row; callers drop the first
     ``washout`` rows where the state has not yet forgotten its
     initialization. The model state is left at its final value.
+
+    ``start`` and ``stop`` return rows start..stop-1 only, driving the
+    reservoir with those samples; the model must hold the state after
+    samples 0..start-1, as the call for the previous block leaves it.
     """
     theta = np.asarray(theta_series, dtype=float)
     if theta.ndim != 1:
         raise InvalidDataError("theta_series must be 1-D")
+    stop = theta.size if stop is None else stop
+    if not 0 <= start <= stop <= theta.size:
+        raise InvalidSpecError(f"rows [{start}, {stop}) out of range for {theta.size} samples")
+    bad = np.flatnonzero(~np.isfinite(theta[start:stop]))
+    if bad.size:
+        k = start + int(bad[0])
+        raise NumericError(f"ESN input must be finite, got {theta[k]!r} at sample {k}")
     n_y = model.params.n_y
-    taps = np.zeros(n_y)
-    rows = np.empty((theta.size, model.extended_dim))
-    for k in range(theta.size):
-        taps[1:] = taps[:-1]
-        taps[0] = theta[k]
-        rows[k, 0] = 1.0
-        rows[k, 1:1 + n_y] = taps
-        rows[k, 1 + n_y:] = model.state
-        esn_update(model, theta[k])
+    first = max(start - n_y + 1, 0)  # the taps of row start reach back n_y - 1 samples
+    rows = np.empty((stop - start, model.extended_dim))
+    rows[:, 0] = 1.0
+    rows[:, 1:1 + n_y] = tap_matrix(theta[first:stop], n_y)[start - first:]
+    states = rows[:, 1 + n_y:]
+    for j, u in enumerate(theta[start:stop]):
+        states[j] = model.state
+        esn_update(model, u)
     return rows
 
 
@@ -164,7 +179,7 @@ def _check_washout(n: int, washout: int) -> None:
         raise InvalidDataError(f"series of length {n} leaves no rows after washout {washout}")
 
 
-class EsnTrainer:
+class EsnTrainer(Trainer):
     """Draws the frozen reservoir once, then fits the readout per fold."""
 
     kind = "esn"
@@ -174,17 +189,15 @@ class EsnTrainer:
         self.alpha = alpha
         self._template = esn_init(params)
 
-    def fit(self, segments, fold: int = 0) -> "TrainedEsn":
-        if not segments:
-            raise InvalidDataError("no training segments given")
+    def states(self, record):
+        """Extended states and targets of a record driven from a cold state,
+        without the first ``washout`` rows."""
         washout = self.params.washout
-        xs, ys = [], []
-        for seg in segments:
-            _check_washout(len(seg), washout)
-            xs.append(esn_collect_states(self._template.cold_copy(), seg.theta)[washout:])
-            ys.append(seg.p_exp[washout:])
-        X = np.vstack(xs)
-        y = np.concatenate(ys)
+        _check_washout(len(record), washout)
+        rows = esn_collect_states(self._template.cold_copy(), record.theta)
+        return rows[washout:], record.p_exp[washout:]
+
+    def fit_states(self, X, y, fold: int = 0) -> "TrainedEsn":
         fitted = self._template.cold_copy()
         fitted.w_out = ridge_solve(X, y, self.alpha)
         return TrainedEsn(fitted)
@@ -200,9 +213,20 @@ class TrainedEsn:
             raise StateError("model has no trained readout")
         self.model = model
 
+    def predict(self, X) -> np.ndarray:
+        """Readout of extended-state rows."""
+        return X @ self.model.w_out
+
     def _replay(self, theta) -> np.ndarray:
-        """Readout over an angle record from a cold state, one value per sample."""
-        return esn_collect_states(self.model.cold_copy(), theta) @ self.model.w_out
+        """Readout over an angle record from a cold state, one value per
+        sample, holding one block of extended states at a time."""
+        theta = np.asarray(theta, dtype=float)
+        model = self.model.cold_copy()
+        out = np.empty(theta.size)
+        for lo in range(0, theta.size, _REPLAY_BLOCK_ROWS):
+            hi = min(lo + _REPLAY_BLOCK_ROWS, theta.size)
+            out[lo:hi] = self.predict(esn_collect_states(model, theta, lo, hi))
+        return out
 
     def evaluate(self, ds) -> tuple[np.ndarray, np.ndarray]:
         """Replay a dataset from a cold state; rows before washout are

@@ -20,6 +20,8 @@ from .fuzzy import (FuzzyRuleSet, fcm_cluster, fuzzy_infer_batch,
                     train_fuzzy_readout)
 from .plant import (INPUT_PRESSURE_LIMIT, DisturbanceSpec, ReservoirPlant,
                     apply_disturbance, reservoir_step)
+from .signals import tap_matrix
+from .training import Trainer, normalize_minmax, weight_contributions
 
 FILTER_INIT_MODES = ("first-sample", "zero")
 
@@ -104,19 +106,12 @@ def _lowpass_series(p_o: np.ndarray, params: FprcParams) -> np.ndarray:
     return out
 
 
-def _tap_matrix(series: np.ndarray, n_taps: int) -> np.ndarray:
-    """Row k holds [v(k), v(k-1), ..., v(k-n_taps+1)], zero padded."""
-    padded = np.concatenate([np.zeros(n_taps - 1), series])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n_taps)
-    return windows[:, ::-1]
-
-
 def _feature_matrix(theta: np.ndarray, p_filt: np.ndarray | None,
                     params: FprcParams) -> np.ndarray:
     """Readout states [theta taps, filtered pressure taps], one row per sample;
     angle taps only when ``p_filt`` is None (the fuzzy-linear variant)."""
-    X = _tap_matrix(theta, params.n_y)
-    return X if p_filt is None else np.hstack([X, _tap_matrix(p_filt, params.n_u)])
+    X = tap_matrix(theta, params.n_y)
+    return X if p_filt is None else np.hstack([X, tap_matrix(p_filt, params.n_u)])
 
 
 def fprc_collect_training(theta, p_exp, p_o=None, params: FprcParams = None,
@@ -165,11 +160,15 @@ class FprcModel:
     def kind(self) -> str:
         return "fprc" if self.reservoir_features else "fuzzy-linear"
 
+    def predict(self, X) -> np.ndarray:
+        """Readout of state rows as ``fprc_collect_training`` assembles them."""
+        return fuzzy_infer_batch(self.ruleset, X)
+
     def evaluate(self, ds) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized replay of a recorded dataset (uses its stored P_o)."""
         X, y = fprc_collect_training(ds.theta, ds.p_exp, p_o=ds.p_o, params=self.params,
                                      reservoir_features=self.reservoir_features)
-        return fuzzy_infer_batch(self.ruleset, X), y
+        return self.predict(X), y
 
     def feedforward(self, reservoir: ReservoirPlant | None = None) -> "FprcFeedforward":
         if self.reservoir_features and reservoir is None:
@@ -239,10 +238,10 @@ class FprcFeedforward:
         else:
             p_i = p_o = p_filt = disturbed = np.zeros(theta_d.size)
             X = _feature_matrix(theta_d, None, params)
-        return fuzzy_infer_batch(self.model.ruleset, X), p_i, p_o, p_filt, disturbed
+        return self.model.predict(X), p_i, p_o, p_filt, disturbed
 
 
-class FprcTrainer:
+class FprcTrainer(Trainer):
     """Collects pipeline features, clusters them, and fits the readout."""
 
     def __init__(self, params: FprcParams, seed: int = 0, reservoir_features: bool = True):
@@ -254,18 +253,13 @@ class FprcTrainer:
     def kind(self) -> str:
         return "fprc" if self.reservoir_features else "fuzzy-linear"
 
-    def fit(self, segments, fold: int = 0) -> FprcModel:
-        if not segments:
-            raise InvalidDataError("no training segments given")
-        xs, ys = [], []
-        for seg in segments:
-            X, y = fprc_collect_training(seg.theta, seg.p_exp, p_o=seg.p_o,
-                                         params=self.params,
-                                         reservoir_features=self.reservoir_features)
-            xs.append(X)
-            ys.append(y)
-        X = np.vstack(xs)
-        y = np.concatenate(ys)
+    def states(self, record):
+        """Readout states and targets of every sample of a record (no washout)."""
+        return fprc_collect_training(record.theta, record.p_exp, p_o=record.p_o,
+                                     params=self.params,
+                                     reservoir_features=self.reservoir_features)
+
+    def fit_states(self, X, y, fold: int = 0) -> FprcModel:
         centers, u = fcm_cluster(X, self.params.n_c, m=self.params.fuzziness,
                                  tol=self.params.fcm_tol, max_iter=self.params.fcm_max_iter,
                                  seed=[self.seed, fold])
@@ -282,8 +276,6 @@ def fprc_weight_analysis(theta, p_exp, p_o, params: FprcParams, seed: int = 0) -
     to [0, 1] before tap assembly so the absolute weight magnitudes of the
     two groups are comparable; the target stays in engineering units.
     """
-    from .training import normalize_minmax, weight_contributions
-
     theta = np.asarray(theta, dtype=float)
     p_o = np.asarray(p_o, dtype=float)
     p_exp = np.asarray(p_exp, dtype=float)

@@ -25,6 +25,16 @@ def format_float(x) -> str:
     """
     return repr(float(x))
 
+
+def tap_matrix(series: np.ndarray, n_taps: int) -> np.ndarray:
+    """Row k holds [v(k), v(k-1), ..., v(k-n_taps+1)], zero padded."""
+    if len(series) == 0:
+        return np.zeros((0, n_taps))
+    padded = np.concatenate([np.zeros(n_taps - 1), series])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_taps)
+    return windows[:, ::-1]
+
+
 # canonical unit spellings for the CSV header round trip
 _UNIT_TOKENS = {"deg": "deg", "kpa": "kPa", "s": "s", "v": "V", "na": ""}
 

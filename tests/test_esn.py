@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from pneurc import esn
 from pneurc.datasets import Dataset
-from pneurc.errors import (InvalidDataError, InvalidSpecError, ResourceError,
-                           StateError)
+from pneurc.errors import (InvalidDataError, InvalidSpecError, NumericError,
+                           ResourceError, StateError)
 from pneurc.esn import (EsnModel, EsnParams, EsnTrainer, TrainedEsn,
                         esn_collect_states, esn_init, esn_update,
                         spectral_radius_power_iteration)
@@ -169,6 +170,38 @@ def test_collect_states_rows_use_pre_update_state():
     np.testing.assert_array_equal(model.state, twin.state)
 
 
+def test_collect_states_in_blocks_continue_the_run():
+    model = esn_init(EsnParams(**TINY))
+    theta = np.arange(1.0, 12.0)
+    full = esn_collect_states(model.cold_copy(), theta)
+    driven = model.cold_copy()
+    # 4-row blocks: the taps of each block's first rows reach into the previous one
+    blocks = [esn_collect_states(driven, theta, lo, min(lo + 4, theta.size))
+              for lo in range(0, theta.size, 4)]
+    np.testing.assert_array_equal(np.vstack(blocks), full)
+    assert esn_collect_states(driven, []).shape == (0, 11)
+    with pytest.raises(InvalidSpecError):
+        esn_collect_states(driven, theta, 5, 3)
+    with pytest.raises(InvalidSpecError):
+        esn_collect_states(driven, theta, 0, 12)
+
+
+def test_collect_states_names_first_non_finite_sample():
+    model = esn_init(EsnParams(**TINY))
+    model.state = np.full(8, 0.25)
+    theta = np.zeros(10)
+    theta[6] = np.nan
+    theta[8] = np.inf
+    with pytest.raises(NumericError, match="sample 6"):
+        esn_collect_states(model, theta)
+    # the series is checked before the reservoir takes a step
+    np.testing.assert_array_equal(model.state, np.full(8, 0.25))
+    # a block that ends before the bad sample is driven; the next one names it
+    assert esn_collect_states(model, theta, 0, 6).shape == (6, 11)
+    with pytest.raises(NumericError, match="sample 6"):
+        esn_collect_states(model, theta, 6, 10)
+
+
 def test_washout_requires_rows():
     params = EsnParams(**TINY)
     short = make_dataset(np.zeros(4), np.zeros(4))
@@ -201,6 +234,18 @@ def test_trainer_fit_and_evaluate_alignment():
     np.testing.assert_array_equal(y, ds.p_exp[20:])
     # an affine target within the tap span is easy for the extended state
     assert float(np.sqrt(np.mean((yhat - y) ** 2))) < 1.0
+
+
+def test_replay_in_blocks_matches_one_readout(monkeypatch):
+    ds = linear_plant_dataset()
+    trained = EsnTrainer(EsnParams(reservoir_size=30, washout=20, seed=5),
+                         alpha=1e-6).fit([ds])
+    full = esn_collect_states(trained.model.cold_copy(), ds.theta) @ trained.model.w_out
+    monkeypatch.setattr(esn, "_REPLAY_BLOCK_ROWS", 7)  # 400 rows: 57 blocks and a short one
+    yhat, _ = trained.evaluate(ds)
+    np.testing.assert_allclose(yhat, full[20:], rtol=1e-12, atol=0.0)
+    p_ff = trained.run(ds.theta, ds.dt)[0]
+    np.testing.assert_allclose(p_ff, full, rtol=1e-12, atol=0.0)
 
 
 def test_trainer_multi_segment_fit():

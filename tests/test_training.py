@@ -2,10 +2,13 @@
 import numpy as np
 import pytest
 
+from pneurc import esn
 from pneurc.datasets import Dataset
 from pneurc.errors import (DegenerateRangeError, DimensionError,
                            InvalidDataError, InvalidSpecError, NumericError)
-from pneurc.training import (BenchmarkResult, CvReport, FoldResult,
+from pneurc.esn import EsnParams, EsnTrainer, TrainedEsn
+from pneurc.fprc import FprcTrainer
+from pneurc.training import (BenchmarkResult, CvReport, FoldResult, Trainer,
                              benchmark_execution, contiguous_folds, kfold_cv,
                              normalize_minmax, ridge_solve, rmse, run_sweep,
                              weight_contributions)
@@ -132,39 +135,53 @@ class StubModel:
 
     def __init__(self, c):
         self.c = c
+        self.evaluated = []  # length of every dataset evaluate() replayed
+
+    def predict(self, X):
+        return np.full(len(X), self.c)
 
     def evaluate(self, ds):
-        return np.full(len(ds), self.c), ds.p_exp
+        self.evaluated.append(len(ds))
+        return self.predict(ds.p_exp), ds.p_exp
 
 
-class StubTrainer:
+class StubTrainer(Trainer):
+    """Its states are the targets themselves; the model predicts their mean."""
+
     kind = "stub"
 
     def __init__(self):
-        self.calls = []
+        self.records = []  # length of every record states() was asked for
+        self.fits = []  # (fold, y) of every fit
+        self.models = []
 
-    def fit(self, segments, fold):
-        self.calls.append((fold, [len(s) for s in segments]))
-        y = np.concatenate([s.p_exp for s in segments])
-        return StubModel(float(np.mean(y)))
+    def states(self, record):
+        self.records.append(len(record))
+        return record.p_exp[:, None], record.p_exp
+
+    def fit_states(self, X, y, fold=0):
+        self.fits.append((fold, y.copy()))
+        self.models.append(StubModel(float(np.mean(y))))
+        return self.models[-1]
 
 
-def make_dataset(p_exp, dt=0.01):
+def make_dataset(p_exp, theta=None, dt=0.01):
     n = len(p_exp)
     z = np.zeros(n)
-    return Dataset(theta=z, p_exp=np.asarray(p_exp, dtype=float), p_i=z.copy(),
-                   p_o=z.copy(), dt=dt)
+    return Dataset(theta=z if theta is None else theta, p_exp=np.asarray(p_exp, dtype=float),
+                   p_i=z.copy(), p_o=z.copy(), dt=dt)
 
 
 def test_kfold_cv_fits_on_complement_segments():
-    ds = make_dataset(np.arange(100.0))
+    vals = np.arange(100.0)
     trainer = StubTrainer()
-    kfold_cv(ds, trainer, k=4)
-    # fold 0 holds out [0, 25): one training segment of 75 samples;
-    # middle folds produce two segments
-    assert trainer.calls[0] == (0, [75])
-    assert trainer.calls[1] == (1, [25, 50])
-    assert trainer.calls[3] == (3, [75])
+    kfold_cv(make_dataset(vals), trainer, k=4)
+    # fold i trains on everything outside its block [25 i, 25 (i + 1)), in order
+    assert [fold for fold, _ in trainer.fits] == [0, 1, 2, 3]
+    for fold, y in trainer.fits:
+        np.testing.assert_array_equal(y, np.delete(vals, np.s_[25 * fold:25 * fold + 25]))
+    # one cold start per fold edge: run 0 up to the last edge, the others to the end
+    assert trainer.records == [75, 75, 50, 25]
 
 
 def test_kfold_cv_selects_first_minimal_e_bar():
@@ -186,6 +203,81 @@ def test_kfold_cv_tie_resolves_to_lowest_index():
     # perfectly symmetric data: every fold ties at e_bar == 0
     assert report.best_index == 0
     assert model.c == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# cross validation against a per-fold reference
+
+
+def reference_kfold_cv(dataset, trainer, k):
+    """Blocked k-fold CV one fold at a time: fit on the complement segments,
+    then replay each training segment and the validation block from a cold
+    start. Returns (best_model, [(e_train, e_val), ...], best_index)."""
+    n = len(dataset)
+    errors, models = [], []
+    for i, (lo, hi) in enumerate(contiguous_folds(n, k)):
+        segments = [dataset.slice(a, b) for a, b in ((0, lo), (hi, n)) if a < b]
+        model = trainer.fit(segments, fold=i)
+        replays = [model.evaluate(seg) for seg in segments]
+        e_train = rmse(np.concatenate([r[0] for r in replays]),
+                       np.concatenate([r[1] for r in replays]))
+        e_val = rmse(*model.evaluate(dataset.slice(lo, hi)))
+        errors.append((e_train, e_val))
+        models.append(model)
+    best = int(np.argmin([FoldResult(0, *e).e_bar for e in errors]))
+    return models[best], errors, best
+
+
+def small_esn_trainer():
+    return EsnTrainer(EsnParams(reservoir_size=30, washout=20, seed=3), alpha=1e-4)
+
+
+TRAINERS = {
+    "esn": lambda cfg: small_esn_trainer(),
+    "fprc": lambda cfg: FprcTrainer(cfg.fprc_params(), seed=2),
+    "fuzzy-linear": lambda cfg: FprcTrainer(cfg.fprc_params(), seed=2,
+                                            reservoir_features=False),
+}
+
+
+def readout_weights(model):
+    if isinstance(model, TrainedEsn):
+        return [model.model.w_out]
+    return [model.ruleset.w_out, model.ruleset.centers]
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_kfold_cv_matches_per_fold_reference(kind, k, default_config, small_dataset):
+    ds = small_dataset.slice(0, 1199)  # 1199 samples: neither fold count divides it
+    model, report = kfold_cv(ds, TRAINERS[kind](default_config), k=k)
+    ref_model, ref_errors, ref_best = reference_kfold_cv(ds, TRAINERS[kind](default_config), k)
+    assert report.best_index == ref_best
+    np.testing.assert_allclose([(f.e_train, f.e_val) for f in report.folds], ref_errors,
+                               rtol=1e-12, atol=0.0)
+    for w, w_ref in zip(readout_weights(model), readout_weights(ref_model)):
+        np.testing.assert_array_equal(w, w_ref)
+
+
+def test_kfold_cv_steps_the_reservoir_once_per_cold_start(monkeypatch, small_dataset):
+    calls = []
+    real_update = esn.esn_update
+
+    def counted(model, theta_d):
+        calls.append(1)
+        return real_update(model, theta_d)
+
+    monkeypatch.setattr(esn, "esn_update", counted)
+    n, k = 1199, 5
+    kfold_cv(small_dataset.slice(0, n), small_esn_trainer(), k=k)
+    edges = [lo for lo, _ in contiguous_folds(n, k)]
+    assert len(calls) == edges[-1] + sum(n - e for e in edges[1:])
+
+
+def test_kfold_cv_rejects_validation_block_within_washout(small_dataset):
+    # 100 samples in 5 folds: 20-sample blocks, no longer than the washout of 20
+    with pytest.raises(InvalidDataError, match="washout"):
+        kfold_cv(small_dataset.slice(0, 100), small_esn_trainer(), k=5)
 
 
 def test_cv_report_stats():
@@ -287,8 +379,8 @@ def test_sweep_csv_excludes_timings_by_default(tmp_path, default_config,
 
 
 class SleepyTrainer(StubTrainer):
-    def fit(self, segments, fold):
-        model = super().fit(segments, fold)
+    def fit_states(self, X, y, fold=0):
+        model = super().fit_states(X, y, fold)
         model.c = 1.0
         return model
 
@@ -308,9 +400,27 @@ def test_benchmark_single_fit_mode():
     trainer = SleepyTrainer()
     ds = make_dataset(np.ones(50))
     result = benchmark_execution(trainer, ds, ds, repetitions=4, refit_each_rep=False)
-    assert len(trainer.calls) == 1
+    assert len(trainer.fits) == 1
     assert len(result.train_times_s) == 1
     assert len(result.test_times_s) == 4
+
+
+def test_benchmark_reads_training_error_from_the_fit_states():
+    trainer = SleepyTrainer()
+    train, test = make_dataset(np.ones(50)), make_dataset(np.ones(30))
+    benchmark_execution(trainer, train, test, repetitions=2)
+    # one states pass per refit; only the test record is replayed
+    assert trainer.records == [50, 50]
+    assert [m.evaluated for m in trainer.models] == [[30], [30]]
+
+
+def test_benchmark_training_error_matches_replay():
+    ds = make_dataset(np.linspace(100.0, 200.0, 300),
+                      theta=30.0 + 20.0 * np.sin(np.linspace(0.0, 12.0, 300)))
+    trainer = small_esn_trainer()
+    result = benchmark_execution(trainer, ds, ds, repetitions=1)
+    replayed = rmse(*trainer.fit([ds]).evaluate(ds))
+    assert result.e_train == pytest.approx(replayed, rel=1e-12)
 
 
 def test_benchmark_metrics_dict_has_no_timings():
