@@ -94,14 +94,16 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_datasets(cfg: ExperimentConfig, reverse: bool) -> tuple[Dataset, Dataset]:
+def _dataset_paths(cfg: ExperimentConfig, reverse: bool) -> tuple[str, str]:
+    """(training path, evaluation path); --reverse swaps their roles."""
     train_path, test_path = cfg.train_data_path(), cfg.test_data_path()
-    for path in (train_path, test_path):
-        if not os.path.exists(path):
-            raise InvalidDataError(f"dataset {path} not found; run 'pneurc generate' first")
-    train = Dataset.load_csv(train_path)
-    test = Dataset.load_csv(test_path)
-    return (test, train) if reverse else (train, test)
+    return (test_path, train_path) if reverse else (train_path, test_path)
+
+
+def _load_dataset(path: str) -> Dataset:
+    if not os.path.exists(path):
+        raise InvalidDataError(f"dataset {path} not found; run 'pneurc generate' first")
+    return Dataset.load_csv(path)
 
 
 def _trainer(cfg: ExperimentConfig, kind: str):
@@ -139,7 +141,7 @@ def cmd_generate(args, cfg: ExperimentConfig) -> int:
 
 def cmd_train(args, cfg: ExperimentConfig) -> int:
     kind = args.model or cfg.model.kind
-    train_ds, _ = _load_datasets(cfg, args.reverse)
+    train_ds = _load_dataset(_dataset_paths(cfg, args.reverse)[0])
     trainer = _trainer(cfg, kind)
     model, report = training.kfold_cv(train_ds, trainer, k=cfg.cv_folds)
     artifact = cfg.model_artifact_path(kind)
@@ -157,7 +159,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
 
 def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     kind = args.model or cfg.model.kind
-    _, eval_ds = _load_datasets(cfg, args.reverse)
+    eval_ds = _load_dataset(_dataset_paths(cfg, args.reverse)[1])
     model = _load_model(cfg, kind, args.model_artifact)
     yhat, y = model.evaluate(eval_ds)
     e = training.rmse(yhat, y)
@@ -214,7 +216,7 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    train_ds, test_ds = _load_datasets(cfg, args.reverse)
+    train_ds, test_ds = map(_load_dataset, _dataset_paths(cfg, args.reverse))
     values = args.values
     if values is not None and args.axis in ("clusters", "taps"):
         values = [int(v) for v in values]
@@ -231,7 +233,7 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_bench(args, cfg: ExperimentConfig) -> int:
-    train_ds, test_ds = _load_datasets(cfg, args.reverse)
+    train_ds, test_ds = map(_load_dataset, _dataset_paths(cfg, args.reverse))
     metrics, timing = {}, {}
     for kind in ("esn", "fprc", "fuzzy-linear"):
         result = training.benchmark_execution(_trainer(cfg, kind), train_ds, test_ds,

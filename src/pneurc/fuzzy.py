@@ -18,42 +18,61 @@ from .training import ridge_solve
 _CENTER_COLLAPSE_TOL = 1e-12
 
 
-def _pairwise_sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (N, n_c). Clipped at zero."""
-    d2 = (np.sum(X * X, axis=1)[:, None] + np.sum(centers * centers, axis=1)[None, :]
-          - 2.0 * (X @ centers.T))
-    return np.maximum(d2, 0.0)
+def _sq_distances(centers: np.ndarray, X: np.ndarray,
+                  xx: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances, cluster-major: shape (n_c, N), clipped at zero.
+
+    Built as ||x_k||^2 + ||c_i||^2 - 2 c_i . x_k from one ``centers @ X.T``
+    GEMM, so every later reduction over clusters or points runs along the
+    long contiguous axis. ``xx`` is ||x_k||^2, passed by callers that reuse
+    the same rows. The expansion cancels to about eps * ||x||^2 near a
+    center; use direct differences where that matters.
+    """
+    if xx is None:
+        xx = np.sum(X * X, axis=1)
+    d2 = (-2.0 * centers) @ X.T  # exact: scaling by a power of two
+    # (||x||^2 + ||c||^2) is summed first, as in the textbook expansion, and
+    # one row at a time so that no second (n_c, N) temporary is allocated
+    for row, cc in zip(d2, np.sum(centers * centers, axis=1)):
+        row += xx + cc
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _memberships_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
-    """FCM membership update u_ik = 1 / sum_j (d_ik / d_jk)^(2/(m-1)).
+    """FCM membership update u_ik = 1 / sum_j (d_ik / d_jk)^(2/(m-1)), shape (n_c, N).
 
-    Points that coincide with a center get a one-hot row on that center.
+    Points that coincide with a center (an infinite inverse distance, hence
+    a non-finite column sum) get a one-hot column on that center.
     """
-    expo = 1.0 / (m - 1.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv = np.power(d2, -expo)
-        u = inv / np.sum(inv, axis=1, keepdims=True)
-    hits = ~np.all(np.isfinite(inv), axis=1)
-    if np.any(hits):
-        u[hits] = 0.0
-        u[hits, np.argmin(d2[hits], axis=1)] = 1.0
+        inv = np.reciprocal(d2) if m == 2.0 else np.power(d2, -1.0 / (m - 1.0))
+        total = np.sum(inv, axis=0)
+        u = np.divide(inv, total, out=inv)
+    hits = np.flatnonzero(~np.isfinite(total))
+    if hits.size:
+        u[:, hits] = 0.0
+        u[np.argmin(d2[:, hits], axis=0), hits] = 1.0
     return u
 
 
 def fcm_objective(X: np.ndarray, centers: np.ndarray, u: np.ndarray, m: float) -> float:
-    """J = sum_ik u_ik^m ||x_k - c_i||^2."""
-    d2 = _pairwise_sq_distances(X, centers)
-    return float(np.sum((u ** m) * d2))
+    """J = sum_ik u_ik^m ||x_k - c_i||^2, with u shaped (N, n_c)."""
+    return float(np.sum((u.T ** m) * _sq_distances(centers, X)))
 
 
 def _check_center_separation(centers: np.ndarray) -> None:
-    n_c = centers.shape[0]
-    for i in range(n_c):
-        for j in range(i + 1, n_c):
-            if np.linalg.norm(centers[i] - centers[j]) < _CENTER_COLLAPSE_TOL:
-                raise DegenerateClusteringError(
-                    f"cluster centers {i} and {j} collapsed within {_CENTER_COLLAPSE_TOL}")
+    """Raise when two centers lie within _CENTER_COLLAPSE_TOL, naming the lowest pair.
+
+    Uses direct differences: the norm expansion's cancellation error at
+    |c| ~ 100 (about 1e-9) would swamp the tolerance.
+    """
+    i, j = np.triu_indices(centers.shape[0], k=1)
+    gaps = np.sqrt(np.sum((centers[i] - centers[j]) ** 2, axis=1))
+    close = np.flatnonzero(gaps < _CENTER_COLLAPSE_TOL)
+    if close.size:
+        k = close[0]
+        raise DegenerateClusteringError(
+            f"cluster centers {i[k]} and {j[k]} collapsed within {_CENTER_COLLAPSE_TOL}")
 
 
 def fcm_cluster(data, n_c: int, m: float = 2.0, tol: float = 1e-4,
@@ -89,7 +108,7 @@ def fcm_cluster(data, n_c: int, m: float = 2.0, tol: float = 1e-4,
         if n_c == 1:
             centers = cand
             break
-        dists = _pairwise_sq_distances(cand, cand)
+        dists = _sq_distances(cand, cand)
         np.fill_diagonal(dists, np.inf)
         if np.min(dists) > _CENTER_COLLAPSE_TOL ** 2:
             centers = cand
@@ -98,26 +117,27 @@ def fcm_cluster(data, n_c: int, m: float = 2.0, tol: float = 1e-4,
         raise DegenerateClusteringError(
             f"could not draw {n_c} distinct initial centers from the data")
 
+    # cluster-major throughout: d2, u and u^m are (n_c, N)
+    xx = np.sum(X * X, axis=1)
+    d2 = _sq_distances(centers, X, xx)
     history = []
-    u = None
     for _ in range(max_iter):
-        d2 = _pairwise_sq_distances(X, centers)
         u = _memberships_from_distances(d2, m)
-        um = u ** m
-        mass = np.sum(um, axis=0)
+        um = u * u if m == 2.0 else np.power(u, m)
+        mass = np.sum(um, axis=1)
         if np.any(mass == 0.0):
             raise DegenerateClusteringError("a cluster lost all membership mass")
-        new_centers = (um.T @ X) / mass[:, None]
-        if n_c > 1:
-            _check_center_separation(new_centers)
+        new_centers = (um @ X) / mass[:, None]
+        _check_center_separation(new_centers)
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
+        d2 = _sq_distances(centers, X, xx)
         if return_history:
-            history.append(fcm_objective(X, centers, u, m))
+            history.append(fcm_objective(X, centers, u.T, m))
         if shift < tol:
             break
-    # memberships for the final centers
-    u = _memberships_from_distances(_pairwise_sq_distances(X, centers), m)
+    # memberships for the final centers, returned point-major (N, n_c)
+    u = _memberships_from_distances(d2, m).T
     if return_history:
         return centers, u, history
     return centers, u
@@ -164,8 +184,7 @@ class FuzzyRuleSet:
             raise DimensionError(
                 f"w_out shape {self.w_out.shape} does not match centers "
                 f"{self.centers.shape} plus bias")
-        if self.centers.shape[0] > 1:
-            _check_center_separation(self.centers)
+        _check_center_separation(self.centers)
 
     @property
     def n_rules(self) -> int:
@@ -177,18 +196,18 @@ class FuzzyRuleSet:
 
 
 def _normalized_memberships_batch(ruleset: FuzzyRuleSet, X: np.ndarray) -> np.ndarray:
-    """Normalized Gaussian memberships for a batch of states.
+    """Normalized Gaussian memberships for a batch of states, shape (n_c, N).
 
-    Shifting the squared distances by their row minimum before the
+    Shifting the squared distances by each state's minimum before the
     exponential leaves the normalized result identical in exact arithmetic
     while keeping the largest membership at one, so the all-underflow case
     cannot occur and far-away states degrade smoothly toward the nearest
     center.
     """
-    d2 = _pairwise_sq_distances(X, ruleset.centers)
-    shifted = d2 - np.min(d2, axis=1, keepdims=True)
-    b = np.exp(-shifted / (2.0 * ruleset.sigma ** 2))
-    return b / np.sum(b, axis=1, keepdims=True)
+    d2 = _sq_distances(ruleset.centers, X)
+    d2 -= np.min(d2, axis=0)
+    b = np.exp(d2 / (-2.0 * ruleset.sigma ** 2), out=d2)
+    return b / np.sum(b, axis=0)
 
 
 def fuzzy_infer_batch(ruleset: FuzzyRuleSet, X) -> np.ndarray:
@@ -199,9 +218,9 @@ def fuzzy_infer_batch(ruleset: FuzzyRuleSet, X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise InvalidDataError("states must be finite")
     beta = _normalized_memberships_batch(ruleset, X)
-    phi = np.hstack([np.ones((X.shape[0], 1)), X])
-    rule_outputs = phi @ ruleset.w_out.T
-    return np.sum(beta * rule_outputs, axis=1)
+    rule_outputs = ruleset.w_out[:, 1:] @ X.T
+    rule_outputs += ruleset.w_out[:, :1]
+    return np.sum(beta * rule_outputs, axis=0)
 
 
 def rule_outputs(ruleset: FuzzyRuleSet, x) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour with a reduced configuration."""
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -87,6 +88,32 @@ def test_evaluate(workspace):
     rev = json.loads((out / "reports" / "evaluate_fprc_reverse.json").read_text())
     assert rev["dataset"] == "train"
     assert rev["rmse_kpa"] != report["rmse_kpa"]
+
+
+def _out_with(workspace, out, *files):
+    """A fresh output directory holding copies of some of the workspace's files."""
+    for name in files:
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(workspace["out"] / name, out / name)
+    return ["--config", workspace["cfg_path"], "--out", str(out)]
+
+
+def test_train_reads_only_the_training_dataset(workspace, tmp_path, capsys):
+    args = _out_with(workspace, tmp_path / "out", "data/train.csv")
+    assert main([*args, "train"]) == 0
+    assert (tmp_path / "out" / "models" / "fprc.json").exists()
+    # --reverse trains on the test record, which is the one missing here
+    assert main([*args, "--reverse", "train"]) == 2
+    assert "test.csv not found; run 'pneurc generate' first" in capsys.readouterr().err
+
+
+def test_evaluate_reads_only_the_evaluation_dataset(workspace, tmp_path, capsys):
+    args = _out_with(workspace, tmp_path / "out", "data/test.csv", "models/fprc.json")
+    assert main([*args, "evaluate"]) == 0
+    report = json.loads((tmp_path / "out" / "reports" / "evaluate_fprc.json").read_text())
+    assert report["dataset"] == "test"
+    assert main([*args, "--reverse", "evaluate"]) == 2
+    assert "train.csv not found; run 'pneurc generate' first" in capsys.readouterr().err
 
 
 def test_simulate_single_scenario(workspace):

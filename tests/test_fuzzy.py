@@ -1,6 +1,9 @@
 """Fuzzy c-means clustering and the Takagi-Sugeno readout."""
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pneurc.errors import (DegenerateClusteringError, DimensionError,
                            InvalidDataError, InvalidSpecError)
@@ -115,6 +118,49 @@ def test_fcm_validation(rng):
         fcm_cluster(X * np.nan, 2)
     with pytest.raises(InvalidDataError):
         fcm_cluster(np.empty((0, 2)), 1)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(X=arrays(np.float64, st.tuples(st.integers(8, 40), st.integers(1, 4)),
+                elements=st.floats(-1e3, 1e3), unique=True),
+       n_c=st.integers(1, 5), m=st.sampled_from([1.5, 2.0, 2.5]))
+def test_fcm_memberships_are_row_stochastic(X, n_c, m):
+    try:
+        _, u = fcm_cluster(X, n_c, m=m, seed=0)
+    except DegenerateClusteringError:
+        reject()
+    assert u.shape == (X.shape[0], n_c)
+    assert np.all(u >= 0.0)
+    np.testing.assert_allclose(np.sum(u, axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+# one ULP apart at magnitude 1e3: 2.3e-13 apart, far below the rounding of
+# the norm expansion ||a||^2 + ||b||^2 - 2 a.b (its distance from NEAR to
+# itself can read 3.1e-5), so only direct differences resolve the gap
+NEAR = np.array([1254.41251858, 531.19775076, 1205.84148447])
+NEAR_ULP = np.array([NEAR[0], NEAR[1], np.nextafter(NEAR[2], np.inf)])
+
+
+def _rules(centers):
+    centers = np.asarray(centers)
+    return FuzzyRuleSet(centers=centers, w_out=np.zeros((len(centers), centers.shape[1] + 1)),
+                        sigma=1.0)
+
+
+def test_centers_one_ulp_apart_collapse():
+    assert 0.0 < np.linalg.norm(NEAR - NEAR_ULP) < 1e-12
+    with pytest.raises(DegenerateClusteringError, match="centers 0 and 1 collapsed"):
+        _rules([NEAR, NEAR_ULP])
+
+
+def test_centers_1e9_apart_stay_separate():
+    _rules([NEAR, NEAR + np.array([0.0, 0.0, 1e-9])])
+
+
+def test_collapse_names_the_lowest_pair():
+    far = NEAR + 50.0
+    with pytest.raises(DegenerateClusteringError, match="centers 0 and 3 collapsed"):
+        _rules([NEAR, far, far + [0.0, 0.0, 1e-13], NEAR_ULP])
 
 
 def test_fcm_objective_hand_value():
