@@ -186,9 +186,12 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     for scenario in scenarios:
         ref = cfg.signals.scenarios[scenario].render(cfg.dt)
         spec = cfg.disturbance_spec() if scenario == "disturbance" else None
+        # the feedforward never reads the plant, so fprc and fprc+pd share one drive
+        recorded = control.RecordedFeedforward(
+            model.feedforward(cfg.build_reservoir()).run(ref.values, ref.dt, spec))
         for method in control.METHOD_NAMES:
             actuator = cfg.build_actuator()
-            ff = model.feedforward(cfg.build_reservoir()) if method != "pd" else None
+            ff = recorded if method != "pd" else None
             if method == "fprc":
                 log = control.run_open_loop(ref, ff, actuator, gains, disturbance=spec,
                                             scenario=scenario, method=method)

@@ -16,7 +16,7 @@ from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
                      NumericError)
 from .plant import (INPUT_PRESSURE_LIMIT, ActuatorPlant, DisturbanceSpec,
                     actuator_step)
-from .signals import TimeSeries, format_float
+from .signals import TimeSeries, format_float, write_csv
 
 RUN_LOG_COLUMNS = ("t_s", "theta_d_deg", "theta_deg", "e_theta_deg", "p_ff_kpa",
                    "p_fb_kpa", "p_d_kpa", "p_i_kpa", "p_o_kpa", "p_o_filt_kpa",
@@ -113,15 +113,9 @@ class RunLog:
         return float(np.sqrt(np.mean(self.e_theta ** 2)))
 
     def to_csv(self, path) -> None:
-        lines = [",".join(RUN_LOG_COLUMNS)]
-        for k in range(len(self)):
-            vals = (self.t[k], self.theta_d[k], self.theta[k], self.e_theta[k],
-                    self.p_ff[k], self.p_fb[k], self.p_d[k], self.p_i[k],
-                    self.p_o[k], self.p_o_filt[k])
-            lines.append(",".join(format_float(v) for v in vals)
-                         + f",{int(self.disturbed[k])}")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, ",".join(RUN_LOG_COLUMNS), (
+            self.t, self.theta_d, self.theta, self.e_theta, self.p_ff, self.p_fb, self.p_d,
+            self.p_i, self.p_o, self.p_o_filt, self.disturbed.astype(int)))
 
     @classmethod
     def from_csv(cls, path) -> "RunLog":
@@ -139,6 +133,20 @@ class RunLog:
         return cls(t=cols[:, 0], theta_d=cols[:, 1], theta=cols[:, 2], e_theta=cols[:, 3],
                    p_ff=cols[:, 4], p_fb=cols[:, 5], p_d=cols[:, 6], p_i=cols[:, 7],
                    p_o=cols[:, 8], p_o_filt=cols[:, 9], disturbed=cols[:, 10])
+
+
+class RecordedFeedforward:
+    """Feedforward columns computed once and replayed by every run on one reference.
+
+    ``run`` returns the recorded (p_ff, p_i, p_o, p_o_filt, disturbed) as
+    they are; any disturbance was applied when they were computed.
+    """
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+
+    def run(self, theta_d, dt: float, disturbance: DisturbanceSpec | None = None):
+        return self.columns
 
 
 def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
@@ -171,27 +179,26 @@ def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
         if len(ff) != 5 or any(c.shape != (n,) for c in ff):
             raise DimensionError(f"feedforward must return 5 columns of {n} samples")
     p_ff, p_i, p_o, p_o_filt, disturbed = ff
-    cols = {name: np.empty(n) for name in ("theta", "e_theta", "p_fb", "p_d")}
-    theta_d = reference.values.tolist()
-    p_ff_k = p_ff.tolist()
+    cols = {name: [] for name in ("theta", "e_theta", "p_fb", "p_d")}
     prev_error = None
     clamp_steps = 0
-    for k in range(n):
+    for k, (theta_d, p_ff_k) in enumerate(zip(reference.values.tolist(), p_ff.tolist())):
         theta = actuator.angle_state
-        error = theta_d[k] - theta
+        error = theta_d - theta
         p_fb = pd_step(error, prev_error, gains.pd, dt) if feedback else 0.0
-        p_d = p_ff_k[k] + p_fb
+        p_d = p_ff_k + p_fb
         applied = min(max(p_d, 0.0), pressure_limit)
         if applied != p_d:
             clamp_steps += 1
         theta_next = actuator_step(actuator, applied, dt)
-        if not (math.isfinite(p_ff_k[k]) and math.isfinite(theta_next)):
+        if not (math.isfinite(p_ff_k) and math.isfinite(theta_next)):
             raise NumericError(f"run diverged at step {k} (t={k * dt:.3f} s)")
-        cols["theta"][k] = theta
-        cols["e_theta"][k] = error
-        cols["p_fb"][k] = p_fb
-        cols["p_d"][k] = p_d
+        cols["theta"].append(theta)
+        cols["e_theta"].append(error)
+        cols["p_fb"].append(p_fb)
+        cols["p_d"].append(p_d)
         prev_error = error
+    cols = {name: np.array(values, dtype=float) for name, values in cols.items()}
     return RunLog(t=np.arange(n) * dt, theta_d=reference.values.copy(), p_ff=p_ff,
                   p_i=p_i, p_o=p_o, p_o_filt=p_o_filt, disturbed=disturbed,
                   scenario=scenario, method=method, clamp_steps=clamp_steps, **cols)

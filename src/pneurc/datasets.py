@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidDataError, InvalidSpecError
 from .fprc import drive_reservoir
 from .plant import ActuatorPlant, ReservoirPlant, actuator_step
-from .signals import TimeSeries, format_float
+from .signals import TimeSeries, write_csv
 
 CSV_HEADER = "t_s,theta_deg,p_exp_kpa,p_i_kpa,p_o_kpa"
 
@@ -57,14 +57,7 @@ class Dataset:
                        self.p_i[lo:hi], self.p_o[lo:hi], self.dt)
 
     def save_csv(self, path) -> None:
-        t = self.times
-        lines = [CSV_HEADER]
-        for k in range(len(self)):
-            lines.append(",".join(format_float(v) for v in
-                                  (t[k], self.theta[k], self.p_exp[k],
-                                   self.p_i[k], self.p_o[k])))
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, CSV_HEADER, (self.times, self.theta, self.p_exp, self.p_i, self.p_o))
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":
@@ -111,9 +104,6 @@ def generate_dataset(excitation: TimeSeries, actuator: ActuatorPlant,
         raise InvalidSpecError(f"excitation must be a pressure in kPa, got unit "
                                f"{excitation.unit!r}")
     dt = excitation.dt
-    n = len(excitation)
-    theta = np.empty(n)
-    for k in range(n):
-        theta[k] = actuator_step(actuator, excitation.values[k], dt)
+    theta = np.array([actuator_step(actuator, p, dt) for p in excitation.values.tolist()])
     p_i, p_o, _ = drive_reservoir(theta, reservoir, k_in, input_limit, dt)
     return Dataset(theta=theta, p_exp=excitation.values.copy(), p_i=p_i, p_o=p_o, dt=dt)

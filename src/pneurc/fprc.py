@@ -9,6 +9,7 @@ else identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,9 +65,10 @@ class FprcParams:
 def convert_angle(theta_d: float, k_in: float,
                   limit: float = INPUT_PRESSURE_LIMIT) -> float:
     """Reservoir input pressure P_i = k_in * theta_d, clamped to [0, limit]."""
-    if not np.isfinite(theta_d):
+    if not math.isfinite(theta_d):
         raise NumericError(f"theta_d must be finite, got {theta_d!r}")
-    return float(min(max(k_in * theta_d, 0.0), limit))
+    p_i = k_in * theta_d
+    return float(0.0 if p_i < 0.0 else (limit if p_i > limit else p_i))
 
 
 def drive_reservoir(theta, reservoir: ReservoirPlant, k_in: float, input_limit: float,
@@ -80,17 +82,15 @@ def drive_reservoir(theta, reservoir: ReservoirPlant, k_in: float, input_limit: 
     its final state.
     """
     theta = np.asarray(theta, dtype=float)
-    n = theta.size
-    p_i = np.empty(n)
-    p_o = np.empty(n)
-    disturbed = np.zeros(n)
+    p_i = [convert_angle(th, k_in, input_limit) for th in theta.tolist()]
+    p_o = []
+    disturbed = np.zeros(theta.size)
     rng = np.random.default_rng(disturbance.seed) if disturbance is not None else None
-    for k in range(n):
+    for k, p in enumerate(p_i):
         if disturbance is not None:
             disturbed[k] = apply_disturbance(reservoir, disturbance, k * dt, rng)
-        p_i[k] = convert_angle(theta[k], k_in, input_limit)
-        p_o[k] = reservoir_step(reservoir, p_i[k], dt)
-    return p_i, p_o, disturbed
+        p_o.append(reservoir_step(reservoir, p, dt))
+    return np.array(p_i), np.array(p_o), disturbed
 
 
 def _lowpass_series(p_o: np.ndarray, params: FprcParams) -> np.ndarray:

@@ -60,19 +60,37 @@ def fcm_objective(X: np.ndarray, centers: np.ndarray, u: np.ndarray, m: float) -
     return float(np.sum((u.T ** m) * _sq_distances(centers, X)))
 
 
-def _check_center_separation(centers: np.ndarray) -> None:
-    """Raise when two centers lie within _CENTER_COLLAPSE_TOL, naming the lowest pair.
+def _collapsed_pair(centers: np.ndarray):
+    """The lowest pair (i, j) of centers within _CENTER_COLLAPSE_TOL, or None.
 
     Uses direct differences: the norm expansion's cancellation error at
-    |c| ~ 100 (about 1e-9) would swamp the tolerance.
+    |c| ~ 100 (about 1e-9) would swamp the tolerance, and its distance
+    between two equal rows often rounds to a small positive value.
     """
     i, j = np.triu_indices(centers.shape[0], k=1)
     gaps = np.sqrt(np.sum((centers[i] - centers[j]) ** 2, axis=1))
     close = np.flatnonzero(gaps < _CENTER_COLLAPSE_TOL)
-    if close.size:
-        k = close[0]
+    return (int(i[close[0]]), int(j[close[0]])) if close.size else None
+
+
+def _check_center_separation(centers: np.ndarray) -> None:
+    """Raise when two centers lie within _CENTER_COLLAPSE_TOL, naming the lowest pair."""
+    pair = _collapsed_pair(centers)
+    if pair is not None:
         raise DegenerateClusteringError(
-            f"cluster centers {i[k]} and {j[k]} collapsed within {_CENTER_COLLAPSE_TOL}")
+            f"cluster centers {pair[0]} and {pair[1]} collapsed within {_CENTER_COLLAPSE_TOL}")
+
+
+def _draw_initial_centers(X: np.ndarray, n_c: int, seed) -> np.ndarray:
+    """Indices of ``n_c`` pairwise distinct rows of X, drawn with the seeded
+    generator; a draw holding two equal rows is drawn again, up to 100 times."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        idx = rng.choice(X.shape[0], size=n_c, replace=False)
+        if _collapsed_pair(X[idx]) is None:
+            return idx
+    raise DegenerateClusteringError(
+        f"could not draw {n_c} distinct initial centers from the data")
 
 
 def fcm_cluster(data, n_c: int, m: float = 2.0, tol: float = 1e-4,
@@ -100,22 +118,7 @@ def fcm_cluster(data, n_c: int, m: float = 2.0, tol: float = 1e-4,
     if max_iter < 1 or tol <= 0.0:
         raise InvalidSpecError("max_iter must be >= 1 and tol positive")
 
-    rng = np.random.default_rng(seed)
-    centers = None
-    for _ in range(100):
-        idx = rng.choice(X.shape[0], size=n_c, replace=False)
-        cand = X[idx].copy()
-        if n_c == 1:
-            centers = cand
-            break
-        dists = _sq_distances(cand, cand)
-        np.fill_diagonal(dists, np.inf)
-        if np.min(dists) > _CENTER_COLLAPSE_TOL ** 2:
-            centers = cand
-            break
-    if centers is None:
-        raise DegenerateClusteringError(
-            f"could not draw {n_c} distinct initial centers from the data")
+    centers = X[_draw_initial_centers(X, n_c, seed)]
 
     # cluster-major throughout: d2, u and u^m are (n_c, N)
     xx = np.sum(X * X, axis=1)

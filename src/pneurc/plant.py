@@ -8,7 +8,8 @@ internal pressure out).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +20,23 @@ INPUT_PRESSURE_LIMIT = 450.0  # kPa, supply-side hard limit
 DISTURBANCE_MODES = ("additive-pressure", "state-kick")
 
 
-@dataclass
 class PlayOperatorStack:
     """Weighted stack of play operators sharing one scalar input.
 
     Each operator j holds an internal state s_j updated as
     s_j' = max(u - r_j, min(u + r_j, s_j)); the stack output is the
     weighted sum of the states. Radii must be ascending with r_0 >= 0.
+
+    Radii and weights are fixed at construction. The step loop runs on
+    Python floats: on a stack of eight operators, numpy's per-call overhead
+    costs more than the arithmetic. ``states`` reads and sets the states
+    as an array.
     """
 
-    radii: np.ndarray
-    weights: np.ndarray
-    states: np.ndarray = None
-    input_unit: str = "kPa"
-    output_unit: str = "deg"
-    last_input: float = 0.0
-
-    def __post_init__(self):
-        self.radii = np.asarray(self.radii, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
+    def __init__(self, radii, weights, states=None, input_unit: str = "kPa",
+                 output_unit: str = "deg", last_input: float = 0.0):
+        self.radii = np.asarray(radii, dtype=float)
+        self.weights = np.asarray(weights, dtype=float)
         if self.radii.ndim != 1 or self.radii.size == 0:
             raise InvalidSpecError("radii must be a non-empty 1-D array")
         if self.weights.shape != self.radii.shape:
@@ -46,12 +45,23 @@ class PlayOperatorStack:
             raise InvalidSpecError("radii must be ascending with radii[0] >= 0")
         if not np.all(np.isfinite(self.radii)) or not np.all(np.isfinite(self.weights)):
             raise InvalidSpecError("radii and weights must be finite")
-        if self.states is None:
-            self.states = np.zeros_like(self.radii)
-        else:
-            self.states = np.asarray(self.states, dtype=float)
-            if self.states.shape != self.radii.shape:
-                raise InvalidSpecError("states must match radii in length")
+        self._ops = list(zip(self.radii.tolist(), self.weights.tolist()))
+        self.states = np.zeros_like(self.radii) if states is None else states
+        self.input_unit = input_unit
+        self.output_unit = output_unit
+        self.last_input = float(last_input)
+
+    @property
+    def states(self) -> np.ndarray:
+        """The operator states, as a new array."""
+        return np.array(self._states)
+
+    @states.setter
+    def states(self, values) -> None:
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.radii.shape:
+            raise InvalidSpecError("states must match radii in length")
+        self._states = values.tolist()
 
     @classmethod
     def uniform(cls, n_ops: int, input_span: float, output_span: float,
@@ -78,24 +88,36 @@ class PlayOperatorStack:
                    input_unit=input_unit, output_unit=output_unit)
 
     def step(self, u: float) -> float:
-        """Advance all operators with input u, return the weighted output."""
-        if not np.isfinite(u):
+        """Advance all operators with input u, return the weighted output.
+
+        The comparisons give the same states, bit for bit, as
+        ``np.maximum(u - r, np.minimum(u + r, s))``, which also keeps s on ties.
+        """
+        if not math.isfinite(u):
             raise NumericError(f"play stack input must be finite, got {u!r}")
-        np.maximum(u - self.radii, np.minimum(u + self.radii, self.states), out=self.states)
+        states = self._states
+        y = 0.0
+        for j, (r, w) in enumerate(self._ops):
+            x = states[j]
+            lo = u - r
+            if x < lo:
+                x = lo
+            else:
+                hi = u + r
+                if x > hi:
+                    x = hi
+            states[j] = x
+            y += w * x
         self.last_input = float(u)
-        return float(self.weights @ self.states)
+        return y
 
     def run(self, u_sequence) -> np.ndarray:
         """Step through a whole input sequence, returning the output path."""
-        u_sequence = np.asarray(u_sequence, dtype=float)
-        out = np.empty(u_sequence.size)
-        for k in range(u_sequence.size):
-            out[k] = self.step(u_sequence[k])
-        return out
+        return np.array([self.step(u) for u in np.asarray(u_sequence, dtype=float).tolist()])
 
     def copy(self) -> "PlayOperatorStack":
         return PlayOperatorStack(radii=self.radii.copy(), weights=self.weights.copy(),
-                                 states=self.states.copy(), input_unit=self.input_unit,
+                                 states=self.states, input_unit=self.input_unit,
                                  output_unit=self.output_unit, last_input=self.last_input)
 
 
@@ -136,7 +158,7 @@ def actuator_step(plant: ActuatorPlant, p_demand: float, dt: float) -> float:
     Negative demands are clamped to 0 (vented actuator) and counted on the
     plant so the harness can flag them.
     """
-    if not np.isfinite(p_demand):
+    if not math.isfinite(p_demand):
         raise NumericError(f"actuator pressure must be finite, got {p_demand!r}")
     if not (0.0 < dt):
         raise InvalidSpecError("dt must be positive")
@@ -144,10 +166,10 @@ def actuator_step(plant: ActuatorPlant, p_demand: float, dt: float) -> float:
         p_demand = 0.0
         plant.clamp_events += 1
     target = plant.hysteresis.step(p_demand)
-    plant.angle_state += (dt / plant.lag_time_constant) * (target - plant.angle_state)
+    angle = plant.angle_state + (dt / plant.lag_time_constant) * (target - plant.angle_state)
     lo, hi = plant.output_bounds
-    plant.angle_state = float(min(max(plant.angle_state, lo), hi))
-    return plant.angle_state
+    plant.angle_state = angle = float(lo if angle < lo else (hi if angle > hi else angle))
+    return angle
 
 
 @dataclass
@@ -192,7 +214,7 @@ def reservoir_step(res: ReservoirPlant, p_in: float, dt: float) -> float:
     The input is clamped to [0, input_limit] (clamp events are counted on
     the reservoir); the output pressure never drops below zero.
     """
-    if not np.isfinite(p_in):
+    if not math.isfinite(p_in):
         raise NumericError(f"reservoir input pressure must be finite, got {p_in!r}")
     if not (0.0 < dt):
         raise InvalidSpecError("dt must be positive")
@@ -200,9 +222,9 @@ def reservoir_step(res: ReservoirPlant, p_in: float, dt: float) -> float:
     if clamped != p_in:
         res.clamp_events += 1
     target = res.baseline_pressure + res.hysteresis.step(clamped)
-    res.pressure += (dt / res.lag_time_constant) * (target - res.pressure)
-    res.pressure = float(max(res.pressure, 0.0))
-    return res.pressure
+    pressure = res.pressure + (dt / res.lag_time_constant) * (target - res.pressure)
+    res.pressure = pressure = 0.0 if pressure < 0.0 else pressure
+    return pressure
 
 
 @dataclass(frozen=True)
@@ -239,8 +261,7 @@ def apply_disturbance(res: ReservoirPlant, spec: DisturbanceSpec, t: float,
         res.pressure = float(max(res.pressure + rng.uniform(-spec.magnitude, spec.magnitude), 0.0))
     else:  # state-kick
         stack = res.hysteresis
-        kicks = rng.uniform(-spec.magnitude, spec.magnitude, stack.states.size)
-        kicked = stack.states + kicks
+        kicked = stack.states + rng.uniform(-spec.magnitude, spec.magnitude, stack.radii.size)
         # keep each operator inside its play band around the last input
         lo = stack.last_input - stack.radii
         hi = stack.last_input + stack.radii

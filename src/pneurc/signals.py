@@ -26,6 +26,26 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
+CSV_BLOCK_ROWS = 1024
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and one comma-joined line per row of equal-length columns.
+
+    Floats are written as ``format_float`` writes them, integers as plain
+    integers. Rows are converted to Python numbers and written
+    ``CSV_BLOCK_ROWS`` at a time, so the temporaries do not grow with the
+    record.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            rows = zip(*(c[lo:lo + CSV_BLOCK_ROWS].tolist() for c in columns))
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+
+
 def tap_matrix(series: np.ndarray, n_taps: int) -> np.ndarray:
     """Row k holds [v(k), v(k-1), ..., v(k-n_taps+1)], zero padded."""
     if len(series) == 0:

@@ -6,12 +6,19 @@ the unit and acceptance tests.
 """
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pneurc.config import ExperimentConfig
 from pneurc.datasets import Dataset, generate_dataset
 from pneurc.esn import EsnTrainer
 from pneurc.fprc import FprcTrainer
 from pneurc.training import kfold_cv
+
+# Hypothesis profile for every property test: the same examples on every
+# run (derandomize) and no per-example time limit (deadline); tests set only
+# max_examples themselves
+settings.register_profile("pneurc", derandomize=True, deadline=None)
+settings.load_profile("pneurc")
 
 
 def _generate(cfg: ExperimentConfig, spec) -> Dataset:

@@ -12,7 +12,7 @@ from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
 from pneurc.fprc import drive_reservoir
 from pneurc.plant import (INPUT_PRESSURE_LIMIT, ActuatorPlant, DisturbanceSpec,
                           ReservoirPlant)
-from pneurc.signals import TimeSeries
+from pneurc.signals import CSV_BLOCK_ROWS, TimeSeries, format_float
 
 
 class ConstantModel:
@@ -302,6 +302,39 @@ def test_runlog_csv_round_trip(tmp_path):
     for name in ("t", "theta_d", "theta", "e_theta", "p_ff", "p_fb", "p_d",
                  "p_i", "p_o", "p_o_filt", "disturbed"):
         np.testing.assert_array_equal(getattr(back, name), getattr(log, name))
+
+
+# awkward values for a float writer: signed zeros, a subnormal, extremes,
+# integral floats, and decimals without an exact binary form
+AWKWARD = np.array([0.0, -0.0, 5e-324, 1e300, -1.7976931348623157e308, 3.0, -12.0,
+                    0.1, 1.0 / 3.0, 123456.789, 1e-7, 2.5e16])
+
+
+def per_element_runlog_csv(log) -> str:
+    """The run-log writer that indexed the arrays one element at a time."""
+    lines = [",".join(RUN_LOG_COLUMNS)]
+    for k in range(len(log)):
+        vals = (log.t[k], log.theta_d[k], log.theta[k], log.e_theta[k],
+                log.p_ff[k], log.p_fb[k], log.p_d[k], log.p_i[k],
+                log.p_o[k], log.p_o_filt[k])
+        lines.append(",".join(format_float(v) for v in vals)
+                     + f",{int(log.disturbed[k])}")
+    return "\n".join(lines) + "\n"
+
+
+def test_runlog_csv_bytes_match_per_element_writer(tmp_path):
+    # 2,600 rows: the writer converts and writes rows in blocks of 1,024
+    spec = DisturbanceSpec(window=(5.0, 6.0), magnitude=8.0)
+    log = run_closed_loop(ref_sine(duration=13.0), ConstantModel(reservoir=ReservoirPlant.default()),
+                          ActuatorPlant.default(), ControllerGains(), disturbance=spec)
+    assert len(log) > 2 * CSV_BLOCK_ROWS and np.any(log.disturbed > 0)
+    n = AWKWARD.size
+    awkward = RunLog(*(np.roll(AWKWARD, j) for j in range(10)),
+                     disturbed=np.arange(n) % 2.0)
+    for i, run in enumerate((log, awkward)):
+        path = tmp_path / f"run{i}.csv"
+        run.to_csv(path)
+        assert path.read_bytes() == per_element_runlog_csv(run).encode("ascii")
 
 
 def test_runlog_csv_errors(tmp_path):

@@ -10,7 +10,7 @@ from pneurc.datasets import CSV_HEADER, Dataset, generate_dataset
 from pneurc.errors import InvalidDataError, InvalidSpecError
 from pneurc.fprc import convert_angle
 from pneurc.plant import actuator_step, reservoir_step
-from pneurc.signals import SignalSpec, gen_sine
+from pneurc.signals import CSV_BLOCK_ROWS, SignalSpec, format_float, gen_sine
 
 
 def small_ds(n=6, dt=0.01):
@@ -64,6 +64,22 @@ def test_dataset_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.p_i, ds.p_i)
     np.testing.assert_array_equal(back.p_o, ds.p_o)
     assert back.dt == ds.dt
+
+
+def test_dataset_csv_bytes_match_per_element_writer(tmp_path, small_dataset):
+    awkward = np.array([0.0, -0.0, 5e-324, 1e300, -1.7976931348623157e308, 3.0, -12.0,
+                        0.1, 1.0 / 3.0, 123456.789, 1e-7, 2.5e16])
+    weird = Dataset(theta=awkward, p_exp=awkward[::-1], p_i=np.roll(awkward, 3),
+                    p_o=np.roll(awkward, 7), dt=1.0 / 3.0)
+    assert len(small_dataset) > CSV_BLOCK_ROWS  # rows are written in blocks
+    for i, ds in enumerate((small_dataset, weird)):
+        # the dataset writer that indexed the arrays one element at a time
+        t = ds.times
+        lines = [CSV_HEADER] + [",".join(format_float(v) for v in (
+            t[k], ds.theta[k], ds.p_exp[k], ds.p_i[k], ds.p_o[k])) for k in range(len(ds))]
+        path = tmp_path / f"data{i}.csv"
+        ds.save_csv(path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
 def test_dataset_csv_errors(tmp_path):

@@ -167,7 +167,7 @@ def test_esn_run_matches_per_tick_reference(default_config):
         assert_run_matches(log, expected)
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25)
 @given(values=st.lists(st.floats(-20.0, 90.0), min_size=1, max_size=300),
        start=st.floats(0.0, 1.5), length=st.floats(0.005, 1.0),
        mode=st.sampled_from(DISTURBANCE_MODES), magnitude=st.floats(0.0, 30.0),

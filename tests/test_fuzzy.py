@@ -7,8 +7,10 @@ from hypothesis.extra.numpy import arrays
 
 from pneurc.errors import (DegenerateClusteringError, DimensionError,
                            InvalidDataError, InvalidSpecError)
-from pneurc.fuzzy import (FuzzyRuleSet, fcm_cluster, fcm_objective,
-                          fuzzy_infer_batch, rule_outputs, train_fuzzy_readout)
+from pneurc.fprc import fprc_collect_training
+from pneurc.fuzzy import (FuzzyRuleSet, _draw_initial_centers, _sq_distances, fcm_cluster,
+                          fcm_objective, fuzzy_infer_batch, rule_outputs,
+                          train_fuzzy_readout)
 from pneurc.training import ridge_solve
 
 
@@ -120,7 +122,7 @@ def test_fcm_validation(rng):
         fcm_cluster(np.empty((0, 2)), 1)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=30)
 @given(X=arrays(np.float64, st.tuples(st.integers(8, 40), st.integers(1, 4)),
                 elements=st.floats(-1e3, 1e3), unique=True),
        n_c=st.integers(1, 5), m=st.sampled_from([1.5, 2.0, 2.5]))
@@ -161,6 +163,48 @@ def test_collapse_names_the_lowest_pair():
     far = NEAR + 50.0
     with pytest.raises(DegenerateClusteringError, match="centers 0 and 3 collapsed"):
         _rules([NEAR, far, far + [0.0, 0.0, 1e-13], NEAR_ULP])
+
+
+def expansion_draw(X, n_c, seed):
+    """The initial-centre draw that judged distinctness by the norm expansion:
+    the drawn indices, or None when 100 tries found no distinct set."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        idx = rng.choice(X.shape[0], size=n_c, replace=False)
+        if n_c == 1:
+            return idx
+        dists = _sq_distances(X[idx], X[idx])
+        np.fill_diagonal(dists, np.inf)
+        if np.min(dists) > 1e-24:
+            return idx
+    return None
+
+
+def test_fcm_draw_skips_repeated_rows():
+    # three distinct points, each repeated 40 times; the norm expansion of a
+    # row against itself can round to a small positive value, which let the
+    # expansion-based draw take two copies of one point as distinct centres
+    points = np.random.default_rng(0).normal(size=(3, 8)) * 300.0
+    X = np.repeat(points, 40, axis=0)
+    for seed in range(200):
+        idx = _draw_initial_centers(X, 3, seed)
+        assert sorted(i // 40 for i in idx) == [0, 1, 2]
+        centers, _ = fcm_cluster(X, 3, seed=seed)
+        np.testing.assert_allclose(np.sort(centers, axis=0), np.sort(points, axis=0),
+                                   rtol=1e-9)
+
+
+def test_fcm_draw_matches_expansion_draw_on_training_states(default_config, train_dataset):
+    params = default_config.fprc_params()
+    X, _ = fprc_collect_training(train_dataset.theta, train_dataset.p_exp,
+                                 p_o=train_dataset.p_o, params=params)
+    compared = 0
+    for seed in range(200):
+        old = expansion_draw(X, params.n_c, seed)
+        if old is not None:
+            np.testing.assert_array_equal(_draw_initial_centers(X, params.n_c, seed), old)
+            compared += 1
+    assert compared == 200
 
 
 def test_fcm_objective_hand_value():

@@ -1,6 +1,8 @@
 """Play-operator stacks and the two device surrogates."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pneurc.errors import InvalidSpecError, NumericError
 from pneurc.plant import (DISTURBANCE_MODES, INPUT_PRESSURE_LIMIT, ActuatorPlant,
@@ -103,6 +105,91 @@ def test_play_stack_validation():
         PlayOperatorStack.uniform(8, 370.0, 60.0, radius_span=370.0)
     with pytest.raises(NumericError):
         tiny_stack().step(float("nan"))
+
+
+def test_play_states_read_and_set_as_arrays():
+    stack = tiny_stack()
+    stack.step(2.0)
+    states = stack.states
+    states[0] = 99.0  # a copy: the stack keeps its own states
+    np.testing.assert_array_equal(stack.states, [2.0, 1.0])
+    stack.states = np.array([0.5, 1.5])
+    assert stack.step(1.0) == 1.0 + 1.5
+    with pytest.raises(InvalidSpecError):
+        stack.states = np.zeros(3)
+
+
+# ---------------------------------------------------------------------------
+# play stack properties on random finite input paths
+
+INPUTS = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def stacks(draw):
+    n = draw(st.integers(1, 8))
+    radii = sorted(draw(st.lists(st.floats(0.0, 200.0), min_size=n, max_size=n)))
+    weights = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    states = draw(st.lists(INPUTS, min_size=n, max_size=n))
+    return PlayOperatorStack(radii=radii, weights=weights, states=states,
+                             input_unit="", output_unit="")
+
+
+def test_hypothesis_profile_is_deterministic():
+    assert settings.default.derandomize is True
+    assert settings.default.deadline is None
+
+
+# ties between a state and a band edge of the other sign of zero: the rule
+# keeps the state, so its sign must survive
+@example(stack=PlayOperatorStack(radii=[0.0], weights=[1.0], states=[0.0]), path=[-0.0])
+@example(stack=PlayOperatorStack(radii=[0.0], weights=[1.0], states=[-0.0]), path=[0.0])
+@settings(max_examples=100)
+@given(stack=stacks(), path=st.lists(INPUTS, min_size=1, max_size=40))
+def test_play_step_matches_numpy_rule(stack, path):
+    s = stack.states
+    for u in path:
+        y = stack.step(u)
+        s = np.maximum(u - stack.radii, np.minimum(u + stack.radii, s))
+        assert stack.states.tobytes() == s.tobytes()  # bit for bit, signed zeros too
+        assert abs(y - stack.weights @ s) <= 1e-12 * (np.abs(stack.weights) @ np.abs(s))
+
+
+@settings(max_examples=100)
+@given(stack=stacks(), corners=st.lists(INPUTS, min_size=1, max_size=8),
+       n_fine=st.integers(2, 30))
+def test_play_rate_independence_property(stack, corners, n_fine):
+    # each segment between corners is monotone; stepping through it in
+    # n_fine samples instead of one leaves the final states unchanged
+    coarse, fine = stack.copy(), stack.copy()
+    coarse.run(corners)
+    fine.step(corners[0])
+    for a, b in zip(corners, corners[1:]):
+        fine.run(np.clip(np.linspace(a, b, n_fine)[1:], min(a, b), max(a, b)))
+    np.testing.assert_array_equal(fine.states, coarse.states)
+
+
+@settings(max_examples=100)
+@given(stack=stacks(), history=st.lists(INPUTS, max_size=10), u_0=INPUTS, u_a=INPUTS,
+       sub_loop=st.lists(INPUTS, max_size=20))
+def test_play_return_point_memory(stack, history, u_0, u_a, sub_loop):
+    # after a reversal at u_0 and a monotone move to u_a, any path that
+    # stays between u_0 and u_a and returns to u_a restores the states at u_a
+    stack.run(history + [u_0, u_a])
+    at_u_a = stack.states
+    lo, hi = min(u_0, u_a), max(u_0, u_a)
+    stack.run(np.clip(sub_loop, lo, hi))
+    stack.step(u_a)
+    np.testing.assert_array_equal(stack.states, at_u_a)
+
+
+@settings(max_examples=100)
+@given(stack=stacks(), path=st.lists(INPUTS, min_size=1, max_size=40))
+def test_play_states_stay_in_play_band(stack, path):
+    for u in path:
+        stack.step(u)
+        s = stack.states
+        assert np.all(u - stack.radii <= s) and np.all(s <= u + stack.radii)
 
 
 # ---------------------------------------------------------------------------

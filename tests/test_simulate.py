@@ -1,0 +1,80 @@
+"""The scenario suite of ``pneurc simulate`` on the default config.
+
+The feedforward never reads the plant, so ``simulate`` drives one fresh
+reservoir per scenario and hands the same feedforward columns to the
+open-loop ``fprc`` run and the closed-loop ``fprc+pd`` run. Each run must
+still equal a run that drives a reservoir of its own.
+"""
+import json
+import os
+
+import numpy as np
+import pytest
+
+from pneurc import cli, fprc
+from pneurc.control import METHOD_NAMES, RUN_LOG_COLUMNS, SCENARIO_NAMES, RunLog, run_closed_loop
+
+FF_COLUMNS = ("p_ff_kpa", "p_i_kpa", "p_o_kpa", "p_o_filt_kpa", "disturbed")
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory, fprc_cv_model):
+    """Run logs and clamp counts of one ``simulate`` run, and its count of
+    reservoir steps."""
+    out = tmp_path_factory.mktemp("simulate")
+    artifact = str(out / "fprc.json")
+    fprc_cv_model.save(artifact)
+    steps = 0
+    step = fprc.reservoir_step
+
+    def counting_step(res, p_in, dt):
+        nonlocal steps
+        steps += 1
+        return step(res, p_in, dt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fprc, "reservoir_step", counting_step)
+        assert cli.main(["--out", str(out), "simulate", "--model-artifact", artifact]) == 0
+    logs = {(method, scenario): RunLog.from_csv(os.path.join(
+                out, "reports", "runlogs", f"{scenario}_{method.replace('+', '_')}.csv"))
+            for scenario in SCENARIO_NAMES for method in METHOD_NAMES}
+    with open(os.path.join(out, "reports", "tracking.json"), encoding="ascii") as fh:
+        clamp_steps = json.load(fh)["clamp_steps"]
+    return logs, clamp_steps, steps
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_fprc_runs_share_the_feedforward(simulated, scenario):
+    logs, _, _ = simulated
+    open_loop, closed_loop = logs[("fprc", scenario)], logs[("fprc+pd", scenario)]
+    for name in FF_COLUMNS:
+        np.testing.assert_array_equal(open_loop.column(name), closed_loop.column(name))
+    if scenario == "disturbance":
+        assert np.any(open_loop.disturbed > 0)
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_fprc_runs_match_runs_with_their_own_reservoir(simulated, default_config,
+                                                       fprc_cv_model, scenario):
+    cfg = default_config
+    logs, clamp_steps, _ = simulated
+    ref = cfg.signals.scenarios[scenario].render(cfg.dt)
+    spec = cfg.disturbance_spec() if scenario == "disturbance" else None
+    for method in ("fprc", "fprc+pd"):
+        own = run_closed_loop(ref, fprc_cv_model.feedforward(cfg.build_reservoir()),
+                              cfg.build_actuator(), cfg.controller_gains(),
+                              feedback=(method == "fprc+pd"), disturbance=spec)
+        log = logs[(method, scenario)]
+        assert clamp_steps[f"{method}/{scenario}"] == own.clamp_steps
+        for name in RUN_LOG_COLUMNS:
+            expected = own.column(name)
+            scale = max(float(np.max(np.abs(expected))), 1.0)
+            np.testing.assert_allclose(log.column(name), expected, rtol=0.0,
+                                       atol=1e-12 * scale, err_msg=f"{method} {name}")
+
+
+def test_simulate_steps_the_reservoir_once_per_scenario_sample(simulated, default_config):
+    cfg = default_config
+    _, _, steps = simulated
+    samples = sum(len(cfg.signals.scenarios[s].render(cfg.dt)) for s in SCENARIO_NAMES)
+    assert steps == samples
