@@ -1,23 +1,31 @@
 """Experiment configuration: one strict, serializable schema that fully
 determines datasets, models, and simulation runs.
 
-Unknown fields are rejected so a typo cannot silently fall back to a
+The schema nests the domain's own frozen dataclasses (``SignalSpec``,
+``ActuatorConfig``, ``FprcConfig``, ``ControllerGains``, ...), which hold
+every default. One decoder reads any of them from JSON: unknown fields,
+missing required fields and values of the wrong type are rejected with
+the dotted path of the key, so a typo cannot silently fall back to a
 default. ``ExperimentConfig.default()`` reproduces the benchmarked setup.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .control import ControllerGains, PdGains, PiGains
+from .control import ControllerGains
 from .errors import InvalidSpecError
-from .esn import EsnParams
-from .fprc import FprcParams
-from .plant import (ActuatorPlant, DisturbanceSpec, ReservoirPlant)
+from .esn import EsnConfig, EsnParams
+from .fprc import FprcConfig, FprcParams
+from .plant import (ActuatorConfig, ActuatorPlant, DisturbanceSpec, ReservoirConfig,
+                    ReservoirPlant)
 from .signals import DEFAULT_DT, SignalSpec
 
 SCENARIO_KEYS = ("sine02", "sine05", "chirp", "complex", "disturbance")
@@ -26,47 +34,57 @@ MODEL_KINDS = ("fprc", "esn", "fuzzy-linear")
 # multisine content of the complex excitation and reference
 COMPLEX_FREQS = (0.12, 0.04, 0.31, 0.29, 0.25)
 
-
-def _strict_fields(cls, d: dict, where: str) -> dict:
-    if not isinstance(d, dict):
-        raise InvalidSpecError(f"{where}: expected a mapping, got {type(d).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - names
-    if unknown:
-        raise InvalidSpecError(f"{where}: unknown fields {sorted(unknown)}")
-    return d
+# resolving the string annotations costs more than the rest of a decode
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-@dataclass(frozen=True)
-class ActuatorConfig:
-    n_ops: int = 8
-    full_scale_pressure: float = 370.0
-    bend_range: float = 60.0
-    radius_span: float | None = None
-    lag_time_constant: float = 0.05
+def _decode(tp, value, path: str):
+    """``value``, read from JSON, checked against the annotation ``tp``.
 
-    def build(self) -> ActuatorPlant:
-        return ActuatorPlant.default(n_ops=self.n_ops,
-                                     full_scale_pressure=self.full_scale_pressure,
-                                     bend_range=self.bend_range, radius_span=self.radius_span,
-                                     lag_time_constant=self.lag_time_constant)
+    Dataclasses come from mappings that hold no unknown field and every
+    required one, ``dict[str, X]`` and ``tuple[X, ...]`` from mappings and
+    lists; a scalar must have its annotated type exactly, except that an
+    int is taken where a float is expected, and None only where allowed.
+    """
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise InvalidSpecError(f"{path}: expected a mapping, got {type(value).__name__}")
+        fields = {f.name: f for f in dataclasses.fields(tp)}
+        unknown = sorted(set(value) - set(fields))
+        if unknown:
+            raise InvalidSpecError(f"{path}: unknown fields {unknown}")
+        missing = sorted(name for name, f in fields.items() if name not in value
+                         and f.default is dataclasses.MISSING
+                         and f.default_factory is dataclasses.MISSING)
+        if missing:
+            raise InvalidSpecError(f"{path}: missing fields {missing}")
+        hints = _type_hints(tp)
+        return tp(**{k: _decode(hints[k], v, f"{path}.{k}") for k, v in value.items()})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is dict and isinstance(value, dict):
+        return {k: _decode(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is types.UnionType:  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else _decode(inner, value, path)
+    if tp is float and type(value) is int:
+        return float(value)
+    if type(value) is not tp:  # also refuses a bool where an int is expected
+        name = (origin or tp).__name__
+        raise InvalidSpecError(f"{path}: expected {name}, got {type(value).__name__} {value!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class ReservoirConfig:
-    n_ops: int = 8
-    input_range: float = 450.0
-    pressure_span: float = 250.0
-    radius_span: float | None = None
-    baseline_pressure: float = 100.0
-    lag_time_constant: float = 0.05
-
-    def build(self) -> ReservoirPlant:
-        return ReservoirPlant.default(n_ops=self.n_ops, input_range=self.input_range,
-                                      pressure_span=self.pressure_span,
-                                      radius_span=self.radius_span,
-                                      baseline_pressure=self.baseline_pressure,
-                                      lag_time_constant=self.lag_time_constant)
+def _encode(obj):
+    """JSON form of a config value: dataclasses as mappings, tuples as lists."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _encode(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return [_encode(v) for v in obj]
+    return obj
 
 
 @dataclass(frozen=True)
@@ -76,85 +94,16 @@ class PlantConfig:
 
 
 @dataclass(frozen=True)
-class EsnConfig:
-    reservoir_size: int = 800
-    input_scaling: float = 0.02
-    leak_rate: float = 0.8
-    spectral_radius: float = 0.4
-    washout: int = 100
-    weight_distribution: str = "uniform"
-
-
-@dataclass(frozen=True)
-class FprcConfig:
-    k_in: float = 7.0
-    epsilon: float = 0.01
-    n_u: int = 3
-    n_c: int = 8
-    sigma: float = 2.0
-    fuzziness: float = 2.0
-    fcm_tol: float = 1e-4
-    fcm_max_iter: int = 300
-    filter_init: str = "first-sample"
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     kind: str = "fprc"
-    n_y: int = 5
-    alpha: float = 1e-3
+    n_y: int = FprcParams.n_y
+    alpha: float = FprcParams.alpha
     esn: EsnConfig = field(default_factory=EsnConfig)
     fprc: FprcConfig = field(default_factory=FprcConfig)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidSpecError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-
-    def esn_params(self, seed: int) -> EsnParams:
-        e = self.esn
-        return EsnParams(reservoir_size=e.reservoir_size, input_scaling=e.input_scaling,
-                         leak_rate=e.leak_rate, spectral_radius=e.spectral_radius,
-                         washout=e.washout, n_y=self.n_y,
-                         weight_distribution=e.weight_distribution, seed=seed)
-
-    def fprc_params(self, input_limit: float = 450.0) -> FprcParams:
-        f = self.fprc
-        return FprcParams(k_in=f.k_in, epsilon=f.epsilon, n_u=f.n_u, n_y=self.n_y,
-                          n_c=f.n_c, sigma=f.sigma, fuzziness=f.fuzziness, alpha=self.alpha,
-                          fcm_tol=f.fcm_tol, fcm_max_iter=f.fcm_max_iter,
-                          input_limit=input_limit, filter_init=f.filter_init)
-
-
-@dataclass(frozen=True)
-class GainsConfig:
-    # Scaled to the surrogate plant's DC gain (~0.16 deg/kPa) so a pure PD
-    # baseline tracks with visible lag rather than stalling near rest.
-    pd_kp: float = 20.0
-    pd_kd: float = 0.2
-    pi_main_kp: float = 0.03
-    pi_main_ki: float = 0.1e-5
-    pi_fprc_kp: float = 0.05
-    pi_fprc_ki: float = 0.1e-5
-    pi_ideal: bool = True
-
-    def build(self) -> ControllerGains:
-        return ControllerGains(pd=PdGains(kp=self.pd_kp, kd=self.pd_kd),
-                               pi_main=PiGains(kp=self.pi_main_kp, ki=self.pi_main_ki),
-                               pi_fprc=PiGains(kp=self.pi_fprc_kp, ki=self.pi_fprc_ki),
-                               pi_ideal=self.pi_ideal)
-
-
-@dataclass(frozen=True)
-class DisturbanceConfig:
-    t_start: float = 10.0
-    t_end: float = 25.0
-    mode: str = "additive-pressure"
-    magnitude: float = 8.0
-    seed: int = 123
-
-    def build(self) -> DisturbanceSpec:
-        return DisturbanceSpec(window=(self.t_start, self.t_end), mode=self.mode,
-                               magnitude=self.magnitude, seed=self.seed)
 
 
 def _default_train_excitation() -> SignalSpec:
@@ -191,7 +140,7 @@ def _default_scenarios() -> dict:
 class SignalsConfig:
     train_excitation: SignalSpec = field(default_factory=_default_train_excitation)
     test_excitation: SignalSpec = field(default_factory=_default_test_excitation)
-    scenarios: dict = field(default_factory=_default_scenarios)
+    scenarios: dict[str, SignalSpec] = field(default_factory=_default_scenarios)
 
     def __post_init__(self):
         missing = set(SCENARIO_KEYS) - set(self.scenarios)
@@ -213,8 +162,8 @@ class ExperimentConfig:
     signals: SignalsConfig = field(default_factory=SignalsConfig)
     plant: PlantConfig = field(default_factory=PlantConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    gains: GainsConfig = field(default_factory=GainsConfig)
-    disturbance: DisturbanceConfig = field(default_factory=DisturbanceConfig)
+    gains: ControllerGains = field(default_factory=ControllerGains)
+    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -231,55 +180,11 @@ class ExperimentConfig:
     # -- dict / json round trip ------------------------------------------
 
     def to_dict(self) -> dict:
-        def enc(obj):
-            if isinstance(obj, SignalSpec):
-                return obj.to_dict()
-            if dataclasses.is_dataclass(obj):
-                return {f.name: enc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-            if isinstance(obj, dict):
-                return {k: enc(v) for k, v in obj.items()}
-            return obj
-        return enc(self)
+        return _encode(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = _strict_fields(cls, d, "config")
-        kw = dict(d)
-        if "signals" in kw:
-            s = _strict_fields(SignalsConfig, kw["signals"], "config.signals")
-            skw = {}
-            if "train_excitation" in s:
-                skw["train_excitation"] = SignalSpec.from_dict(s["train_excitation"])
-            if "test_excitation" in s:
-                skw["test_excitation"] = SignalSpec.from_dict(s["test_excitation"])
-            if "scenarios" in s:
-                skw["scenarios"] = {k: SignalSpec.from_dict(v) for k, v in s["scenarios"].items()}
-            kw["signals"] = SignalsConfig(**skw)
-        if "plant" in kw:
-            p = _strict_fields(PlantConfig, kw["plant"], "config.plant")
-            pkw = {}
-            if "actuator" in p:
-                pkw["actuator"] = ActuatorConfig(
-                    **_strict_fields(ActuatorConfig, p["actuator"], "config.plant.actuator"))
-            if "reservoir" in p:
-                pkw["reservoir"] = ReservoirConfig(
-                    **_strict_fields(ReservoirConfig, p["reservoir"], "config.plant.reservoir"))
-            kw["plant"] = PlantConfig(**pkw)
-        if "model" in kw:
-            m = _strict_fields(ModelConfig, kw["model"], "config.model")
-            mkw = dict(m)
-            if "esn" in mkw:
-                mkw["esn"] = EsnConfig(**_strict_fields(EsnConfig, mkw["esn"], "config.model.esn"))
-            if "fprc" in mkw:
-                mkw["fprc"] = FprcConfig(
-                    **_strict_fields(FprcConfig, mkw["fprc"], "config.model.fprc"))
-            kw["model"] = ModelConfig(**mkw)
-        if "gains" in kw:
-            kw["gains"] = GainsConfig(**_strict_fields(GainsConfig, kw["gains"], "config.gains"))
-        if "disturbance" in kw:
-            kw["disturbance"] = DisturbanceConfig(
-                **_strict_fields(DisturbanceConfig, kw["disturbance"], "config.disturbance"))
-        return cls(**kw)
+        return _decode(cls, d, "config")
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -316,13 +221,15 @@ class ExperimentConfig:
         return self.plant.reservoir.build()
 
     def esn_params(self) -> EsnParams:
-        return self.model.esn_params(seed=self.seed)
+        return EsnParams(**asdict(self.model.esn), n_y=self.model.n_y, seed=self.seed)
 
     def fprc_params(self) -> FprcParams:
-        return self.model.fprc_params(input_limit=self.plant.reservoir.input_range)
+        return FprcParams(**asdict(self.model.fprc), n_y=self.model.n_y,
+                          alpha=self.model.alpha,
+                          input_limit=self.plant.reservoir.input_range)
 
     def controller_gains(self) -> ControllerGains:
-        return self.gains.build()
+        return self.gains
 
     def disturbance_spec(self) -> DisturbanceSpec:
-        return self.disturbance.build()
+        return self.disturbance

@@ -8,7 +8,7 @@ pressure. Everything is logged so runs can be replayed and compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,26 +28,18 @@ REPORT_SCENARIOS = ("sine02", "sine05", "chirp", "complex")
 
 
 @dataclass(frozen=True)
-class PdGains:
-    kp: float = 20.0
-    kd: float = 0.2
-
-
-@dataclass(frozen=True)
-class PiGains:
-    kp: float = 0.03
-    ki: float = 0.1e-5
-
-
-@dataclass(frozen=True)
 class ControllerGains:
-    pd: PdGains = field(default_factory=PdGains)
-    pi_main: PiGains = field(default_factory=PiGains)
-    pi_fprc: PiGains = field(default_factory=lambda: PiGains(kp=0.05, ki=0.1e-5))
-    pi_ideal: bool = True
+    """PD gains on the pressure command.
+
+    Scaled to the surrogate plant's DC gain (~0.16 deg/kPa) so a pure PD
+    baseline tracks with visible lag rather than stalling near rest.
+    """
+
+    pd_kp: float = 20.0
+    pd_kd: float = 0.2
 
 
-def pd_step(error: float, prev_error: float | None, gains: PdGains, dt: float) -> float:
+def pd_step(error: float, prev_error: float | None, gains: ControllerGains, dt: float) -> float:
     """PD law kp * e + kd * (e - e_prev) / dt, backward-difference derivative.
 
     On the first tick (prev_error None) the derivative term is zero.
@@ -55,27 +47,8 @@ def pd_step(error: float, prev_error: float | None, gains: PdGains, dt: float) -
     if not (dt > 0.0):
         raise InvalidSpecError("dt must be positive")
     if prev_error is None:
-        return gains.kp * error
-    return gains.kp * error + gains.kd * (error - prev_error) / dt
-
-
-def pi_pressure_step(p_target: float, p_actual: float, integ: float, gains: PiGains,
-                     dt: float, ideal: bool = True,
-                     integ_limit: float = 1e6) -> tuple[float, float]:
-    """Inner pressure-regulation loop, one tick.
-
-    In ideal mode the valve tracks perfectly: the command equals the
-    target pressure and the integrator is untouched. In dynamic mode the
-    PI law returns a valve command with an anti-windup clamp on the
-    integral state. Returns (command, new_integ).
-    """
-    if not (dt > 0.0):
-        raise InvalidSpecError("dt must be positive")
-    if ideal:
-        return p_target, integ
-    err = p_target - p_actual
-    integ = float(min(max(integ + err * dt, -integ_limit), integ_limit))
-    return gains.kp * err + gains.ki * integ, integ
+        return gains.pd_kp * error
+    return gains.pd_kp * error + gains.pd_kd * (error - prev_error) / dt
 
 
 @dataclass
@@ -129,7 +102,10 @@ class RunLog:
             parts = ln.split(",")
             if len(parts) != len(RUN_LOG_COLUMNS):
                 raise InvalidDataError(f"{path}:{i + 2}: wrong column count")
-            cols[i] = [float(p) for p in parts]
+            try:
+                cols[i] = [float(p) for p in parts]
+            except ValueError as exc:
+                raise InvalidDataError(f"{path}:{i + 2}: {exc}") from exc
         return cls(t=cols[:, 0], theta_d=cols[:, 1], theta=cols[:, 2], e_theta=cols[:, 3],
                    p_ff=cols[:, 4], p_fb=cols[:, 5], p_d=cols[:, 6], p_i=cols[:, 7],
                    p_o=cols[:, 8], p_o_filt=cols[:, 9], disturbed=cols[:, 10])
@@ -185,7 +161,7 @@ def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
     for k, (theta_d, p_ff_k) in enumerate(zip(reference.values.tolist(), p_ff.tolist())):
         theta = actuator.angle_state
         error = theta_d - theta
-        p_fb = pd_step(error, prev_error, gains.pd, dt) if feedback else 0.0
+        p_fb = pd_step(error, prev_error, gains, dt) if feedback else 0.0
         p_d = p_ff_k + p_fb
         applied = min(max(p_d, 0.0), pressure_limit)
         if applied != p_d:

@@ -7,7 +7,7 @@ then frozen.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,16 +26,26 @@ _REPLAY_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
-class EsnParams:
-    """Reservoir hyperparameters. Defaults match the benchmarked setup."""
+class EsnConfig:
+    """The reservoir hyperparameters a config sets under ``model.esn``.
+
+    Defaults match the benchmarked setup.
+    """
 
     reservoir_size: int = 800
     input_scaling: float = 0.02
     leak_rate: float = 0.8
     spectral_radius: float = 0.4
     washout: int = 100
-    n_y: int = 5
     weight_distribution: str = "uniform"
+
+
+@dataclass(frozen=True)
+class EsnParams(EsnConfig):
+    """All reservoir hyperparameters: the config's plus the angle taps and
+    the weight seed, which it sets elsewhere."""
+
+    n_y: int = 5
     seed: int = 0
 
     def __post_init__(self):

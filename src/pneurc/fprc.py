@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -28,21 +28,31 @@ FILTER_INIT_MODES = ("first-sample", "zero")
 
 
 @dataclass(frozen=True)
-class FprcParams:
-    """Pipeline hyperparameters. Defaults match the benchmarked setup."""
+class FprcConfig:
+    """The pipeline hyperparameters a config sets under ``model.fprc``.
+
+    Defaults match the benchmarked setup.
+    """
 
     k_in: float = 7.0
     epsilon: float = 0.01
     n_u: int = 3
-    n_y: int = 5
     n_c: int = 8
     sigma: float = 2.0
     fuzziness: float = 2.0
-    alpha: float = 1e-3
     fcm_tol: float = 1e-4
     fcm_max_iter: int = 300
-    input_limit: float = INPUT_PRESSURE_LIMIT
     filter_init: str = "first-sample"
+
+
+@dataclass(frozen=True)
+class FprcParams(FprcConfig):
+    """All pipeline hyperparameters: the config's plus the angle taps, the
+    ridge strength and the reservoir input limit, which it sets elsewhere."""
+
+    n_y: int = 5
+    alpha: float = 1e-3
+    input_limit: float = INPUT_PRESSURE_LIMIT
 
     def __post_init__(self):
         if self.k_in <= 0.0:
@@ -179,15 +189,7 @@ class FprcModel:
         doc = {
             "format_version": 1,
             "kind": self.kind,
-            "params": {
-                "k_in": self.params.k_in, "epsilon": self.params.epsilon,
-                "n_u": self.params.n_u, "n_y": self.params.n_y,
-                "n_c": self.params.n_c, "sigma": self.params.sigma,
-                "fuzziness": self.params.fuzziness, "alpha": self.params.alpha,
-                "fcm_tol": self.params.fcm_tol, "fcm_max_iter": self.params.fcm_max_iter,
-                "input_limit": self.params.input_limit,
-                "filter_init": self.params.filter_init,
-            },
+            "params": asdict(self.params),
             "centers": self.ruleset.centers.tolist(),
             "w_out": self.ruleset.w_out.tolist(),
         }

@@ -126,9 +126,9 @@ class ActuatorPlant:
     """Pneumatic bending actuator: pressure (kPa) to bend angle (deg)."""
 
     hysteresis: PlayOperatorStack
-    lag_time_constant: float = 0.05
+    lag_time_constant: float
+    output_bounds: tuple
     angle_state: float = 0.0
-    output_bounds: tuple = (0.0, 60.0)
     clamp_events: int = 0
 
     def __post_init__(self):
@@ -137,19 +137,27 @@ class ActuatorPlant:
         if self.output_bounds[0] >= self.output_bounds[1]:
             raise InvalidSpecError("output_bounds must be (low, high) with low < high")
 
-    @classmethod
-    def default(cls, n_ops: int = 8, full_scale_pressure: float = 370.0,
-                bend_range: float = 60.0, radius_span: float | None = None,
-                lag_time_constant: float = 0.05) -> "ActuatorPlant":
-        """``full_scale_pressure`` is where the virgin branch reaches ``bend_range``.
 
-        Demands above it saturate against the output bound, mirroring how the
-        physical actuator flattens out near full inflation.
-        """
-        stack = PlayOperatorStack.uniform(n_ops, full_scale_pressure, bend_range, radius_span,
-                                          input_unit="kPa", output_unit="deg")
-        return cls(hysteresis=stack, lag_time_constant=lag_time_constant,
-                   output_bounds=(0.0, bend_range))
+@dataclass(frozen=True)
+class ActuatorConfig:
+    """Actuator build parameters; the defaults are the benchmarked device.
+
+    ``full_scale_pressure`` is where the virgin branch reaches ``bend_range``.
+    Demands above it saturate against the output bound, mirroring how the
+    physical actuator flattens out near full inflation.
+    """
+
+    n_ops: int = 8
+    full_scale_pressure: float = 370.0
+    bend_range: float = 60.0
+    radius_span: float | None = None
+    lag_time_constant: float = 0.05
+
+    def build(self) -> ActuatorPlant:
+        stack = PlayOperatorStack.uniform(self.n_ops, self.full_scale_pressure, self.bend_range,
+                                          self.radius_span, input_unit="kPa", output_unit="deg")
+        return ActuatorPlant(hysteresis=stack, lag_time_constant=self.lag_time_constant,
+                             output_bounds=(0.0, self.bend_range))
 
 
 def actuator_step(plant: ActuatorPlant, p_demand: float, dt: float) -> float:
@@ -181,10 +189,10 @@ class ReservoirPlant:
     """
 
     hysteresis: PlayOperatorStack
-    lag_time_constant: float = 0.05
-    baseline_pressure: float = 100.0
-    pressure: float = None
-    input_limit: float = INPUT_PRESSURE_LIMIT
+    lag_time_constant: float
+    baseline_pressure: float
+    input_limit: float
+    pressure: float | None = None
     clamp_events: int = 0
 
     def __post_init__(self):
@@ -197,15 +205,24 @@ class ReservoirPlant:
         if self.pressure is None:
             self.pressure = float(self.baseline_pressure)
 
-    @classmethod
-    def default(cls, n_ops: int = 8, input_range: float = INPUT_PRESSURE_LIMIT,
-                pressure_span: float = 250.0, radius_span: float | None = None,
-                baseline_pressure: float = 100.0,
-                lag_time_constant: float = 0.05) -> "ReservoirPlant":
-        stack = PlayOperatorStack.uniform(n_ops, input_range, pressure_span, radius_span,
-                                          input_unit="kPa", output_unit="kPa")
-        return cls(hysteresis=stack, lag_time_constant=lag_time_constant,
-                   baseline_pressure=baseline_pressure, input_limit=input_range)
+
+@dataclass(frozen=True)
+class ReservoirConfig:
+    """Reservoir build parameters; the defaults are the benchmarked device."""
+
+    n_ops: int = 8
+    input_range: float = INPUT_PRESSURE_LIMIT
+    pressure_span: float = 250.0
+    radius_span: float | None = None
+    baseline_pressure: float = 100.0
+    lag_time_constant: float = 0.05
+
+    def build(self) -> ReservoirPlant:
+        stack = PlayOperatorStack.uniform(self.n_ops, self.input_range, self.pressure_span,
+                                          self.radius_span, input_unit="kPa", output_unit="kPa")
+        return ReservoirPlant(hysteresis=stack, lag_time_constant=self.lag_time_constant,
+                              baseline_pressure=self.baseline_pressure,
+                              input_limit=self.input_range)
 
 
 def reservoir_step(res: ReservoirPlant, p_in: float, dt: float) -> float:
@@ -231,7 +248,8 @@ def reservoir_step(res: ReservoirPlant, p_in: float, dt: float) -> float:
 class DisturbanceSpec:
     """Random perturbation applied to the reservoir inside a time window."""
 
-    window: tuple = (10.0, 25.0)
+    t_start: float = 10.0
+    t_end: float = 25.0
     mode: str = "additive-pressure"
     magnitude: float = 8.0
     seed: int = 123
@@ -240,11 +258,14 @@ class DisturbanceSpec:
         if self.mode not in DISTURBANCE_MODES:
             raise InvalidSpecError(f"unknown disturbance mode {self.mode!r}, "
                                    f"expected one of {DISTURBANCE_MODES}")
-        object.__setattr__(self, "window", (float(self.window[0]), float(self.window[1])))
-        if self.window[0] >= self.window[1]:
+        if self.t_start >= self.t_end:
             raise InvalidSpecError("disturbance window must satisfy t_start < t_end")
         if self.magnitude < 0.0:
             raise InvalidSpecError("disturbance magnitude must be non-negative")
+
+    @property
+    def window(self) -> tuple:
+        return self.t_start, self.t_end
 
 
 def apply_disturbance(res: ReservoirPlant, spec: DisturbanceSpec, t: float,
@@ -255,7 +276,7 @@ def apply_disturbance(res: ReservoirPlant, spec: DisturbanceSpec, t: float,
     reservoir is untouched and no random numbers are drawn, so the draw
     sequence is reproducible for a fixed seed.
     """
-    if not (spec.window[0] <= t < spec.window[1]):
+    if not (spec.t_start <= t < spec.t_end):
         return False
     if spec.mode == "additive-pressure":
         res.pressure = float(max(res.pressure + rng.uniform(-spec.magnitude, spec.magnitude), 0.0))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDataError, InvalidSpecError
+from .errors import InvalidSpecError
 
 DEFAULT_DT = 1.0 / 200.0
 
@@ -55,10 +55,6 @@ def tap_matrix(series: np.ndarray, n_taps: int) -> np.ndarray:
     return windows[:, ::-1]
 
 
-# canonical unit spellings for the CSV header round trip
-_UNIT_TOKENS = {"deg": "deg", "kpa": "kPa", "s": "s", "v": "V", "na": ""}
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """Uniformly sampled scalar signal with an engineering unit tag."""
@@ -87,45 +83,6 @@ class TimeSeries:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.values.size, dtype=float) * self.dt
-
-    def downsample(self, factor: int) -> "TimeSeries":
-        """Keep every ``factor``-th sample (pointwise, no filtering)."""
-        if not isinstance(factor, int) or factor < 1:
-            raise InvalidSpecError(f"downsample factor must be a positive int, got {factor!r}")
-        return TimeSeries(self.values[::factor].copy(), self.dt * factor, self.unit)
-
-    def to_csv(self, path) -> None:
-        """Write a two-column CSV (t, value) with a one-line unit header."""
-        unit_token = self.unit.lower() if self.unit else "na"
-        lines = [f"t_s,value_{unit_token}"]
-        t = self.times
-        for k in range(self.values.size):
-            lines.append(f"{format_float(t[k])},{format_float(self.values[k])}")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "TimeSeries":
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or not lines[0].startswith("t_s,value_"):
-            raise InvalidDataError(f"{path}: missing 't_s,value_<unit>' header")
-        unit_token = lines[0].split("value_", 1)[1]
-        unit = _UNIT_TOKENS.get(unit_token, unit_token)
-        t = np.empty(len(lines) - 1)
-        v = np.empty(len(lines) - 1)
-        for i, ln in enumerate(lines[1:]):
-            parts = ln.split(",")
-            if len(parts) != 2:
-                raise InvalidDataError(f"{path}:{i + 2}: expected 2 columns, got {len(parts)}")
-            try:
-                t[i] = float(parts[0])
-                v[i] = float(parts[1])
-            except ValueError as exc:
-                raise InvalidDataError(f"{path}:{i + 2}: {exc}") from exc
-        if len(t) < 2:
-            raise InvalidDataError(f"{path}: need at least 2 samples to recover dt")
-        return cls(v, float(t[1] - t[0]), unit)
 
 
 def _time_grid(duration: float, dt: float) -> np.ndarray:
@@ -219,7 +176,7 @@ class SignalSpec:
     kind: str
     amplitude: float
     offset: float
-    frequencies: tuple
+    frequencies: tuple[float, ...]
     duration: float
     phase: float = 0.0
     unit: str = "deg"
@@ -256,29 +213,3 @@ class SignalSpec:
         c1, c2 = self.frequencies
         return gen_chirp_quadratic(self.amplitude, self.offset, c2, c1,
                                    self.phase, self.duration, dt, self.unit)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "offset": self.offset,
-            "frequencies": list(self.frequencies),
-            "duration": self.duration,
-            "phase": self.phase,
-            "unit": self.unit,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SignalSpec":
-        if not isinstance(d, dict):
-            raise InvalidSpecError(f"signal spec must be a mapping, got {type(d).__name__}")
-        known = {"kind", "amplitude", "offset", "frequencies", "duration", "phase", "unit"}
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidSpecError(f"unknown signal spec fields: {sorted(unknown)}")
-        missing = {"kind", "amplitude", "offset", "frequencies", "duration"} - set(d)
-        if missing:
-            raise InvalidSpecError(f"signal spec missing fields: {sorted(missing)}")
-        return cls(kind=d["kind"], amplitude=d["amplitude"], offset=d["offset"],
-                   frequencies=tuple(d["frequencies"]), duration=d["duration"],
-                   phase=d.get("phase", 0.0), unit=d.get("unit", "deg"))

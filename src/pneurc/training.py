@@ -343,7 +343,7 @@ def run_sweep(axis: str, values, config, train_ds, test_ds, k: int = 5) -> Sweep
     result = SweepResult(axis=axis)
     for settings in grid:
         cell = SweepCell(settings=dict(settings))
-        params = config.model.fprc_params()
+        params = config.fprc_params()
         kind = settings.get("model", "fprc")
         overrides = {k_: v for k_, v in settings.items() if k_ != "model"}
         try:

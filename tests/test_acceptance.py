@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from pneurc import control
-from pneurc.config import DisturbanceConfig, EsnConfig, ExperimentConfig, SignalsConfig
+from pneurc.config import EsnConfig, ExperimentConfig, SignalsConfig
 from pneurc.esn import EsnTrainer, esn_init, esn_update
 from pneurc.fprc import FprcTrainer, fprc_collect_training
 from pneurc.fuzzy import fcm_cluster, fuzzy_infer_batch, rule_outputs
-from pneurc.plant import PlayOperatorStack, ReservoirPlant
+from pneurc.plant import DisturbanceSpec, PlayOperatorStack, ReservoirConfig
 from pneurc.training import benchmark_execution, ridge_solve, rmse
 
 
@@ -288,7 +288,7 @@ def _reduced_config() -> ExperimentConfig:
         model=dataclasses.replace(base.model,
                                   esn=EsnConfig(reservoir_size=120, washout=60),
                                   fprc=dataclasses.replace(base.model.fprc, n_c=4)),
-        disturbance=DisturbanceConfig(t_start=4.0, t_end=8.0),
+        disturbance=DisturbanceSpec(t_start=4.0, t_end=8.0),
     )
 
 
@@ -360,7 +360,7 @@ def test_criterion_11_play_stack_physics():
         cycle = np.concatenate([np.linspace(50.0, 330.0, 300),
                                 np.linspace(330.0, 50.0, 300)])
         for stack in (PlayOperatorStack.uniform(8, 370.0, 60.0),
-                      ReservoirPlant.default().hysteresis.copy()):
+                      ReservoirConfig().build().hysteresis.copy()):
             stack.run(cycle)
             y2 = stack.run(cycle)
             y3 = stack.run(cycle)

@@ -210,6 +210,25 @@ def test_missing_inputs(tmp_path, capsys):
     assert main(["--config", str(extra), "generate"]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("model.fprc.n_c", "8"), ("gains.pd_kp", "20"),
+                                        ("disturbance.t_start", None), ("seed", True),
+                                        ("cv_folds", 2.5)])
+def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, key, value):
+    doc = ExperimentConfig().to_dict()
+    *parents, name = key.split(".")
+    section = doc
+    for part in parents:
+        section = section[part]
+    section[name] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"config.{key}:" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _truncated_json(good: str) -> str:
     return good[: len(good) // 2]
 

@@ -2,16 +2,15 @@
 import numpy as np
 import pytest
 
-from pneurc.control import (ControllerGains, PdGains, PiGains, RUN_LOG_COLUMNS,
-                            RunLog, disturbance_window_rmse,
-                            extract_hysteresis_loop, pd_step, pi_pressure_step,
+from pneurc.control import (ControllerGains, RUN_LOG_COLUMNS, RunLog,
+                            disturbance_window_rmse, extract_hysteresis_loop, pd_step,
                             report_to_csv, run_closed_loop, run_open_loop,
                             shoelace_area, tracking_report)
 from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
                            NumericError)
 from pneurc.fprc import drive_reservoir
-from pneurc.plant import (INPUT_PRESSURE_LIMIT, ActuatorPlant, DisturbanceSpec,
-                          ReservoirPlant)
+from pneurc.plant import (INPUT_PRESSURE_LIMIT, ActuatorConfig, DisturbanceSpec,
+                          ReservoirConfig)
 from pneurc.signals import CSV_BLOCK_ROWS, TimeSeries, format_float
 
 
@@ -60,7 +59,7 @@ def make_log(n=10, **overrides):
 
 
 def test_pd_step_hand_values():
-    gains = PdGains(kp=0.5, kd=0.005)
+    gains = ControllerGains(pd_kp=0.5, pd_kd=0.005)
     assert pd_step(1.0, None, gains, dt=1 / 200) == pytest.approx(0.5)
     # error jumps 0 -> 1 in one 5 ms tick: derivative term 0.005 * 200 = 1
     assert pd_step(1.0, 0.0, gains, dt=1 / 200) == pytest.approx(1.5)
@@ -70,25 +69,8 @@ def test_pd_step_hand_values():
 
 
 def test_pd_default_gains_preserve_ratio():
-    gains = PdGains()
-    assert gains.kd / gains.kp == pytest.approx(0.01)
-
-
-def test_pi_pressure_step_ideal_passthrough():
-    cmd, integ = pi_pressure_step(220.0, 135.0, 5.0, PiGains(), dt=1 / 200)
-    assert cmd == 220.0
-    assert integ == 5.0
-
-
-def test_pi_pressure_step_dynamic_accumulates():
-    gains = PiGains(kp=0.03, ki=1e-6)
-    cmd, integ = pi_pressure_step(110.0, 100.0, 0.0, gains, dt=0.005, ideal=False)
-    assert integ == pytest.approx(0.05)
-    assert cmd == pytest.approx(0.03 * 10.0 + 1e-6 * 0.05)
-    # anti-windup clamp
-    _, integ = pi_pressure_step(1e9, 0.0, 0.0, gains, dt=1.0, ideal=False,
-                                integ_limit=10.0)
-    assert integ == 10.0
+    gains = ControllerGains()
+    assert gains.pd_kd / gains.pd_kp == pytest.approx(0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +78,7 @@ def test_pi_pressure_step_dynamic_accumulates():
 
 
 def test_closed_loop_row_invariants():
-    log = run_closed_loop(ref_sine(), ConstantModel(), ActuatorPlant.default(),
+    log = run_closed_loop(ref_sine(), ConstantModel(), ActuatorConfig().build(),
                           ControllerGains(), scenario="sine05", method="fprc+pd")
     np.testing.assert_array_equal(log.p_d, log.p_ff + log.p_fb)
     np.testing.assert_array_equal(log.e_theta, log.theta_d - log.theta)
@@ -107,7 +89,7 @@ def test_closed_loop_row_invariants():
 
 
 def test_closed_loop_pd_only_tracks():
-    log = run_closed_loop(ref_sine(duration=4.0), None, ActuatorPlant.default(),
+    log = run_closed_loop(ref_sine(duration=4.0), None, ActuatorConfig().build(),
                           ControllerGains())
     np.testing.assert_array_equal(log.p_ff, 0.0)
     assert np.any(log.p_fb != 0.0)
@@ -116,26 +98,26 @@ def test_closed_loop_pd_only_tracks():
 
 
 def test_open_loop_has_no_feedback():
-    log = run_open_loop(ref_sine(), ConstantModel(), ActuatorPlant.default(),
+    log = run_open_loop(ref_sine(), ConstantModel(), ActuatorConfig().build(),
                         ControllerGains())
     np.testing.assert_array_equal(log.p_fb, 0.0)
     np.testing.assert_array_equal(log.p_d, log.p_ff)
     with pytest.raises(InvalidSpecError):
-        run_open_loop(ref_sine(), None, ActuatorPlant.default(), ControllerGains())
+        run_open_loop(ref_sine(), None, ActuatorConfig().build(), ControllerGains())
 
 
 def test_loop_validation():
     bad_unit = TimeSeries(values=np.zeros(10), dt=0.005, unit="kPa")
     with pytest.raises(InvalidSpecError):
-        run_closed_loop(bad_unit, ConstantModel(), ActuatorPlant.default(),
+        run_closed_loop(bad_unit, ConstantModel(), ActuatorConfig().build(),
                         ControllerGains())
     with pytest.raises(InvalidSpecError):
-        run_closed_loop(ref_sine(), None, ActuatorPlant.default(),
+        run_closed_loop(ref_sine(), None, ActuatorConfig().build(),
                         ControllerGains(), feedback=False)
 
 
 def test_loop_counts_clamped_steps_and_logs_unclamped():
-    log = run_open_loop(ref_sine(), ConstantModel(p_ff=1e5), ActuatorPlant.default(),
+    log = run_open_loop(ref_sine(), ConstantModel(p_ff=1e5), ActuatorConfig().build(),
                         ControllerGains())
     assert log.clamp_steps == len(log)
     np.testing.assert_array_equal(log.p_d, 1e5)
@@ -143,13 +125,13 @@ def test_loop_counts_clamped_steps_and_logs_unclamped():
 
 def test_loop_raises_on_divergence():
     with pytest.raises(NumericError, match="step 0"):
-        run_closed_loop(ref_sine(), DivergingModel(), ActuatorPlant.default(),
+        run_closed_loop(ref_sine(), DivergingModel(), ActuatorConfig().build(),
                         ControllerGains())
 
 
 def test_loop_queries_feedforward_once():
     model = ConstantModel()
-    log = run_closed_loop(ref_sine(), model, ActuatorPlant.default(), ControllerGains())
+    log = run_closed_loop(ref_sine(), model, ActuatorConfig().build(), ControllerGains())
     assert model.calls == 1
     np.testing.assert_array_equal(log.p_ff, 100.0)
     np.testing.assert_array_equal(log.p_o_filt, 3.0)
@@ -161,13 +143,13 @@ def test_loop_rejects_feedforward_of_wrong_length():
             return super().run(theta_d[:-1], dt, disturbance)
 
     with pytest.raises(DimensionError):
-        run_closed_loop(ref_sine(), Short(), ActuatorPlant.default(), ControllerGains())
+        run_closed_loop(ref_sine(), Short(), ActuatorConfig().build(), ControllerGains())
 
 
 def test_disturbance_reaches_model_reservoir():
-    spec = DisturbanceSpec(window=(0.5, 1.5), magnitude=8.0)
-    model = ConstantModel(reservoir=ReservoirPlant.default())
-    log = run_closed_loop(ref_sine(), model, ActuatorPlant.default(),
+    spec = DisturbanceSpec(t_start=0.5, t_end=1.5, magnitude=8.0)
+    model = ConstantModel(reservoir=ReservoirConfig().build())
+    log = run_closed_loop(ref_sine(), model, ActuatorConfig().build(),
                           ControllerGains(), disturbance=spec)
     in_window = (log.t >= 0.5) & (log.t < 1.5)
     assert np.all(log.disturbed[in_window] == 1.0)
@@ -175,17 +157,17 @@ def test_disturbance_reaches_model_reservoir():
 
 
 def test_disturbance_ignored_without_reservoir():
-    spec = DisturbanceSpec(window=(0.5, 1.5), magnitude=8.0)
-    log = run_closed_loop(ref_sine(), None, ActuatorPlant.default(),
+    spec = DisturbanceSpec(t_start=0.5, t_end=1.5, magnitude=8.0)
+    log = run_closed_loop(ref_sine(), None, ActuatorConfig().build(),
                           ControllerGains(), disturbance=spec)
     np.testing.assert_array_equal(log.disturbed, 0.0)
 
 
 def test_runs_are_bitwise_reproducible():
     def one():
-        spec = DisturbanceSpec(window=(0.5, 1.5), magnitude=8.0, seed=3)
-        model = ConstantModel(reservoir=ReservoirPlant.default())
-        return run_closed_loop(ref_sine(), model, ActuatorPlant.default(),
+        spec = DisturbanceSpec(t_start=0.5, t_end=1.5, magnitude=8.0, seed=3)
+        model = ConstantModel(reservoir=ReservoirConfig().build())
+        return run_closed_loop(ref_sine(), model, ActuatorConfig().build(),
                                ControllerGains(), disturbance=spec)
 
     a, b = one(), one()
@@ -293,7 +275,7 @@ def test_report_to_csv(tmp_path):
 
 def test_runlog_csv_round_trip(tmp_path):
     log = run_closed_loop(ref_sine(duration=0.5), ConstantModel(),
-                          ActuatorPlant.default(), ControllerGains())
+                          ActuatorConfig().build(), ControllerGains())
     path = tmp_path / "run.csv"
     log.to_csv(path)
     header = path.read_text().splitlines()[0]
@@ -324,9 +306,10 @@ def per_element_runlog_csv(log) -> str:
 
 def test_runlog_csv_bytes_match_per_element_writer(tmp_path):
     # 2,600 rows: the writer converts and writes rows in blocks of 1,024
-    spec = DisturbanceSpec(window=(5.0, 6.0), magnitude=8.0)
-    log = run_closed_loop(ref_sine(duration=13.0), ConstantModel(reservoir=ReservoirPlant.default()),
-                          ActuatorPlant.default(), ControllerGains(), disturbance=spec)
+    spec = DisturbanceSpec(t_start=5.0, t_end=6.0, magnitude=8.0)
+    log = run_closed_loop(ref_sine(duration=13.0),
+                          ConstantModel(reservoir=ReservoirConfig().build()),
+                          ActuatorConfig().build(), ControllerGains(), disturbance=spec)
     assert len(log) > 2 * CSV_BLOCK_ROWS and np.any(log.disturbed > 0)
     n = AWKWARD.size
     awkward = RunLog(*(np.roll(AWKWARD, j) for j in range(10)),
@@ -344,4 +327,8 @@ def test_runlog_csv_errors(tmp_path):
         RunLog.from_csv(path)
     path.write_text(",".join(RUN_LOG_COLUMNS) + "\n1.0,2.0\n")
     with pytest.raises(InvalidDataError, match=":2"):
+        RunLog.from_csv(path)
+    # a disturbed field that is not a number, on the second data row
+    path.write_text(",".join(RUN_LOG_COLUMNS) + "\n" + "0.0," * 10 + "0\n" + "0.0," * 10 + "x\n")
+    with pytest.raises(InvalidDataError, match=":3"):
         RunLog.from_csv(path)

@@ -1,15 +1,22 @@
 """Dataset container, the identification experiment, and the config schema."""
 import dataclasses
+import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pneurc.config import (ActuatorConfig, DisturbanceConfig, ExperimentConfig,
-                           ModelConfig, ReservoirConfig, SignalsConfig)
+from pneurc.config import (MODEL_KINDS, ActuatorConfig, ExperimentConfig, ModelConfig,
+                           ReservoirConfig, SignalsConfig)
+from pneurc.control import run_closed_loop
 from pneurc.datasets import CSV_HEADER, Dataset, generate_dataset
 from pneurc.errors import InvalidDataError, InvalidSpecError
-from pneurc.fprc import convert_angle
-from pneurc.plant import actuator_step, reservoir_step
+from pneurc.esn import WEIGHT_DISTRIBUTIONS
+from pneurc.fprc import FILTER_INIT_MODES, convert_angle
+from pneurc.plant import DISTURBANCE_MODES, DisturbanceSpec, actuator_step, reservoir_step
 from pneurc.signals import CSV_BLOCK_ROWS, SignalSpec, format_float, gen_sine
 
 
@@ -234,8 +241,7 @@ def test_config_builders(default_config):
     assert res.baseline_pressure == 100.0
     assert res.input_limit == 450.0
     gains = default_config.controller_gains()
-    assert gains.pd.kp == 20.0 and gains.pd.kd == 0.2
-    assert gains.pi_ideal is True
+    assert gains.pd_kp == 20.0 and gains.pd_kd == 0.2
     spec = default_config.disturbance_spec()
     assert spec.window == (10.0, 25.0)
     assert spec.mode == "additive-pressure"
@@ -265,6 +271,95 @@ def test_sub_config_validation_happens_at_build():
     with pytest.raises(InvalidSpecError):
         ReservoirConfig(radius_span=500.0).build()
     with pytest.raises(InvalidSpecError):
-        DisturbanceConfig(t_start=5.0, t_end=5.0).build()
+        DisturbanceSpec(t_start=5.0, t_end=5.0)
     with pytest.raises(InvalidSpecError):
-        DisturbanceConfig(mode="zap").build()
+        DisturbanceSpec(mode="zap")
+
+
+# ---------------------------------------------------------------------------
+# config layout: the default config as written before the PI gains went
+
+DEFAULT_WITH_PI = pathlib.Path(__file__).parent / "data" / "default_config_with_pi_gains.json"
+PI_KEYS = ["pi_fprc_ki", "pi_fprc_kp", "pi_ideal", "pi_main_ki", "pi_main_kp"]
+
+
+def canonical_json(doc: dict) -> str:
+    """The bytes ``ExperimentConfig.to_json`` writes for a config mapping."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_config_with_pi_gains_is_rejected():
+    with pytest.raises(InvalidSpecError,
+                       match=re.escape(f"config.gains: unknown fields {PI_KEYS}")):
+        ExperimentConfig.from_json(DEFAULT_WITH_PI)
+
+
+def test_config_layout_is_unchanged_but_for_the_pi_gains(tmp_path):
+    text = DEFAULT_WITH_PI.read_text()
+    doc = json.loads(text)
+    assert canonical_json(doc) == text
+    assert sorted(k for k in doc["gains"] if k.startswith("pi_")) == PI_KEYS
+    for key in PI_KEYS:
+        del doc["gains"][key]
+    assert ExperimentConfig.from_dict(doc) == ExperimentConfig()
+    path = tmp_path / "config.json"
+    ExperimentConfig().to_json(path)
+    assert path.read_text() == canonical_json(doc)
+
+
+def test_config_takes_the_benchmark_edits(tmp_path):
+    # the keys perfbench/workloads.py edits in ExperimentConfig().to_dict(),
+    # and the calls it makes on the loaded config
+    doc = ExperimentConfig().to_dict()
+    doc["model"]["fprc"]["fcm_tol"] = 1e-12
+    doc["model"]["fprc"]["fcm_max_iter"] = 150
+    doc["cv_folds"] = 2
+    doc["signals"]["train_excitation"]["duration"] = 30.0
+    doc["train_data"] = str(tmp_path / "data" / "train.csv")
+    doc["test_data"] = str(tmp_path / "data" / "test.csv")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    cfg = ExperimentConfig.from_json(path)
+    assert cfg.to_dict() == doc
+    assert cfg.fprc_params().fcm_max_iter == 150 and cfg.train_data_path() == doc["train_data"]
+    ref = cfg.signals.scenarios["sine05"].render(cfg.dt)
+    log = run_closed_loop(ref, None, cfg.build_actuator(), cfg.controller_gains())
+    assert len(log) == len(ref) and np.all(np.isfinite(log.theta))
+
+
+# string keys that take one of a fixed set of values; the signal kind stays
+# as it is, because it fixes how many frequencies the spec holds
+STRING_CHOICES = {"mode": DISTURBANCE_MODES, "weight_distribution": WEIGHT_DISTRIBUTIONS,
+                  "filter_init": FILTER_INIT_MODES, "unit": ("deg", "kPa")}
+
+
+def draw_like(data, value, key=""):
+    """A random valid value shaped like ``value``, the default config's mapping."""
+    if isinstance(value, dict):
+        return {k: draw_like(data, v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [draw_like(data, v, key) for v in value]
+    if key == "kind":
+        return data.draw(st.sampled_from(MODEL_KINDS)) if value in MODEL_KINDS else value
+    if key in STRING_CHOICES:
+        return data.draw(st.sampled_from(STRING_CHOICES[key]))
+    if isinstance(value, str):
+        return data.draw(st.text(st.characters(min_codepoint=32, max_codepoint=126)))
+    if isinstance(value, int):
+        return data.draw(st.integers(2, 2 ** 31))
+    positive = st.floats(1e-9, 1e9)
+    return data.draw(positive if value is not None else st.none() | positive)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_config_json_round_trip_property(tmp_path_factory, data):
+    doc = draw_like(data, ExperimentConfig().to_dict())
+    window = sorted([doc["disturbance"]["t_start"], doc["disturbance"]["t_end"]])
+    doc["disturbance"]["t_start"], doc["disturbance"]["t_end"] = window[0], window[1] + 1.0
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.to_dict() == doc
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    cfg.to_json(path)
+    assert ExperimentConfig.from_json(path) == cfg
+    assert path.read_text() == canonical_json(doc)

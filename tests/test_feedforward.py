@@ -89,7 +89,7 @@ def per_tick_run(tick, reference, actuator, gains):
             out[name][k] = value
         theta = actuator.angle_state
         error = theta_d - theta
-        p_d = signals[0] + pd_step(error, prev_error, gains.pd, dt)
+        p_d = signals[0] + pd_step(error, prev_error, gains, dt)
         actuator_step(actuator, min(max(p_d, 0.0), INPUT_PRESSURE_LIMIT), dt)
         out["theta"][k] = theta
         prev_error = error
@@ -133,7 +133,7 @@ def compare_fprc(model, reference, default_config, disturbance=None):
 
 @pytest.mark.parametrize("mode", DISTURBANCE_MODES)
 def test_fprc_run_matches_per_tick_reference(fprc_model, default_config, mode):
-    spec = DisturbanceSpec(window=(0.5, 1.5), mode=mode, magnitude=8.0, seed=3)
+    spec = DisturbanceSpec(t_start=0.5, t_end=1.5, mode=mode, magnitude=8.0, seed=3)
     log = compare_fprc(fprc_model, ref_sine(), default_config, disturbance=spec)
     in_window = (log.t >= 0.5) & (log.t < 1.5)
     np.testing.assert_array_equal(log.disturbed, in_window.astype(float))
@@ -144,7 +144,7 @@ def test_fuzzy_linear_run_matches_per_tick_reference(fuzzy_linear_model, default
     assert fuzzy_linear_model.kind == "fuzzy-linear"
     assert fuzzy_linear_model.ruleset.state_dim == fuzzy_linear_model.params.n_y
     # the variant has no reservoir, so a disturbance has nothing to act on
-    spec = DisturbanceSpec(window=(0.5, 1.5), magnitude=8.0)
+    spec = DisturbanceSpec(t_start=0.5, t_end=1.5, magnitude=8.0)
     log = compare_fprc(fuzzy_linear_model, ref_sine(), default_config, disturbance=spec)
     for name in ("p_i", "p_o", "p_o_filt", "disturbed"):
         np.testing.assert_array_equal(getattr(log, name), 0.0)
@@ -175,6 +175,6 @@ def test_esn_run_matches_per_tick_reference(default_config):
 def test_fprc_run_matches_per_tick_reference_property(fprc_model, default_config, values,
                                                       start, length, mode, magnitude, seed):
     reference = TimeSeries(values=np.array(values), dt=1 / 200, unit="deg")
-    spec = DisturbanceSpec(window=(start, start + length), mode=mode,
+    spec = DisturbanceSpec(t_start=start, t_end=start + length, mode=mode,
                            magnitude=magnitude, seed=seed)
     compare_fprc(fprc_model, reference, default_config, disturbance=spec)

@@ -1,13 +1,15 @@
 """The reservoir-plus-fuzzy feedforward pipeline and its linear ablation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pneurc.datasets import Dataset
 from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
                            NumericError)
-from pneurc.fprc import (FprcModel, FprcParams, FprcTrainer, _lowpass_series,
-                         convert_angle, drive_reservoir, fprc_collect_training,
-                         fprc_weight_analysis)
+from pneurc.fprc import (FILTER_INIT_MODES, FprcModel, FprcParams, FprcTrainer,
+                         _lowpass_series, convert_angle, drive_reservoir,
+                         fprc_collect_training, fprc_weight_analysis)
 from pneurc.fuzzy import FuzzyRuleSet, fuzzy_infer_batch
 from pneurc.plant import ReservoirPlant
 from pneurc.training import ridge_solve
@@ -217,6 +219,34 @@ def test_fuzzy_linear_json_round_trip(tmp_path, small_dataset, default_config):
     y1, _ = model.evaluate(small_dataset)
     y2, _ = loaded.evaluate(small_dataset)
     np.testing.assert_array_equal(y1, y2)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_model_json_round_trip_property(tmp_path_factory, data):
+    positive = st.floats(1e-9, 1e9)
+    params = FprcParams(
+        k_in=data.draw(positive), epsilon=data.draw(st.floats(1e-9, 1.0)),
+        n_u=data.draw(st.integers(1, 4)), n_y=data.draw(st.integers(1, 4)),
+        n_c=data.draw(st.integers(1, 5)), sigma=data.draw(positive),
+        fuzziness=data.draw(st.floats(1.001, 10.0)), alpha=data.draw(positive),
+        fcm_tol=data.draw(positive), fcm_max_iter=data.draw(st.integers(1, 10 ** 6)),
+        input_limit=data.draw(positive),
+        filter_init=data.draw(st.sampled_from(FILTER_INIT_MODES)))
+    reservoir_features = data.draw(st.booleans())
+    dim = params.n_y + (params.n_u if reservoir_features else 0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** data.draw(st.integers(-5, 5))
+    ruleset = FuzzyRuleSet(centers=rng.normal(size=(params.n_c, dim)) * scale,
+                           w_out=rng.normal(size=(params.n_c, dim + 1)) * scale,
+                           sigma=params.sigma, fuzziness=params.fuzziness)
+    model = FprcModel(params, ruleset, reservoir_features)
+    path = tmp_path_factory.mktemp("fprc") / "model.json"
+    model.save(path)
+    loaded = FprcModel.load(path)
+    assert loaded.params == params and loaded.kind == model.kind
+    np.testing.assert_array_equal(loaded.ruleset.centers, ruleset.centers)
+    np.testing.assert_array_equal(loaded.ruleset.w_out, ruleset.w_out)
 
 
 def test_model_load_rejects_unknown_format(tmp_path):

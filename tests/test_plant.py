@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pneurc.errors import InvalidSpecError, NumericError
-from pneurc.plant import (DISTURBANCE_MODES, INPUT_PRESSURE_LIMIT, ActuatorPlant,
-                          DisturbanceSpec, PlayOperatorStack, ReservoirPlant,
+from pneurc.plant import (DISTURBANCE_MODES, INPUT_PRESSURE_LIMIT, ActuatorConfig,
+                          DisturbanceSpec, PlayOperatorStack, ReservoirConfig,
                           actuator_step, apply_disturbance, reservoir_step)
 
 
@@ -197,7 +197,7 @@ def test_play_states_stay_in_play_band(stack, path):
 
 
 def test_actuator_settles_to_hysteresis_target():
-    plant = ActuatorPlant.default()
+    plant = ActuatorConfig().build()
     target = plant.hysteresis.copy().step(200.0)
     angle = 0.0
     for _ in range(2000):  # 10 s at 200 Hz, lag time constant 0.05 s
@@ -206,14 +206,14 @@ def test_actuator_settles_to_hysteresis_target():
 
 
 def test_actuator_clamps_negative_demand():
-    plant = ActuatorPlant.default()
+    plant = ActuatorConfig().build()
     actuator_step(plant, -10.0, dt=1 / 200)
     assert plant.clamp_events == 1
     assert plant.angle_state >= 0.0
 
 
 def test_actuator_angle_stays_in_bounds():
-    plant = ActuatorPlant.default()
+    plant = ActuatorConfig().build()
     for p in (450.0, 450.0, 0.0, 450.0):
         for _ in range(400):
             angle = actuator_step(plant, p, dt=1 / 200)
@@ -221,7 +221,7 @@ def test_actuator_angle_stays_in_bounds():
 
 
 def test_actuator_full_scale_saturates_against_bound():
-    plant = ActuatorPlant.default(full_scale_pressure=370.0)
+    plant = ActuatorConfig(full_scale_pressure=370.0).build()
     for _ in range(4000):
         angle = actuator_step(plant, 450.0, dt=1 / 200)
     assert angle == pytest.approx(60.0, abs=1e-9)
@@ -229,11 +229,11 @@ def test_actuator_full_scale_saturates_against_bound():
 
 def test_actuator_validation():
     with pytest.raises(InvalidSpecError):
-        ActuatorPlant.default(lag_time_constant=0.0)
+        ActuatorConfig(lag_time_constant=0.0).build()
     with pytest.raises(NumericError):
-        actuator_step(ActuatorPlant.default(), float("inf"), dt=1 / 200)
+        actuator_step(ActuatorConfig().build(), float("inf"), dt=1 / 200)
     with pytest.raises(InvalidSpecError):
-        actuator_step(ActuatorPlant.default(), 100.0, dt=0.0)
+        actuator_step(ActuatorConfig().build(), 100.0, dt=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def test_actuator_validation():
 
 
 def test_reservoir_rests_at_baseline():
-    res = ReservoirPlant.default()
+    res = ReservoirConfig().build()
     assert res.pressure == 100.0
     for _ in range(100):
         p = reservoir_step(res, 0.0, dt=1 / 200)
@@ -249,7 +249,7 @@ def test_reservoir_rests_at_baseline():
 
 
 def test_reservoir_clamps_input_and_counts():
-    res = ReservoirPlant.default()
+    res = ReservoirConfig().build()
     reservoir_step(res, 500.0, dt=1 / 200)
     assert res.hysteresis.last_input == pytest.approx(INPUT_PRESSURE_LIMIT)
     reservoir_step(res, -5.0, dt=1 / 200)
@@ -258,13 +258,13 @@ def test_reservoir_clamps_input_and_counts():
 
 
 def test_reservoir_pressure_never_negative():
-    res = ReservoirPlant.default(baseline_pressure=0.0)
+    res = ReservoirConfig(baseline_pressure=0.0).build()
     for _ in range(50):
         assert reservoir_step(res, 0.0, dt=1 / 200) >= 0.0
 
 
 def test_reservoir_settles_to_baseline_plus_stack():
-    res = ReservoirPlant.default()
+    res = ReservoirConfig().build()
     target = res.baseline_pressure + res.hysteresis.copy().step(300.0)
     for _ in range(3000):
         p = reservoir_step(res, 300.0, dt=1 / 200)
@@ -277,7 +277,7 @@ def test_reservoir_settles_to_baseline_plus_stack():
 
 def test_disturbance_spec_validation():
     with pytest.raises(InvalidSpecError):
-        DisturbanceSpec(window=(5.0, 5.0))
+        DisturbanceSpec(t_start=5.0, t_end=5.0)
     with pytest.raises(InvalidSpecError):
         DisturbanceSpec(mode="zap")
     with pytest.raises(InvalidSpecError):
@@ -286,9 +286,9 @@ def test_disturbance_spec_validation():
 
 
 def test_disturbance_outside_window_is_inert():
-    res = ReservoirPlant.default()
+    res = ReservoirConfig().build()
     reservoir_step(res, 200.0, dt=1 / 200)
-    spec = DisturbanceSpec(window=(10.0, 25.0), magnitude=8.0)
+    spec = DisturbanceSpec(t_start=10.0, t_end=25.0, magnitude=8.0)
     rng = np.random.default_rng(spec.seed)
     before = res.pressure
     assert apply_disturbance(res, spec, 9.99, rng) is False
@@ -299,9 +299,9 @@ def test_disturbance_outside_window_is_inert():
 
 
 def test_disturbance_additive_pressure_moves_reservoir():
-    res = ReservoirPlant.default()
+    res = ReservoirConfig().build()
     reservoir_step(res, 200.0, dt=1 / 200)
-    spec = DisturbanceSpec(window=(10.0, 25.0), magnitude=8.0)
+    spec = DisturbanceSpec(t_start=10.0, t_end=25.0, magnitude=8.0)
     rng = np.random.default_rng(spec.seed)
     before = res.pressure
     assert apply_disturbance(res, spec, 10.0, rng) is True
@@ -310,10 +310,10 @@ def test_disturbance_additive_pressure_moves_reservoir():
 
 
 def test_disturbance_state_kick_respects_play_bands():
-    res = ReservoirPlant.default()
+    res = ReservoirConfig().build()
     for _ in range(10):
         reservoir_step(res, 250.0, dt=1 / 200)
-    spec = DisturbanceSpec(window=(0.0, 1.0), mode="state-kick", magnitude=50.0)
+    spec = DisturbanceSpec(t_start=0.0, t_end=1.0, mode="state-kick", magnitude=50.0)
     rng = np.random.default_rng(7)
     assert apply_disturbance(res, spec, 0.5, rng) is True
     stack = res.hysteresis
@@ -325,9 +325,9 @@ def test_disturbance_state_kick_respects_play_bands():
 
 def test_disturbance_is_reproducible():
     def run(seed):
-        res = ReservoirPlant.default()
+        res = ReservoirConfig().build()
         reservoir_step(res, 200.0, dt=1 / 200)
-        spec = DisturbanceSpec(window=(0.0, 1.0), magnitude=8.0, seed=seed)
+        spec = DisturbanceSpec(t_start=0.0, t_end=1.0, magnitude=8.0, seed=seed)
         rng = np.random.default_rng(spec.seed)
         for t in np.linspace(0.0, 0.9, 10):
             apply_disturbance(res, spec, float(t), rng)

@@ -1,10 +1,12 @@
-"""Signal generators: closed-form values, grid semantics, CSV round trips."""
+"""Signal generators: closed-form values, grid semantics, declarative specs."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pneurc.errors import InvalidDataError, InvalidSpecError
+from pneurc.config import ExperimentConfig
+from pneurc.errors import InvalidSpecError
 from pneurc.signals import (DEFAULT_DT, SignalSpec, TimeSeries, format_float,
                             gen_chirp_quadratic, gen_multisine, gen_sine,
                             gen_sweep_frequency)
@@ -109,27 +111,7 @@ def test_sweep_constant_frequency_reduces_to_sine():
 
 
 # ---------------------------------------------------------------------------
-# downsampling
-
-
-def test_downsample_matches_coarse_generation_bitwise():
-    fine = gen_sine(0.3, 2.0, 1.0, duration=4.0, dt=0.005)
-    coarse = gen_sine(0.3, 2.0, 1.0, duration=4.0, dt=0.01)
-    halved = fine.downsample(2)
-    np.testing.assert_array_equal(halved.values, coarse.values)
-    assert halved.dt == coarse.dt
-
-
-def test_downsample_validates_factor():
-    ts = gen_sine(1.0, 1.0, 0.0, duration=1.0, dt=0.1)
-    with pytest.raises(InvalidSpecError):
-        ts.downsample(0)
-    with pytest.raises(InvalidSpecError):
-        ts.downsample(1.5)
-
-
-# ---------------------------------------------------------------------------
-# TimeSeries container and CSV round trip
+# TimeSeries container
 
 
 def test_timeseries_rejects_bad_values():
@@ -139,39 +121,6 @@ def test_timeseries_rejects_bad_values():
         TimeSeries(np.array([1.0, np.nan]), 0.01)
     with pytest.raises(InvalidSpecError):
         TimeSeries(np.array([1.0, 2.0]), 0.0)
-
-
-def test_csv_round_trip_is_exact(tmp_path):
-    ts = gen_multisine((0.12, 0.31), 6.5, 40.5, -0.5 * math.pi,
-                       duration=0.5, dt=1 / 200)
-    path = tmp_path / "sig.csv"
-    ts.to_csv(path)
-    back = TimeSeries.from_csv(path)
-    np.testing.assert_array_equal(back.values, ts.values)
-    assert back.dt == ts.dt
-    assert back.unit == ts.unit
-
-
-def test_csv_header_carries_unit(tmp_path):
-    ts = gen_sine(0.5, 10.0, 100.0, duration=0.1, dt=0.01, unit="kPa")
-    path = tmp_path / "sig.csv"
-    ts.to_csv(path)
-    assert path.read_text().splitlines()[0] == "t_s,value_kpa"
-    assert TimeSeries.from_csv(path).unit == "kPa"
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("time,angle\n0,1\n0.1,2\n")
-    with pytest.raises(InvalidDataError):
-        TimeSeries.from_csv(path)
-
-
-def test_csv_reports_offending_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t_s,value_deg\n0.0,1.0\n0.1,oops\n")
-    with pytest.raises(InvalidDataError, match=":3"):
-        TimeSeries.from_csv(path)
 
 
 def test_format_float_round_trips():
@@ -209,21 +158,30 @@ def test_signal_spec_render_matches_generator():
     np.testing.assert_array_equal(spec.render(DEFAULT_DT).values, direct.values)
 
 
+def with_train_excitation(spec: dict) -> dict:
+    """The default config as a mapping, with ``spec`` as its train excitation."""
+    doc = ExperimentConfig().to_dict()
+    doc["signals"]["train_excitation"] = spec
+    return doc
+
+
 def test_signal_spec_dict_round_trip():
     spec = SignalSpec(kind="chirp-linear", amplitude=175.0, offset=175.0,
                       frequencies=(0.1, 1.0), duration=120.0, unit="kPa")
-    assert SignalSpec.from_dict(spec.to_dict()) == spec
+    doc = with_train_excitation(dataclasses.asdict(spec))
+    assert ExperimentConfig.from_dict(doc).signals.train_excitation == spec
 
 
 def test_signal_spec_rejects_unknown_fields():
-    with pytest.raises(InvalidSpecError, match="unknown"):
-        SignalSpec.from_dict({"kind": "sine", "amplitude": 1.0, "offset": 0.0,
-                              "frequencies": [1.0], "duration": 1.0, "bogus": 2})
+    doc = with_train_excitation({"kind": "sine", "amplitude": 1.0, "offset": 0.0,
+                                 "frequencies": [1.0], "duration": 1.0, "bogus": 2})
+    with pytest.raises(InvalidSpecError, match=r"train_excitation: unknown fields \['bogus'\]"):
+        ExperimentConfig.from_dict(doc)
 
 
 def test_signal_spec_rejects_missing_fields():
-    with pytest.raises(InvalidSpecError):
-        SignalSpec.from_dict({"kind": "sine"})
+    with pytest.raises(InvalidSpecError, match="train_excitation: missing fields"):
+        ExperimentConfig.from_dict(with_train_excitation({"kind": "sine"}))
 
 
 def test_signal_spec_frequency_arity():
