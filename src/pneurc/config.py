@@ -196,8 +196,14 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="ascii") as fh:
                 d = json.load(fh)
+        except FileNotFoundError:
+            raise
         except json.JSONDecodeError as exc:
             raise InvalidSpecError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidSpecError(f"{path}: not ASCII text ({exc})") from exc
+        except OSError as exc:
+            raise InvalidSpecError(f"{path}: cannot be read ({exc.strerror})") from exc
         return cls.from_dict(d)
 
     # -- paths ------------------------------------------------------------

@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
                      NumericError, decoding)
@@ -108,12 +107,20 @@ def _lowpass_series(p_o: np.ndarray, params: FprcParams) -> np.ndarray:
 
     The filter memory starts at the first sample (or at zero, per the
     configured init mode), so there is no startup transient by default.
+    The loop makes the transposed-direct-form-II operations of
+    ``scipy.signal.lfilter([eps], [1, -(1 - eps)], p_o, zi=[(1 - eps) init])``
+    in the same order, so its output is bit-identical to that call's.
     """
     eps = params.epsilon
-    init = p_o[0] if params.filter_init == "first-sample" else 0.0
-    zi = np.array([(1.0 - eps) * init])
-    out, _ = lfilter([eps], [1.0, -(1.0 - eps)], p_o, zi=zi)
-    return out
+    keep = 1.0 - eps
+    samples = p_o.tolist()
+    z = keep * (samples[0] if params.filter_init == "first-sample" else 0.0)
+    out = []
+    for x in samples:
+        y = z + eps * x
+        out.append(y)
+        z = keep * y
+    return np.array(out)
 
 
 def _feature_matrix(theta: np.ndarray, p_filt: np.ndarray | None,

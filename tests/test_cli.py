@@ -2,6 +2,8 @@
 import dataclasses
 import json
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +210,30 @@ def test_missing_inputs(tmp_path, capsys):
     extra = tmp_path / "extra.json"
     extra.write_text('{"no_such_field": 1}\n')
     assert main(["--config", str(extra), "generate"]) == 2
+
+
+def test_non_ascii_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"seed": "\xe9"}\n')
+    assert main(["--config", str(bad), "--out", str(tmp_path / "out"), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(bad) in err and "ASCII" in err
+
+
+def test_directory_as_config_exits_2(tmp_path, capsys):
+    assert main(["--config", str(tmp_path), "--out", str(tmp_path / "out"), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{tmp_path}: cannot be read" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # importing scipy.signal once took most of every CLI process's start-up
+    code = "import sys, pneurc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("key, value", [("model.fprc.n_c", "8"), ("gains.pd_kp", "20"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pneurc.config import (MODEL_KINDS, ActuatorConfig, ExperimentConfig, ModelConfig,
                            ReservoirConfig, SignalsConfig)
@@ -71,6 +72,21 @@ def test_dataset_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.p_i, ds.p_i)
     np.testing.assert_array_equal(back.p_o, ds.p_o)
     assert back.dt == ds.dt
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_dataset_csv_round_trip_property(tmp_path_factory, data):
+    n = data.draw(st.integers(2, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    columns = [data.draw(arrays(float, n, elements=finite)) for _ in range(4)]
+    ds = Dataset(*columns, dt=data.draw(st.floats(1e-6, 1e3)))
+    path = tmp_path_factory.mktemp("dataset") / "data.csv"
+    ds.save_csv(path)
+    back = Dataset.load_csv(path)
+    assert back.dt == ds.dt
+    for name in ("theta", "p_exp", "p_i", "p_o"):
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
 
 
 def test_dataset_csv_bytes_match_per_element_writer(tmp_path, small_dataset):

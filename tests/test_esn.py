@@ -1,14 +1,17 @@
 """Echo state network: init, update law, state collection, training."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pneurc import esn
 from pneurc.datasets import Dataset
 from pneurc.errors import (InvalidDataError, InvalidSpecError, NumericError,
                            ResourceError, StateError)
 from pneurc.esn import (EsnModel, EsnParams, EsnTrainer, TrainedEsn,
-                        esn_collect_states, esn_init, esn_update,
-                        spectral_radius_power_iteration)
+                        WEIGHT_DISTRIBUTIONS, esn_collect_states, esn_init,
+                        esn_update, spectral_radius_power_iteration)
 
 TINY = dict(reservoir_size=8, washout=4, n_y=2, seed=7)
 
@@ -284,6 +287,35 @@ def test_save_load_round_trip(tmp_path):
     y1, _ = trained.evaluate(ds)
     y2, _ = loaded.evaluate(ds)
     np.testing.assert_array_equal(y1, y2)
+
+
+@st.composite
+def small_trained_esn(draw):
+    params = EsnParams(reservoir_size=draw(st.integers(1, 12)),
+                       input_scaling=draw(st.floats(1e-6, 1e3)),
+                       leak_rate=draw(st.floats(0.0, 1.0)),
+                       spectral_radius=draw(st.floats(0.01, 0.99)),
+                       washout=draw(st.integers(0, 10 ** 6)),
+                       n_y=draw(st.integers(1, 8)),
+                       weight_distribution=draw(st.sampled_from(WEIGHT_DISTRIBUTIONS)),
+                       seed=draw(st.integers(0, 2 ** 31)))
+    model = esn_init(params)
+    model.w_out = draw(arrays(float, model.extended_dim,
+                              elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return TrainedEsn(model)
+
+
+@settings(max_examples=40)
+@given(trained=small_trained_esn())
+def test_save_load_round_trip_property(tmp_path_factory, trained):
+    path = tmp_path_factory.mktemp("esn") / "esn.npz"
+    trained.save(path)
+    loaded = TrainedEsn.load(path)
+    assert loaded.model.params == trained.model.params
+    for name in ("w_input", "w_reservoir", "w_out"):
+        a, b = getattr(loaded.model, name), getattr(trained.model, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    np.testing.assert_array_equal(loaded.model.state, np.zeros(trained.model.params.reservoir_size))
 
 
 def test_load_rejects_foreign_npz(tmp_path):

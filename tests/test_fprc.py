@@ -72,6 +72,32 @@ def test_lowpass_matches_scalar_recursion(rng):
         assert out[k] == pytest.approx(filt, rel=1e-14)
 
 
+LOWPASS_EPSILONS = (1e-3, 0.01, 0.1, 0.37, 1.0)
+
+
+@pytest.mark.parametrize("mode", FILTER_INIT_MODES)
+@pytest.mark.parametrize("eps", LOWPASS_EPSILONS)
+def test_lowpass_step_response_closed_form(eps, mode):
+    # a unit step from zero memory reaches 1 - (1 - eps)^(k+1) after k+1 samples;
+    # from first-sample memory it starts settled
+    out = _lowpass_series(np.ones(3000), FprcParams(epsilon=eps, filter_init=mode))
+    k = np.arange(3000)
+    expected = 1.0 - (1.0 - eps) ** (k + 1) if mode == "zero" else np.ones(3000)
+    np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", FILTER_INIT_MODES)
+@pytest.mark.parametrize("eps", LOWPASS_EPSILONS)
+def test_lowpass_matches_lfilter_bitwise(train_dataset, eps, mode):
+    # scipy is not a dependency; where it is installed, lfilter is the oracle
+    signal = pytest.importorskip("scipy.signal")
+    p_o = train_dataset.p_o
+    init = p_o[0] if mode == "first-sample" else 0.0
+    ref, _ = signal.lfilter([eps], [1.0, -(1.0 - eps)], p_o, zi=np.array([(1.0 - eps) * init]))
+    out = _lowpass_series(p_o, FprcParams(epsilon=eps, filter_init=mode))
+    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
 def test_readout_state_layout():
     X, _ = fprc_collect_training([10.0, 20.0], [0.0, 0.0], p_o=[100.0, 100.0],
                                  params=FprcParams(n_y=2, n_u=2))
