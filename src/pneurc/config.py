@@ -166,6 +166,8 @@ class ExperimentConfig:
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
         if self.dt <= 0.0:
             raise InvalidSpecError("dt must be positive")
         if self.cv_folds < 2:

@@ -16,7 +16,7 @@ from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
                      NumericError)
 from .plant import (INPUT_PRESSURE_LIMIT, ActuatorPlant, DisturbanceSpec,
                     actuator_step)
-from .signals import TimeSeries, format_float, write_csv
+from .signals import TimeSeries, format_float, read_csv, write_csv
 
 RUN_LOG_COLUMNS = ("t_s", "theta_d_deg", "theta_deg", "e_theta_deg", "p_ff_kpa",
                    "p_fb_kpa", "p_d_kpa", "p_i_kpa", "p_o_kpa", "p_o_filt_kpa",
@@ -92,20 +92,7 @@ class RunLog:
 
     @classmethod
     def from_csv(cls, path) -> "RunLog":
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0] != ",".join(RUN_LOG_COLUMNS):
-            raise InvalidDataError(f"{path}: bad run log header")
-        n = len(lines) - 1
-        cols = np.empty((n, len(RUN_LOG_COLUMNS)))
-        for i, ln in enumerate(lines[1:]):
-            parts = ln.split(",")
-            if len(parts) != len(RUN_LOG_COLUMNS):
-                raise InvalidDataError(f"{path}:{i + 2}: wrong column count")
-            try:
-                cols[i] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise InvalidDataError(f"{path}:{i + 2}: {exc}") from exc
+        cols = read_csv(path, ",".join(RUN_LOG_COLUMNS))
         return cls(t=cols[:, 0], theta_d=cols[:, 1], theta=cols[:, 2], e_theta=cols[:, 3],
                    p_ff=cols[:, 4], p_fb=cols[:, 5], p_d=cols[:, 6], p_i=cols[:, 7],
                    p_o=cols[:, 8], p_o_filt=cols[:, 9], disturbed=cols[:, 10])

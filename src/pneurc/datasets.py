@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidDataError, InvalidSpecError
 from .fprc import drive_reservoir
 from .plant import ActuatorPlant, ReservoirPlant, actuator_step
-from .signals import TimeSeries, write_csv
+from .signals import TimeSeries, read_csv, write_csv
 
 CSV_HEADER = "t_s,theta_deg,p_exp_kpa,p_i_kpa,p_o_kpa"
 
@@ -61,22 +61,10 @@ class Dataset:
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0] != CSV_HEADER:
-            raise InvalidDataError(f"{path}: expected header {CSV_HEADER!r}")
-        n = len(lines) - 1
+        cols = read_csv(path, CSV_HEADER)
+        n = len(cols)
         if n < 2:
             raise InvalidDataError(f"{path}: need at least 2 data rows")
-        cols = np.empty((n, 5))
-        for i, ln in enumerate(lines[1:]):
-            parts = ln.split(",")
-            if len(parts) != 5:
-                raise InvalidDataError(f"{path}:{i + 2}: expected 5 columns, got {len(parts)}")
-            try:
-                cols[i] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise InvalidDataError(f"{path}:{i + 2}: {exc}") from exc
         t = cols[:, 0]
         dt = float(t[1] - t[0])
         expected = t[0] + np.arange(n) * dt

@@ -21,6 +21,9 @@ WEIGHT_DISTRIBUTIONS = ("uniform", "uniform-sym", "normal")
 # refuse reservoirs whose dense recurrent matrix would exceed this budget
 _MAX_RESERVOIR_BYTES = 4 * 1024 ** 3
 
+# the largest seed the artifact's float64 params array stores exactly
+_MAX_SEED = 2 ** 53
+
 # rows of extended state a replay holds at once (about 6.6 MB at 800 units)
 _REPLAY_BLOCK_ROWS = 1024
 
@@ -61,6 +64,8 @@ class EsnParams(EsnConfig):
             raise InvalidSpecError("n_y must be >= 1")
         if self.weight_distribution not in WEIGHT_DISTRIBUTIONS:
             raise InvalidSpecError(f"weight_distribution must be one of {WEIGHT_DISTRIBUTIONS}")
+        if not 0 <= self.seed <= _MAX_SEED:
+            raise InvalidSpecError(f"seed must lie in [0, 2**53], got {self.seed}")
 
     def replace(self, **kw) -> "EsnParams":
         return replace(self, **kw)
@@ -148,7 +153,7 @@ def esn_update(model: EsnModel, theta_d: float) -> np.ndarray:
 
 
 def esn_collect_states(model: EsnModel, theta_series, start: int = 0,
-                       stop: int | None = None) -> np.ndarray:
+                       stop: int | None = None, known=None) -> np.ndarray:
     """Run the reservoir over an angle record and stack extended states.
 
     Row k is the extended state [1, theta taps, reservoir state]: the taps
@@ -161,6 +166,12 @@ def esn_collect_states(model: EsnModel, theta_series, start: int = 0,
     ``start`` and ``stop`` return rows start..stop-1 only, driving the
     reservoir with those samples; the model must hold the state after
     samples 0..start-1, as the call for the previous block leaves it.
+
+    ``known`` = (states, at) ends the run where it rejoins another run of
+    the same reservoir: states[r] is the reservoir state that run holds at
+    sample at + r of this record. The run stops at the first such
+    sample where its own state has the same bytes, without updating on it,
+    and returns the rows before it; the model is left holding that state.
     """
     theta = np.asarray(theta_series, dtype=float)
     if theta.ndim != 1:
@@ -173,14 +184,20 @@ def esn_collect_states(model: EsnModel, theta_series, start: int = 0,
         k = start + int(bad[0])
         raise NumericError(f"ESN input must be finite, got {theta[k]!r} at sample {k}")
     n_y = model.params.n_y
-    first = max(start - n_y + 1, 0)  # the taps of row start reach back n_y - 1 samples
     rows = np.empty((stop - start, model.extended_dim))
-    rows[:, 0] = 1.0
-    rows[:, 1:1 + n_y] = tap_matrix(theta[first:stop], n_y)[start - first:]
     states = rows[:, 1 + n_y:]
-    for j, u in enumerate(theta[start:stop]):
-        states[j] = model.state
-        esn_update(model, u)
+    other, at = (states[:0], 0) if known is None else known
+    end = stop
+    for k in range(start, stop):
+        if 0 <= k - at < len(other) and model.state.tobytes() == other[k - at].tobytes():
+            end = k
+            break
+        states[k - start] = model.state
+        esn_update(model, theta[k])
+    rows = rows[:end - start]
+    first = max(start - n_y + 1, 0)  # the taps of row start reach back n_y - 1 samples
+    rows[:, 0] = 1.0
+    rows[:, 1:1 + n_y] = tap_matrix(theta[first:end], n_y)[start - first:]
     return rows
 
 
@@ -206,6 +223,33 @@ class EsnTrainer(Trainer):
         _check_washout(len(record), washout)
         rows = esn_collect_states(self._template.cold_copy(), record.theta)
         return rows[washout:], record.p_exp[washout:]
+
+    def rejoin(self, record, spine, at: int):
+        """The rows of ``states(record)`` before the run rejoins the spine.
+
+        The record is driven from a cold state and stops at the first
+        sample where its reservoir state has the same bytes as the spine's
+        row there, among the samples where both runs' angle taps are full:
+        the two rows are then equal, and so is every later one, because
+        the same state, input and weights give the same next state.
+        Returns the rows before that sample, all of them if there is none.
+        The run is driven in blocks of ``_REPLAY_BLOCK_ROWS`` rows, so an
+        early rejoin allocates one block, not the whole record.
+        """
+        p = self.params
+        _check_washout(len(record), p.washout)
+        # spine row r, sample at + r, is compared once its taps and the record's are full
+        skip = max(0, p.n_y - 1 - p.washout, p.n_y - 1 - at)
+        known = (spine[0][skip:, 1 + p.n_y:], at + skip)
+        model = self._template.cold_copy()
+        blocks = []
+        for lo in range(0, len(record), _REPLAY_BLOCK_ROWS):
+            hi = min(lo + _REPLAY_BLOCK_ROWS, len(record))
+            blocks.append(esn_collect_states(model, record.theta, lo, hi, known))
+            if len(blocks[-1]) < hi - lo:
+                break
+        rows = np.vstack(blocks)
+        return rows[p.washout:], record.p_exp[p.washout:len(rows)]
 
     def fit_states(self, X, y, fold: int = 0) -> "TrainedEsn":
         fitted = self._template.cold_copy()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidDataError, InvalidSpecError
 
 DEFAULT_DT = 1.0 / 200.0
 
@@ -44,6 +44,34 @@ def write_csv(path, header: str, columns) -> None:
         for lo in range(0, n, CSV_BLOCK_ROWS):
             rows = zip(*(c[lo:lo + CSV_BLOCK_ROWS].tolist() for c in columns))
             fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+
+
+def read_csv(path, header: str) -> np.ndarray:
+    """The rows of a CSV file with ``header``, one float per field.
+
+    Blank lines are skipped. A file that is not ASCII text, another header,
+    a row with another column count or a field that is not a number raises
+    InvalidDataError naming the path and, for a row, its line counted
+    without blank lines.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise InvalidDataError(f"{path}: not ASCII text ({exc})") from exc
+    if not lines or lines[0] != header:
+        raise InvalidDataError(f"{path}: expected header {header!r}")
+    width = header.count(",") + 1
+    cols = np.empty((len(lines) - 1, width))
+    for i, ln in enumerate(lines[1:]):
+        parts = ln.split(",")
+        if len(parts) != width:
+            raise InvalidDataError(f"{path}:{i + 2}: expected {width} columns, got {len(parts)}")
+        try:
+            cols[i] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise InvalidDataError(f"{path}:{i + 2}: {exc}") from exc
+    return cols
 
 
 def tap_matrix(series: np.ndarray, n_taps: int) -> np.ndarray:

@@ -155,7 +155,17 @@ class Trainer:
     ``fit_states(X, y, fold)`` fits a model on stacked rows; the model's
     ``predict(X)`` reads rows out. States are causal: the rows of a prefix
     of a record are the first rows of the record's states.
+
+    ``rejoin(record, spine, at)`` may return fewer rows than ``states``:
+    the first rows of ``states(record)``, ending where the rest equal
+    ``spine``'s rows bit for bit. ``spine`` is the (X, y) of another cold
+    run over the same series, whose row r holds sample ``at + r`` of the
+    record (``at`` may be negative). The default never rejoins.
     """
+
+    def rejoin(self, record, spine, at: int):
+        """Rows of ``states(record)`` up to where the spine repeats them."""
+        return self.states(record)
 
     def fit(self, segments, fold: int = 0):
         """Fit on independent records, each driven from a cold start."""
@@ -165,16 +175,12 @@ class Trainer:
         return self.fit_states(X, y, fold)
 
 
-def _stack(parts):
-    """(X, y) with the rows of the parts in order; one part is returned as is."""
-    if len(parts) == 1:
+def _stack(parts, copy: bool = False):
+    """(X, y) with the rows of the parts in order. One part is returned as
+    is unless ``copy`` is set, so that its rows do not keep a run alive."""
+    if len(parts) == 1 and not copy:
         return parts[0]
     return np.vstack([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
-def _head(X, y, rows: int):
-    """Copies of the first rows, so they do not keep the whole run alive."""
-    return X[:rows].copy(), y[:rows].copy()
 
 
 def kfold_cv(dataset, trainer, k: int = 5):
@@ -187,36 +193,67 @@ def kfold_cv(dataset, trainer, k: int = 5):
     lower index.
 
     Every training segment and validation block starts cold at a fold edge
-    e_j and is a prefix of the run from e_j to the end, so the states of
-    those k runs are computed once each: run 0 up to e_{k-1}, the others
-    to the end. Fold i trains on run 0 up to e_i followed by run i+1, and
-    validates on the first e_{i+1} - e_i samples of run i. A trainer that
-    drives a reservoir (the ESN) thus steps it e_{k-1} + sum_{j>=1} (n - e_j)
-    times, 2.8 n at k = 5. At most run 0, one later run and the next
-    fold's validation rows are held at once.
+    e_j and is a prefix of the run from e_j to the end, so each of those k
+    runs is computed once: run 0 up to e_{k-1}, the others to the end.
+    Fold i trains on run 0 up to e_i followed by run i+1, and validates on
+    the first e_{i+1} - e_i samples of run i.
+
+    Run 1, the spine, is computed first and in full; it covers every later
+    run and overlaps run 0 on [e_1, e_{k-1}). The other runs come from
+    ``trainer.rejoin``, which may stop a run where its rows start to equal
+    the spine's bit for bit (an ESN's state forgets its cold start); the
+    run's later rows are then read from the spine. Equal means equal bytes,
+    so the folds are exactly those of runs driven to their ends. A trainer
+    that drives a reservoir thus steps it (n - e_1) + sum_{j != 1} r_j
+    times, where r_j is the number of samples run j takes to rejoin the
+    spine, or its length if it never does: at most e_{k-1} + sum_{j>=1}
+    (n - e_j), 2.8 n at k = 5.
+    At most the spine, run 0's own rows, one later run's own rows, one
+    fold's stacked rows and two validation blocks are held at once.
 
     Returns (best_model, CvReport).
     """
     n = len(dataset)
     edges = [lo for lo, _ in contiguous_folds(n, k)] + [n]
-    X0, y0 = trainer.states(dataset.slice(0, edges[k - 1]))
-    washout = edges[k - 1] - len(y0)
+    spine = trainer.states(dataset.slice(edges[1], n))
+    washout = n - edges[1] - len(spine[1])
     for i in range(k):
         size = edges[i + 1] - edges[i]
         if size <= washout:
             raise InvalidDataError(f"fold {i} holds {size} samples, which leaves no rows "
                                    f"after washout {washout}")
-    val = _head(X0, y0, edges[1] - washout)
+    start = edges[1] + washout  # the sample of the spine's first row
+
+    def run(j):
+        """Run j's own rows: those before it rejoins the spine."""
+        if j == 1:
+            return spine[0][:0], spine[1][:0]
+        stop = edges[k - 1] if j == 0 else n
+        return trainer.rejoin(dataset.slice(edges[j], stop), spine, start - edges[j])
+
+    def rows(j, own, stop):
+        """Parts holding run j's rows for samples [e_j + washout, stop)."""
+        m = min(len(own[1]), stop - edges[j] - washout)
+        lo, hi = edges[j] + washout + m - start, stop - start
+        parts = [(own[0][:m], own[1][:m])] if m > 0 else []
+        if hi > lo:
+            parts.append((spine[0][lo:hi], spine[1][lo:hi]))
+        return parts
+
+    own0 = run(0)
+    val = _stack(rows(0, own0, edges[1]), copy=True)
     results = []
     models = []
     for i in range(k):
-        parts = [(X0[:edges[i] - washout], y0[:edges[i] - washout])] if i > 0 else []
+        parts = rows(0, own0, edges[i]) if i > 0 else []
         next_val = None
         if i + 1 < k:
-            parts.append(trainer.states(dataset.slice(edges[i + 1], n)))
-            next_val = _head(*parts[-1], edges[i + 2] - edges[i + 1] - washout)
+            own = run(i + 1)
+            next_val = _stack(rows(i + 1, own, edges[i + 2]), copy=True)
+            parts += rows(i + 1, own, n)
+            del own  # its rows live on in X and next_val only
         X, y = _stack(parts)
-        del parts  # the run's rows live on in X only
+        del parts
         model = trainer.fit_states(X, y, fold=i)
         e_train = rmse(model.predict(X), y)
         e_val = rmse(model.predict(val[0]), val[1])

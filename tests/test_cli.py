@@ -221,6 +221,26 @@ def test_non_ascii_config_exits_2(tmp_path, capsys):
     assert str(bad) in err and "ASCII" in err
 
 
+def test_non_ascii_dataset_row_exits_2(workspace, tmp_path, capsys):
+    args = _out_with(workspace, tmp_path / "out", "data/train.csv")
+    path = tmp_path / "out" / "data" / "train.csv"
+    with open(path, "ab") as fh:
+        fh.write(b"0.01,\xe9,1,1,1\n")
+    assert main([*args, "train"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{path}: not ASCII" in err
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    # numpy cannot seed the FCM draw or the ESN weights with it
+    assert main(["--seed", "-1", "--out", str(tmp_path / "out"), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "seed must be non-negative" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_directory_as_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path), "--out", str(tmp_path / "out"), "generate"]) == 2
     err = capsys.readouterr().err

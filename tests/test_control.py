@@ -332,3 +332,6 @@ def test_runlog_csv_errors(tmp_path):
     path.write_text(",".join(RUN_LOG_COLUMNS) + "\n" + "0.0," * 10 + "0\n" + "0.0," * 10 + "x\n")
     with pytest.raises(InvalidDataError, match=":3"):
         RunLog.from_csv(path)
+    path.write_bytes((",".join(RUN_LOG_COLUMNS) + "\n" + "0.0," * 10).encode("ascii") + b"\xe9\n")
+    with pytest.raises(InvalidDataError, match=f"{path}: not ASCII"):
+        RunLog.from_csv(path)

@@ -119,6 +119,9 @@ def test_dataset_csv_errors(tmp_path):
     path.write_text(CSV_HEADER + "\n0.0,1,1,1,1\n0.01,x,1,1,1\n")
     with pytest.raises(InvalidDataError, match=":3"):
         Dataset.load_csv(path)
+    path.write_bytes((CSV_HEADER + "\n0.0,1,1,1,1\n").encode("ascii") + b"0.01,\xe9,1,1,1\n")
+    with pytest.raises(InvalidDataError, match="not ASCII"):
+        Dataset.load_csv(path)
 
 
 def test_dataset_csv_rejects_non_uniform_clock(tmp_path):
@@ -210,6 +213,8 @@ def test_config_rejects_unknown_fields(default_config):
 
 
 def test_config_validation():
+    with pytest.raises(InvalidSpecError, match="seed"):
+        ExperimentConfig(seed=-1)
     with pytest.raises(InvalidSpecError):
         ExperimentConfig(dt=0.0)
     with pytest.raises(InvalidSpecError):

@@ -42,6 +42,12 @@ def test_params_validation():
         EsnParams(n_y=0)
     with pytest.raises(InvalidSpecError):
         EsnParams(weight_distribution="cauchy")
+    # numpy draws from non-negative seeds, and the artifact stores seeds
+    # as float64, exact up to 2**53
+    with pytest.raises(InvalidSpecError, match="seed"):
+        EsnParams(seed=-1)
+    with pytest.raises(InvalidSpecError, match="seed"):
+        EsnParams(seed=2 ** 53 + 1)
 
 
 def test_init_scales_spectrum_and_input():
@@ -251,6 +257,50 @@ def test_replay_in_blocks_matches_one_readout(monkeypatch):
     np.testing.assert_allclose(p_ff, full, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 500), (250, 600)])
+def test_rejoin_stops_where_the_spine_repeats_the_rows(lo, hi):
+    ds = linear_plant_dataset(n=600)
+    trainer = EsnTrainer(EsnParams(reservoir_size=20, washout=10, seed=5), alpha=1e-6)
+    spine = trainer.states(ds.slice(100, 600))  # rows of samples 110..599
+    X, y = trainer.states(ds.slice(lo, hi))  # rows of samples lo + 10..hi - 1
+    own_X, own_y = trainer.rejoin(ds.slice(lo, hi), spine, at=110 - lo)
+    m = len(own_y)
+    assert 0 < m < len(y)
+    assert own_X.tobytes() == X[:m].tobytes() and own_y.tobytes() == y[:m].tobytes()
+    # every later row of the record is the spine's row of the same sample
+    first = lo + 10 + m - 110
+    assert X[m:].tobytes() == spine[0][first:first + len(y) - m].tobytes()
+    np.testing.assert_array_equal(y[m:], spine[1][first:first + len(y) - m])
+
+
+@pytest.mark.parametrize("lo, hi, rejoined", [(300, 600, 304), (0, 400, 104)])
+def test_rejoin_waits_until_both_runs_taps_are_full(lo, hi, rejoined):
+    # a leak rate of 1 keeps every reservoir state at zero, so the states
+    # match from the first sample; the rows match only once the record's
+    # taps (from sample lo + 4) and the spine's (from sample 104) are full
+    ds = linear_plant_dataset(n=600)
+    trainer = EsnTrainer(EsnParams(reservoir_size=5, leak_rate=1.0, washout=0, n_y=5, seed=5))
+    spine = trainer.states(ds.slice(100, 600))
+    own_X, own_y = trainer.rejoin(ds.slice(lo, hi), spine, at=100 - lo)
+    assert len(own_y) == rejoined - lo
+    X = trainer.states(ds.slice(lo, hi))[0]
+    assert X[len(own_y):].tobytes() == spine[0][rejoined - 100:hi - 100].tobytes()
+
+
+def test_collect_states_rejoins_on_equal_bytes_only():
+    model = esn_init(EsnParams(**TINY))
+    theta = np.arange(1.0, 12.0)
+    full = esn_collect_states(model.cold_copy(), theta)
+    driven = model.cold_copy()
+    rows = esn_collect_states(driven, theta, known=(full[5:, 3:], 5))
+    assert rows.tobytes() == full[:5].tobytes()
+    np.testing.assert_array_equal(driven.state, full[5, 3:])  # not updated on sample 5
+    # the cold state is +0.0 everywhere: -0.0 compares equal to it, but its
+    # bytes differ, so the run does not stop there
+    assert len(esn_collect_states(model.cold_copy(), theta, known=(np.zeros((1, 8)), 0))) == 0
+    assert len(esn_collect_states(model.cold_copy(), theta, known=(np.full((1, 8), -0.0), 0))) == 11
+
+
 def test_trainer_multi_segment_fit():
     ds = linear_plant_dataset()
     trainer = EsnTrainer(EsnParams(reservoir_size=20, washout=10, seed=5), alpha=1e-6)
@@ -298,7 +348,7 @@ def small_trained_esn(draw):
                        washout=draw(st.integers(0, 10 ** 6)),
                        n_y=draw(st.integers(1, 8)),
                        weight_distribution=draw(st.sampled_from(WEIGHT_DISTRIBUTIONS)),
-                       seed=draw(st.integers(0, 2 ** 31)))
+                       seed=draw(st.integers(0, 2 ** 53)))
     model = esn_init(params)
     model.w_out = draw(arrays(float, model.extended_dim,
                               elements=st.floats(allow_nan=False, allow_infinity=False)))
