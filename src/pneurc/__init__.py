@@ -16,8 +16,7 @@ from .fuzzy import (FuzzyRuleSet, fcm_cluster, fuzzy_infer_batch, train_fuzzy_re
 from .plant import (ActuatorConfig, ActuatorPlant, DisturbanceSpec, PlayOperatorStack,
                     ReservoirConfig, ReservoirPlant, actuator_step, apply_disturbance,
                     reservoir_step)
-from .signals import (DEFAULT_DT, SignalSpec, TimeSeries, gen_chirp_quadratic,
-                      gen_multisine, gen_sine, gen_sweep_frequency)
+from .signals import DEFAULT_DT, SignalSpec, TimeSeries
 from .training import (BenchmarkResult, CvReport, SweepResult, benchmark_execution,
                        kfold_cv, normalize_minmax, ridge_solve, rmse, run_sweep,
                        weight_contributions)

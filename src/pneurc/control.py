@@ -18,9 +18,11 @@ from .plant import (INPUT_PRESSURE_LIMIT, ActuatorPlant, DisturbanceSpec,
                     actuator_step)
 from .signals import TimeSeries, format_float, read_csv, write_csv
 
-RUN_LOG_COLUMNS = ("t_s", "theta_d_deg", "theta_deg", "e_theta_deg", "p_ff_kpa",
-                   "p_fb_kpa", "p_d_kpa", "p_i_kpa", "p_o_kpa", "p_o_filt_kpa",
-                   "disturbed")
+# run-log CSV columns in file order, each mapped to the RunLog attribute it holds
+RUN_LOG_COLUMNS = {"t_s": "t", "theta_d_deg": "theta_d", "theta_deg": "theta",
+                   "e_theta_deg": "e_theta", "p_ff_kpa": "p_ff", "p_fb_kpa": "p_fb",
+                   "p_d_kpa": "p_d", "p_i_kpa": "p_i", "p_o_kpa": "p_o",
+                   "p_o_filt_kpa": "p_o_filt", "disturbed": "disturbed"}
 
 SCENARIO_NAMES = ("sine02", "sine05", "chirp", "complex", "disturbance")
 METHOD_NAMES = ("fprc", "fprc+pd", "pd")
@@ -74,11 +76,9 @@ class RunLog:
         return self.t.size
 
     def column(self, name: str) -> np.ndarray:
-        key = {"t_s": "t", "theta_d_deg": "theta_d", "theta_deg": "theta",
-               "e_theta_deg": "e_theta", "p_ff_kpa": "p_ff", "p_fb_kpa": "p_fb",
-               "p_d_kpa": "p_d", "p_i_kpa": "p_i", "p_o_kpa": "p_o",
-               "p_o_filt_kpa": "p_o_filt", "disturbed": "disturbed"}.get(name, name)
-        if not hasattr(self, key):
+        """A column by its CSV name or its attribute name."""
+        key = RUN_LOG_COLUMNS.get(name, name)
+        if key not in RUN_LOG_COLUMNS.values():
             raise InvalidDataError(f"unknown run log column {name!r}")
         return getattr(self, key)
 
@@ -86,16 +86,14 @@ class RunLog:
         return float(np.sqrt(np.mean(self.e_theta ** 2)))
 
     def to_csv(self, path) -> None:
-        write_csv(path, ",".join(RUN_LOG_COLUMNS), (
-            self.t, self.theta_d, self.theta, self.e_theta, self.p_ff, self.p_fb, self.p_d,
-            self.p_i, self.p_o, self.p_o_filt, self.disturbed.astype(int)))
+        write_csv(path, ",".join(RUN_LOG_COLUMNS), [
+            self.disturbed.astype(int) if key == "disturbed" else getattr(self, key)
+            for key in RUN_LOG_COLUMNS.values()])
 
     @classmethod
     def from_csv(cls, path) -> "RunLog":
         cols = read_csv(path, ",".join(RUN_LOG_COLUMNS))
-        return cls(t=cols[:, 0], theta_d=cols[:, 1], theta=cols[:, 2], e_theta=cols[:, 3],
-                   p_ff=cols[:, 4], p_fb=cols[:, 5], p_d=cols[:, 6], p_i=cols[:, 7],
-                   p_o=cols[:, 8], p_o_filt=cols[:, 9], disturbed=cols[:, 10])
+        return cls(**{key: cols[:, j] for j, key in enumerate(RUN_LOG_COLUMNS.values())})
 
 
 class RecordedFeedforward:
@@ -115,7 +113,6 @@ class RecordedFeedforward:
 def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
                     gains: ControllerGains, feedback: bool = True,
                     disturbance: DisturbanceSpec | None = None,
-                    pressure_limit: float = INPUT_PRESSURE_LIMIT,
                     scenario: str = "", method: str = "") -> RunLog:
     """Simulate one tracking run and return its log.
 
@@ -150,7 +147,7 @@ def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
         error = theta_d - theta
         p_fb = pd_step(error, prev_error, gains, dt) if feedback else 0.0
         p_d = p_ff_k + p_fb
-        applied = min(max(p_d, 0.0), pressure_limit)
+        applied = min(max(p_d, 0.0), INPUT_PRESSURE_LIMIT)
         if applied != p_d:
             clamp_steps += 1
         theta_next = actuator_step(actuator, applied, dt)
@@ -169,14 +166,12 @@ def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
 
 def run_open_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
                   gains: ControllerGains, disturbance: DisturbanceSpec | None = None,
-                  pressure_limit: float = INPUT_PRESSURE_LIMIT,
                   scenario: str = "", method: str = "") -> RunLog:
     """Feedforward-only run: P_fb is identically zero."""
     if model is None:
         raise InvalidSpecError("open-loop run needs a feedforward model")
     return run_closed_loop(reference, model, actuator, gains, feedback=False,
-                           disturbance=disturbance, pressure_limit=pressure_limit,
-                           scenario=scenario, method=method)
+                           disturbance=disturbance, scenario=scenario, method=method)
 
 
 def shoelace_area(x: np.ndarray, y: np.ndarray) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidDataError, InvalidSpecError
 from .fprc import drive_reservoir
 from .plant import ActuatorPlant, ReservoirPlant, actuator_step
-from .signals import TimeSeries, read_csv, write_csv
+from .signals import TimeSeries, csv_line, format_float, read_csv, write_csv
 
 CSV_HEADER = "t_s,theta_deg,p_exp_kpa,p_i_kpa,p_o_kpa"
 
@@ -72,8 +72,8 @@ class Dataset:
         bad = np.flatnonzero(~(np.abs(t - expected) <= tol))  # NaN times are bad too
         if bad.size:
             k = int(bad[0])
-            raise InvalidDataError(f"{path}:{k + 2}: t_s={t[k]!r} is off the uniform "
-                                   f"clock t_0 + k*dt = {expected[k]!r}")
+            raise InvalidDataError(f"{path}:{csv_line(path, k)}: t_s={format_float(t[k])} is off "
+                                   f"the uniform clock t_0 + k*dt = {format_float(expected[k])}")
         return cls(theta=cols[:, 1], p_exp=cols[:, 2], p_i=cols[:, 3],
                    p_o=cols[:, 4], dt=dt)
 

@@ -7,7 +7,8 @@ then frozen.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import json
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -20,9 +21,6 @@ WEIGHT_DISTRIBUTIONS = ("uniform", "uniform-sym", "normal")
 
 # refuse reservoirs whose dense recurrent matrix would exceed this budget
 _MAX_RESERVOIR_BYTES = 4 * 1024 ** 3
-
-# the largest seed the artifact's float64 params array stores exactly
-_MAX_SEED = 2 ** 53
 
 # rows of extended state a replay holds at once (about 6.6 MB at 800 units)
 _REPLAY_BLOCK_ROWS = 1024
@@ -64,8 +62,8 @@ class EsnParams(EsnConfig):
             raise InvalidSpecError("n_y must be >= 1")
         if self.weight_distribution not in WEIGHT_DISTRIBUTIONS:
             raise InvalidSpecError(f"weight_distribution must be one of {WEIGHT_DISTRIBUTIONS}")
-        if not 0 <= self.seed <= _MAX_SEED:
-            raise InvalidSpecError(f"seed must lie in [0, 2**53], got {self.seed}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
 
     def replace(self, **kw) -> "EsnParams":
         return replace(self, **kw)
@@ -305,25 +303,17 @@ class TrainedEsn:
         return p_ff, zeros, zeros, zeros, zeros
 
     def save(self, path) -> None:
-        p = self.model.params
-        meta = np.array([p.reservoir_size, p.input_scaling, p.leak_rate, p.spectral_radius,
-                         p.washout, p.n_y, WEIGHT_DISTRIBUTIONS.index(p.weight_distribution),
-                         p.seed], dtype=float)
-        np.savez(path, format_version=np.array([1]), meta=meta,
+        params = json.dumps(asdict(self.model.params), sort_keys=True)
+        np.savez(path, format_version=np.array([2]), params=np.array(params),
                  w_input=self.model.w_input, w_reservoir=self.model.w_reservoir,
                  w_out=self.model.w_out)
 
     @classmethod
     def load(cls, path) -> "TrainedEsn":
         with decoding(path), np.load(path) as data:
-            if "format_version" not in data or int(data["format_version"][0]) != 1:
+            if "format_version" not in data or int(data["format_version"][0]) != 2:
                 raise InvalidDataError(f"{path}: unsupported ESN artifact format")
-            meta = data["meta"]
-            params = EsnParams(reservoir_size=int(meta[0]), input_scaling=float(meta[1]),
-                               leak_rate=float(meta[2]), spectral_radius=float(meta[3]),
-                               washout=int(meta[4]), n_y=int(meta[5]),
-                               weight_distribution=WEIGHT_DISTRIBUTIONS[int(meta[6])],
-                               seed=int(meta[7]))
+            params = EsnParams(**json.loads(data["params"].item()))
             model = EsnModel(params=params, w_input=data["w_input"],
                              w_reservoir=data["w_reservoir"],
                              state=np.zeros(params.reservoir_size), w_out=data["w_out"])

@@ -214,7 +214,7 @@ class FprcModel:
             params = FprcParams(**doc["params"])
             ruleset = FuzzyRuleSet(centers=np.array(doc["centers"]),
                                    w_out=np.array(doc["w_out"]),
-                                   sigma=params.sigma, fuzziness=params.fuzziness)
+                                   sigma=params.sigma)
             return cls(params, ruleset, reservoir_features=(doc["kind"] == "fprc"))
 
 
@@ -273,8 +273,7 @@ class FprcTrainer(Trainer):
                                  tol=self.params.fcm_tol, max_iter=self.params.fcm_max_iter,
                                  seed=[self.seed, fold])
         w_out = train_fuzzy_readout(X, y, u, self.params.alpha)
-        ruleset = FuzzyRuleSet(centers=centers, w_out=w_out, sigma=self.params.sigma,
-                               fuzziness=self.params.fuzziness)
+        ruleset = FuzzyRuleSet(centers=centers, w_out=w_out, sigma=self.params.sigma)
         return FprcModel(self.params, ruleset, self.reservoir_features)
 
 

@@ -174,15 +174,12 @@ class FuzzyRuleSet:
     centers: np.ndarray
     w_out: np.ndarray
     sigma: float
-    fuzziness: float = 2.0
 
     def __post_init__(self):
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         self.w_out = np.atleast_2d(np.asarray(self.w_out, dtype=float))
         if self.sigma <= 0.0:
             raise InvalidSpecError("sigma must be positive")
-        if self.fuzziness <= 1.0:
-            raise InvalidSpecError("fuzziness must exceed 1")
         if self.w_out.shape != (self.centers.shape[0], self.centers.shape[1] + 1):
             raise DimensionError(
                 f"w_out shape {self.w_out.shape} does not match centers "

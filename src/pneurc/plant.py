@@ -33,8 +33,7 @@ class PlayOperatorStack:
     as an array.
     """
 
-    def __init__(self, radii, weights, states=None, input_unit: str = "kPa",
-                 output_unit: str = "deg", last_input: float = 0.0):
+    def __init__(self, radii, weights, states=None, last_input: float = 0.0):
         self.radii = np.asarray(radii, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         if self.radii.ndim != 1 or self.radii.size == 0:
@@ -47,8 +46,6 @@ class PlayOperatorStack:
             raise InvalidSpecError("radii and weights must be finite")
         self._ops = list(zip(self.radii.tolist(), self.weights.tolist()))
         self.states = np.zeros_like(self.radii) if states is None else states
-        self.input_unit = input_unit
-        self.output_unit = output_unit
         self.last_input = float(last_input)
 
     @property
@@ -65,8 +62,7 @@ class PlayOperatorStack:
 
     @classmethod
     def uniform(cls, n_ops: int, input_span: float, output_span: float,
-                radius_span: float | None = None, input_unit: str = "kPa",
-                output_unit: str = "deg") -> "PlayOperatorStack":
+                radius_span: float | None = None) -> "PlayOperatorStack":
         """Equal-weight stack with radii spread uniformly from 0.
 
         Weights are scaled so the virgin ascending branch reaches
@@ -84,8 +80,7 @@ class PlayOperatorStack:
             raise InvalidSpecError("radius_span must lie in [0, input_span)")
         radii = np.linspace(0.0, radius_span, n_ops) if n_ops > 1 else np.array([0.0])
         w = output_span / float(np.sum(input_span - radii))
-        return cls(radii=radii, weights=np.full(n_ops, w),
-                   input_unit=input_unit, output_unit=output_unit)
+        return cls(radii=radii, weights=np.full(n_ops, w))
 
     def step(self, u: float) -> float:
         """Advance all operators with input u, return the weighted output.
@@ -117,8 +112,7 @@ class PlayOperatorStack:
 
     def copy(self) -> "PlayOperatorStack":
         return PlayOperatorStack(radii=self.radii.copy(), weights=self.weights.copy(),
-                                 states=self.states, input_unit=self.input_unit,
-                                 output_unit=self.output_unit, last_input=self.last_input)
+                                 states=self.states, last_input=self.last_input)
 
 
 @dataclass
@@ -155,7 +149,7 @@ class ActuatorConfig:
 
     def build(self) -> ActuatorPlant:
         stack = PlayOperatorStack.uniform(self.n_ops, self.full_scale_pressure, self.bend_range,
-                                          self.radius_span, input_unit="kPa", output_unit="deg")
+                                          self.radius_span)
         return ActuatorPlant(hysteresis=stack, lag_time_constant=self.lag_time_constant,
                              output_bounds=(0.0, self.bend_range))
 
@@ -219,7 +213,7 @@ class ReservoirConfig:
 
     def build(self) -> ReservoirPlant:
         stack = PlayOperatorStack.uniform(self.n_ops, self.input_range, self.pressure_span,
-                                          self.radius_span, input_unit="kPa", output_unit="kPa")
+                                          self.radius_span)
         return ReservoirPlant(hysteresis=stack, lag_time_constant=self.lag_time_constant,
                               baseline_pressure=self.baseline_pressure,
                               input_limit=self.input_range)

@@ -1,8 +1,9 @@
-"""Excitation and reference signal generators.
+"""Excitation and reference signals, CSV helpers and tap matrices.
 
-Every generator samples t = 0, dt, ..., duration - dt (endpoint exclusive)
-on a uniform grid and returns a unit-tagged :class:`TimeSeries`. The default
-sample time matches the 200 Hz refresh rate used by the control harness.
+:meth:`SignalSpec.render` samples t = 0, dt, ..., duration - dt (endpoint
+exclusive) on a uniform grid and returns a unit-tagged :class:`TimeSeries`.
+The default sample time matches the 200 Hz refresh rate used by the control
+harness.
 """
 from __future__ import annotations
 
@@ -51,8 +52,7 @@ def read_csv(path, header: str) -> np.ndarray:
 
     Blank lines are skipped. A file that is not ASCII text, another header,
     a row with another column count or a field that is not a number raises
-    InvalidDataError naming the path and, for a row, its line counted
-    without blank lines.
+    InvalidDataError naming the path and, for a row, its line in the file.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -66,12 +66,25 @@ def read_csv(path, header: str) -> np.ndarray:
     for i, ln in enumerate(lines[1:]):
         parts = ln.split(",")
         if len(parts) != width:
-            raise InvalidDataError(f"{path}:{i + 2}: expected {width} columns, got {len(parts)}")
+            raise InvalidDataError(f"{path}:{csv_line(path, i)}: expected {width} columns, "
+                                   f"got {len(parts)}")
         try:
             cols[i] = [float(p) for p in parts]
         except ValueError as exc:
-            raise InvalidDataError(f"{path}:{i + 2}: {exc}") from exc
+            raise InvalidDataError(f"{path}:{csv_line(path, i)}: {exc}") from exc
     return cols
+
+
+def csv_line(path, row: int) -> int:
+    """The 1-based line number in ``path`` of read_csv's data row ``row``
+    (from 0), counting the blank lines that read_csv skips.
+
+    Only error messages need it, so it reads the file again rather than
+    have read_csv keep a line number per row.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        numbers = [number for number, ln in enumerate(fh, 1) if ln.strip()]
+    return numbers[row + 1]
 
 
 def tap_matrix(series: np.ndarray, n_taps: int) -> np.ndarray:
@@ -113,85 +126,6 @@ class TimeSeries:
         return np.arange(self.values.size, dtype=float) * self.dt
 
 
-def _time_grid(duration: float, dt: float) -> np.ndarray:
-    if not (dt > 0.0):
-        raise InvalidSpecError(f"dt must be positive, got {dt!r}")
-    if not (duration > 0.0):
-        raise InvalidSpecError(f"duration must be positive, got {duration!r}")
-    n = int(round(duration / dt))
-    if n < 1:
-        raise InvalidSpecError(f"duration {duration} too short for dt {dt}")
-    return np.arange(n, dtype=float) * dt
-
-
-def _check_amplitude(amplitude: float) -> None:
-    if amplitude < 0.0:
-        raise InvalidSpecError(f"amplitude must be non-negative, got {amplitude!r}")
-
-
-def gen_sine(freq: float, amplitude: float, offset: float, duration: float,
-             dt: float = DEFAULT_DT, unit: str = "deg") -> TimeSeries:
-    """Single sinusoid ``amplitude * sin(2 pi f t) + offset``."""
-    if not (freq > 0.0):
-        raise InvalidSpecError(f"freq must be positive, got {freq!r}")
-    _check_amplitude(amplitude)
-    t = _time_grid(duration, dt)
-    return TimeSeries(amplitude * np.sin(2.0 * np.pi * freq * t) + offset, dt, unit)
-
-
-def gen_multisine(freqs, amplitude: float, offset: float, phase: float,
-                  duration: float, dt: float = DEFAULT_DT, unit: str = "deg") -> TimeSeries:
-    """Sum of sinusoids sharing one amplitude and one phase.
-
-    values[k] = amplitude * sum_i sin(2 pi f_i k dt + phase) + offset
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    if freqs.ndim != 1 or freqs.size == 0:
-        raise InvalidSpecError("freqs must be a non-empty 1-D sequence")
-    if np.any(freqs <= 0.0):
-        raise InvalidSpecError("all multisine frequencies must be positive")
-    _check_amplitude(amplitude)
-    t = _time_grid(duration, dt)
-    acc = np.zeros_like(t)
-    for f in freqs:
-        acc += np.sin(2.0 * np.pi * f * t + phase)
-    return TimeSeries(amplitude * acc + offset, dt, unit)
-
-
-def gen_chirp_quadratic(amplitude: float, offset: float, c2: float, c1: float,
-                        phase: float, duration: float, dt: float = DEFAULT_DT,
-                        unit: str = "deg") -> TimeSeries:
-    """Quadratic-phase chirp ``amplitude * sin(pi t (c2 t + c1) + phase) + offset``.
-
-    The instantaneous frequency is (2 c2 t + c1) / 2, so c2 = 0 reduces to a
-    plain sinusoid of frequency c1 / 2.
-    """
-    _check_amplitude(amplitude)
-    if c1 < 0.0 or c2 < 0.0:
-        raise InvalidSpecError("chirp coefficients c1, c2 must be non-negative")
-    if c1 == 0.0 and c2 == 0.0:
-        raise InvalidSpecError("chirp must sweep: c1 and c2 cannot both be zero")
-    t = _time_grid(duration, dt)
-    return TimeSeries(amplitude * np.sin(np.pi * t * (c2 * t + c1) + phase) + offset, dt, unit)
-
-
-def gen_sweep_frequency(f_start: float, f_end: float, amplitude: float, offset: float,
-                        duration: float, dt: float = DEFAULT_DT, unit: str = "kPa") -> TimeSeries:
-    """Linear frequency sweep from f_start to f_end across the duration.
-
-    The initial phase is fixed at -pi/2 so values[0] = offset - amplitude,
-    i.e. the sweep starts at its minimum. With f_start == f_end this is a
-    plain (phase-shifted) sine.
-    """
-    if not (f_start > 0.0) or not (f_end > 0.0):
-        raise InvalidSpecError("sweep frequencies must be positive")
-    _check_amplitude(amplitude)
-    t = _time_grid(duration, dt)
-    T = t.size * dt
-    inst_phase = 2.0 * np.pi * (f_start * t + (f_end - f_start) * t * t / (2.0 * T)) - 0.5 * np.pi
-    return TimeSeries(amplitude * np.sin(inst_phase) + offset, dt, unit)
-
-
 @dataclass(frozen=True)
 class SignalSpec:
     """Declarative description of a generated signal, used by configs.
@@ -227,17 +161,40 @@ class SignalSpec:
         if self.kind in ("sine", "multisine", "chirp-linear") and any(
                 f <= 0.0 for f in self.frequencies):
             raise InvalidSpecError(f"{self.kind} frequencies must be positive")
+        if self.kind == "chirp-quadratic":
+            c1, c2 = self.frequencies
+            if c1 < 0.0 or c2 < 0.0:
+                raise InvalidSpecError("chirp coefficients c1, c2 must be non-negative")
+            if c1 == 0.0 and c2 == 0.0:
+                raise InvalidSpecError("chirp must sweep: c1 and c2 cannot both be zero")
 
     def render(self, dt: float = DEFAULT_DT) -> TimeSeries:
-        if self.kind == "sine" and self.phase == 0.0:
-            return gen_sine(self.frequencies[0], self.amplitude, self.offset,
-                            self.duration, dt, self.unit)
-        if self.kind in ("sine", "multisine"):
-            return gen_multisine(self.frequencies, self.amplitude, self.offset,
-                                 self.phase, self.duration, dt, self.unit)
+        """Sample the signal at t = 0, dt, ..., duration - dt.
+
+        sine and multisine: amplitude * sum_i sin(2 pi f_i t + phase) + offset.
+        chirp-linear: the frequency sweeps linearly from f_start to f_end
+        across the record, with the phase fixed at -pi/2 so the sweep
+        starts at its minimum (``phase`` is not read).
+        chirp-quadratic: amplitude * sin(pi t (c2 t + c1) + phase) + offset,
+        whose instantaneous frequency (2 c2 t + c1) / 2 is a plain sine's
+        c1 / 2 when c2 = 0.
+        """
+        if not (dt > 0.0):
+            raise InvalidSpecError(f"dt must be positive, got {dt!r}")
+        n = int(round(self.duration / dt))
+        if n < 1:
+            raise InvalidSpecError(f"duration {self.duration} too short for dt {dt}")
+        t = np.arange(n, dtype=float) * dt
         if self.kind == "chirp-linear":
-            return gen_sweep_frequency(self.frequencies[0], self.frequencies[1],
-                                       self.amplitude, self.offset, self.duration, dt, self.unit)
-        c1, c2 = self.frequencies
-        return gen_chirp_quadratic(self.amplitude, self.offset, c2, c1,
-                                   self.phase, self.duration, dt, self.unit)
+            f_start, f_end = self.frequencies
+            T = n * dt
+            values = np.sin(2.0 * np.pi * (f_start * t + (f_end - f_start) * t * t / (2.0 * T))
+                            - 0.5 * np.pi)
+        elif self.kind == "chirp-quadratic":
+            c1, c2 = self.frequencies
+            values = np.sin(np.pi * t * (c2 * t + c1) + self.phase)
+        else:
+            values = np.zeros_like(t)
+            for f in self.frequencies:
+                values += np.sin(2.0 * np.pi * f * t + self.phase)
+        return TimeSeries(self.amplitude * values + self.offset, dt, self.unit)

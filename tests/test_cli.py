@@ -309,3 +309,29 @@ def test_corrupt_esn_artifact_exits_2(workspace, tmp_path, capsys, content):
     assert main(["--config", workspace["cfg_path"], "evaluate", "--model", "esn",
                  "--model-artifact", str(bad)]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_bad_chirp_quadratic_scenario_exits_2(tmp_path, capsys):
+    # a scenario is rendered only by simulate, but its spec is checked on load
+    doc = ExperimentConfig().to_dict()
+    doc["signals"]["scenarios"]["chirp"]["frequencies"] = [0.0, 0.0]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "c1 and c2 cannot both be zero" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_v1_esn_artifact_exits_2(workspace, tmp_path, capsys):
+    # the format-1 layout: hyperparameters as one positional float array
+    bad = tmp_path / "esn.npz"
+    np.savez(bad, format_version=np.array([1]),
+             meta=np.array([40, 0.02, 0.8, 0.4, 20, 5, 0, 0], dtype=float),
+             w_input=np.zeros(40), w_reservoir=np.zeros((40, 40)), w_out=np.zeros(46))
+    assert main(["--config", workspace["cfg_path"], "evaluate", "--model", "esn",
+                 "--model-artifact", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}: unsupported ESN artifact format" in err

@@ -18,7 +18,7 @@ from pneurc.errors import InvalidDataError, InvalidSpecError
 from pneurc.esn import WEIGHT_DISTRIBUTIONS
 from pneurc.fprc import FILTER_INIT_MODES, convert_angle
 from pneurc.plant import DISTURBANCE_MODES, DisturbanceSpec, actuator_step, reservoir_step
-from pneurc.signals import CSV_BLOCK_ROWS, SignalSpec, format_float, gen_sine
+from pneurc.signals import CSV_BLOCK_ROWS, SignalSpec, format_float
 
 
 def small_ds(n=6, dt=0.01):
@@ -124,6 +124,19 @@ def test_dataset_csv_errors(tmp_path):
         Dataset.load_csv(path)
 
 
+def test_dataset_csv_errors_name_the_line_in_the_file(tmp_path):
+    # line 4 is blank, so the bad row is the file's fifth line but the fourth
+    # non-blank one
+    path = tmp_path / "b.csv"
+    path.write_text(CSV_HEADER + "\n0.0,1,1,1,1\n0.01,1,1,1,1\n\n0.5,1,1\n")
+    with pytest.raises(InvalidDataError, match=r"b\.csv:5: expected 5 columns, got 3$"):
+        Dataset.load_csv(path)
+    path.write_text(CSV_HEADER + "\n0.0,1,1,1,1\n0.01,1,1,1,1\n\n0.5,1,1,1,1\n")
+    with pytest.raises(InvalidDataError, match=r"b\.csv:5: t_s=0\.5 is off the uniform clock "
+                                               r"t_0 \+ k\*dt = 0\.02$"):
+        Dataset.load_csv(path)
+
+
 def test_dataset_csv_rejects_non_uniform_clock(tmp_path):
     ds = small_ds()
     path = tmp_path / "data.csv"
@@ -146,7 +159,8 @@ def test_dataset_csv_rejects_non_uniform_clock(tmp_path):
 
 
 def test_generate_dataset_matches_manual_simulation(default_config):
-    excitation = gen_sine(0.5, 100.0, 150.0, duration=2.0, unit="kPa")
+    excitation = SignalSpec(kind="sine", amplitude=100.0, offset=150.0, frequencies=(0.5,),
+                            duration=2.0, unit="kPa").render()
     params = default_config.fprc_params()
     ds = generate_dataset(excitation, default_config.build_actuator(),
                           default_config.build_reservoir(), k_in=params.k_in,
@@ -164,7 +178,8 @@ def test_generate_dataset_matches_manual_simulation(default_config):
 
 
 def test_generate_dataset_requires_pressure_excitation(default_config):
-    angle_series = gen_sine(0.5, 10.0, 20.0, duration=1.0, unit="deg")
+    angle_series = SignalSpec(kind="sine", amplitude=10.0, offset=20.0, frequencies=(0.5,),
+                              duration=1.0, unit="deg").render()
     with pytest.raises(InvalidSpecError, match="kPa"):
         generate_dataset(angle_series, default_config.build_actuator(),
                          default_config.build_reservoir(), k_in=7.0,

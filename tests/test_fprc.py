@@ -265,7 +265,7 @@ def test_model_json_round_trip_property(tmp_path_factory, data):
     scale = 10.0 ** data.draw(st.integers(-5, 5))
     ruleset = FuzzyRuleSet(centers=rng.normal(size=(params.n_c, dim)) * scale,
                            w_out=rng.normal(size=(params.n_c, dim + 1)) * scale,
-                           sigma=params.sigma, fuzziness=params.fuzziness)
+                           sigma=params.sigma)
     model = FprcModel(params, ruleset, reservoir_features)
     path = tmp_path_factory.mktemp("fprc") / "model.json"
     model.save(path)

@@ -309,9 +309,6 @@ def test_ruleset_validation():
         FuzzyRuleSet(centers=np.zeros((2, 3)), w_out=np.zeros((2, 3)), sigma=1.0)
     with pytest.raises(InvalidSpecError):
         FuzzyRuleSet(centers=np.zeros((1, 2)), w_out=np.zeros((1, 3)), sigma=0.0)
-    with pytest.raises(InvalidSpecError):
-        FuzzyRuleSet(centers=np.zeros((1, 2)), w_out=np.zeros((1, 3)), sigma=1.0,
-                     fuzziness=1.0)
     with pytest.raises(DegenerateClusteringError):
         FuzzyRuleSet(centers=np.zeros((2, 2)), w_out=np.zeros((2, 3)), sigma=1.0)
 

@@ -11,8 +11,7 @@ from pneurc.plant import (DISTURBANCE_MODES, INPUT_PRESSURE_LIMIT, ActuatorConfi
 
 
 def tiny_stack() -> PlayOperatorStack:
-    return PlayOperatorStack(radii=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]),
-                             input_unit="", output_unit="")
+    return PlayOperatorStack(radii=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +130,7 @@ def stacks(draw):
     radii = sorted(draw(st.lists(st.floats(0.0, 200.0), min_size=n, max_size=n)))
     weights = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
     states = draw(st.lists(INPUTS, min_size=n, max_size=n))
-    return PlayOperatorStack(radii=radii, weights=weights, states=states,
-                             input_unit="", output_unit="")
+    return PlayOperatorStack(radii=radii, weights=weights, states=states)
 
 
 def test_hypothesis_profile_is_deterministic():

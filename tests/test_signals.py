@@ -1,4 +1,4 @@
-"""Signal generators: closed-form values, grid semantics, declarative specs."""
+"""Signal specs: closed-form values, grid semantics, validation."""
 import dataclasses
 import math
 
@@ -7,9 +7,27 @@ import pytest
 
 from pneurc.config import ExperimentConfig
 from pneurc.errors import InvalidSpecError
-from pneurc.signals import (DEFAULT_DT, SignalSpec, TimeSeries, format_float,
-                            gen_chirp_quadratic, gen_multisine, gen_sine,
-                            gen_sweep_frequency)
+from pneurc.signals import DEFAULT_DT, SignalSpec, TimeSeries, format_float
+
+
+def sine(freq, amplitude, offset, duration, phase=0.0):
+    return SignalSpec(kind="sine", amplitude=amplitude, offset=offset,
+                      frequencies=(freq,), duration=duration, phase=phase)
+
+
+def multisine(freqs, amplitude, offset, phase, duration):
+    return SignalSpec(kind="multisine", amplitude=amplitude, offset=offset,
+                      frequencies=freqs, duration=duration, phase=phase)
+
+
+def chirp_quadratic(amplitude, offset, c2, c1, phase, duration):
+    return SignalSpec(kind="chirp-quadratic", amplitude=amplitude, offset=offset,
+                      frequencies=(c1, c2), duration=duration, phase=phase)
+
+
+def sweep(f_start, f_end, amplitude, offset, duration):
+    return SignalSpec(kind="chirp-linear", amplitude=amplitude, offset=offset,
+                      frequencies=(f_start, f_end), duration=duration, unit="kPa")
 
 
 # ---------------------------------------------------------------------------
@@ -17,19 +35,19 @@ from pneurc.signals import (DEFAULT_DT, SignalSpec, TimeSeries, format_float,
 
 
 def test_grid_is_endpoint_exclusive():
-    ts = gen_sine(1.0, 1.0, 0.0, duration=1.0, dt=0.25)
+    ts = sine(1.0, 1.0, 0.0, duration=1.0).render(0.25)
     assert len(ts) == 4
     np.testing.assert_array_equal(ts.times, [0.0, 0.25, 0.5, 0.75])
 
 
 def test_default_rate_is_200_hz():
     assert DEFAULT_DT == 1.0 / 200.0
-    ts = gen_sine(0.2, 1.0, 0.0, duration=20.0)
+    ts = sine(0.2, 1.0, 0.0, duration=20.0).render()
     assert len(ts) == 4000
 
 
 def test_duration_property_round_trips():
-    ts = gen_sine(0.5, 1.0, 0.0, duration=2.0, dt=0.01)
+    ts = sine(0.5, 1.0, 0.0, duration=2.0).render(0.01)
     assert ts.duration == pytest.approx(2.0)
 
 
@@ -39,12 +57,12 @@ def test_duration_property_round_trips():
 
 def test_sine_hits_quarter_period_peak():
     # 0.5 Hz unit sine: at t = 0.5 s the argument is pi/2, so the value is 1
-    ts = gen_sine(0.5, 1.0, 0.0, duration=1.0, dt=0.5)
+    ts = sine(0.5, 1.0, 0.0, duration=1.0).render(0.5)
     assert ts.values[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sine_offset_and_amplitude():
-    ts = gen_sine(1.0, 3.0, 10.0, duration=1.0, dt=0.25)
+    ts = sine(1.0, 3.0, 10.0, duration=1.0).render(0.25)
     np.testing.assert_allclose(ts.values, [10.0, 13.0, 10.0, 7.0], atol=1e-12)
 
 
@@ -52,13 +70,13 @@ def test_multisine_start_value():
     # five equal sines with phase -pi/2 all start at -1:
     # 6.5 * 5 * (-1) + 40.5 = 8.0
     freqs = (0.12, 0.04, 0.31, 0.29, 0.25)
-    ts = gen_multisine(freqs, 6.5, 40.5, -0.5 * math.pi, duration=1.0)
+    ts = multisine(freqs, 6.5, 40.5, -0.5 * math.pi, duration=1.0).render()
     assert ts.values[0] == pytest.approx(8.0, abs=1e-12)
 
 
 def test_multisine_matches_pointwise_sum():
     freqs = (0.2, 0.7)
-    ts = gen_multisine(freqs, 2.0, 1.0, 0.3, duration=2.0, dt=0.05)
+    ts = multisine(freqs, 2.0, 1.0, 0.3, duration=2.0).render(0.05)
     t = ts.times
     expected = 2.0 * (np.sin(2 * np.pi * 0.2 * t + 0.3)
                       + np.sin(2 * np.pi * 0.7 * t + 0.3)) + 1.0
@@ -67,28 +85,28 @@ def test_multisine_matches_pointwise_sum():
 
 def test_chirp_quadratic_start_value():
     # 27.5 * sin(-pi/2) + 32.5 = 5.0
-    ts = gen_chirp_quadratic(27.5, 32.5, c2=0.01125, c1=0.1,
-                             phase=-0.5 * math.pi, duration=2.0)
+    ts = chirp_quadratic(27.5, 32.5, c2=0.01125, c1=0.1,
+                         phase=-0.5 * math.pi, duration=2.0).render()
     assert ts.values[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_chirp_quadratic_closed_form():
-    ts = gen_chirp_quadratic(1.0, 0.0, c2=0.02, c1=0.3, phase=0.1,
-                             duration=3.0, dt=0.1)
+    ts = chirp_quadratic(1.0, 0.0, c2=0.02, c1=0.3, phase=0.1,
+                         duration=3.0).render(0.1)
     t = ts.times
     expected = np.sin(np.pi * t * (0.02 * t + 0.3) + 0.1)
     np.testing.assert_allclose(ts.values, expected, atol=1e-12)
 
 
 def test_chirp_quadratic_with_zero_c2_is_a_sine():
-    chirp = gen_chirp_quadratic(2.0, 1.0, c2=0.0, c1=1.0, phase=0.0,
-                                duration=2.0, dt=0.01)
-    sine = gen_sine(0.5, 2.0, 1.0, duration=2.0, dt=0.01)
-    np.testing.assert_allclose(chirp.values, sine.values, atol=1e-12)
+    chirp = chirp_quadratic(2.0, 1.0, c2=0.0, c1=1.0, phase=0.0,
+                            duration=2.0).render(0.01)
+    plain = sine(0.5, 2.0, 1.0, duration=2.0).render(0.01)
+    np.testing.assert_allclose(chirp.values, plain.values, atol=1e-12)
 
 
 def test_sweep_starts_at_minimum():
-    ts = gen_sweep_frequency(0.1, 1.0, 175.0, 175.0, duration=120.0)
+    ts = sweep(0.1, 1.0, 175.0, 175.0, duration=120.0).render()
     assert ts.values[0] == pytest.approx(0.0, abs=1e-9)
     assert float(np.min(ts.values)) >= -1e-9
 
@@ -97,14 +115,14 @@ def test_sweep_closed_form_phase():
     # with linear frequency f(t) = f0 + (f1 - f0) t / T the accumulated
     # phase is 2 pi (f0 t + (f1 - f0) t^2 / (2 T)), started at -pi/2
     f0, f1, T = 0.2, 0.8, 10.0
-    ts = gen_sweep_frequency(f0, f1, 3.0, 5.0, duration=T, dt=0.125)
+    ts = sweep(f0, f1, 3.0, 5.0, duration=T).render(0.125)
     t = ts.times
     phase = 2 * np.pi * (f0 * t + (f1 - f0) * t ** 2 / (2 * T)) - 0.5 * np.pi
     np.testing.assert_allclose(ts.values, 3.0 * np.sin(phase) + 5.0, atol=1e-12)
 
 
 def test_sweep_constant_frequency_reduces_to_sine():
-    ts = gen_sweep_frequency(0.5, 0.5, 1.0, 0.0, duration=4.0, dt=0.01)
+    ts = sweep(0.5, 0.5, 1.0, 0.0, duration=4.0).render(0.01)
     t = ts.times
     np.testing.assert_allclose(ts.values, np.sin(2 * np.pi * 0.5 * t - 0.5 * np.pi),
                                atol=1e-12)
@@ -134,13 +152,18 @@ def test_format_float_round_trips():
 
 
 @pytest.mark.parametrize("bad", [
-    lambda: gen_sine(0.0, 1.0, 0.0, duration=1.0),
-    lambda: gen_sine(1.0, -1.0, 0.0, duration=1.0),
-    lambda: gen_sine(1.0, 1.0, 0.0, duration=0.0),
-    lambda: gen_sine(1.0, 1.0, 0.0, duration=1.0, dt=-0.1),
-    lambda: gen_multisine((), 1.0, 0.0, 0.0, duration=1.0),
-    lambda: gen_multisine((0.1, -0.2), 1.0, 0.0, 0.0, duration=1.0),
-    lambda: gen_sweep_frequency(0.0, 1.0, 1.0, 0.0, duration=1.0),
+    lambda: sine(0.0, 1.0, 0.0, duration=1.0),
+    lambda: sine(1.0, -1.0, 0.0, duration=1.0),
+    lambda: sine(1.0, 1.0, 0.0, duration=0.0),
+    lambda: sine(1.0, 1.0, 0.0, duration=1.0).render(-0.1),
+    lambda: multisine((), 1.0, 0.0, 0.0, duration=1.0),
+    lambda: multisine((0.1, -0.2), 1.0, 0.0, 0.0, duration=1.0),
+    lambda: sweep(0.0, 1.0, 1.0, 0.0, duration=1.0),
+    lambda: sine(1.0, 1.0, 0.0, duration=0.004).render(0.01),
+    # chirp-quadratic coefficients are checked on construction, before any render
+    lambda: chirp_quadratic(1.0, 0.0, c2=0.01, c1=-0.1, phase=0.0, duration=1.0),
+    lambda: chirp_quadratic(1.0, 0.0, c2=-0.01, c1=0.1, phase=0.0, duration=1.0),
+    lambda: chirp_quadratic(1.0, 0.0, c2=0.0, c1=0.0, phase=0.0, duration=1.0),
 ])
 def test_generator_validation(bad):
     with pytest.raises(InvalidSpecError):
@@ -151,11 +174,39 @@ def test_generator_validation(bad):
 # declarative specs
 
 
-def test_signal_spec_render_matches_generator():
-    spec = SignalSpec(kind="sine", amplitude=27.5, offset=32.5,
-                      frequencies=(0.5,), duration=2.0, phase=-0.5 * math.pi)
-    direct = gen_multisine((0.5,), 27.5, 32.5, -0.5 * math.pi, duration=2.0)
-    np.testing.assert_array_equal(spec.render(DEFAULT_DT).values, direct.values)
+def test_signal_spec_sine_is_a_one_frequency_multisine():
+    spec = sine(0.5, 27.5, 32.5, duration=2.0, phase=-0.5 * math.pi)
+    direct = multisine((0.5,), 27.5, 32.5, -0.5 * math.pi, duration=2.0)
+    np.testing.assert_array_equal(spec.render(DEFAULT_DT).values, direct.render().values)
+
+
+def closed_form(spec: SignalSpec, dt: float) -> np.ndarray:
+    """The samples of ``spec`` written out per kind, in render's operation order."""
+    t = np.arange(round(spec.duration / dt)) * dt
+    a, b, phase = spec.amplitude, spec.offset, spec.phase
+    if spec.kind == "sine":
+        (f,) = spec.frequencies
+        return a * np.sin(2 * np.pi * f * t + phase) + b
+    if spec.kind == "multisine":
+        return a * sum(np.sin(2 * np.pi * f * t + phase) for f in spec.frequencies) + b
+    if spec.kind == "chirp-linear":
+        f0, f1 = spec.frequencies
+        T = t.size * dt
+        return a * np.sin(2 * np.pi * (f0 * t + (f1 - f0) * t * t / (2 * T)) - np.pi / 2) + b
+    c1, c2 = spec.frequencies
+    return a * np.sin(np.pi * t * (c2 * t + c1) + phase) + b
+
+
+@pytest.mark.parametrize("dt", [DEFAULT_DT, 0.01, 0.0123])
+def test_default_specs_render_their_closed_form(dt):
+    signals = ExperimentConfig().signals
+    specs = [signals.train_excitation, signals.test_excitation, *signals.scenarios.values()]
+    assert {spec.kind for spec in specs} == {"sine", "multisine", "chirp-linear",
+                                             "chirp-quadratic"}
+    for spec in specs:
+        ts = spec.render(dt)
+        assert ts.dt == dt and ts.unit == spec.unit
+        np.testing.assert_array_equal(ts.values, closed_form(spec, dt))
 
 
 def with_train_excitation(spec: dict) -> dict:
