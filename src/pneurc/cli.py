@@ -199,7 +199,10 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
                 log = control.run_closed_loop(ref, ff, actuator, gains, disturbance=spec,
                                               scenario=scenario, method=method)
             logs[(method, scenario)] = log
-            log.to_csv(os.path.join(log_dir, f"{scenario}_{method.replace('+', '_')}.csv"))
+        control.write_run_logs(
+            [os.path.join(log_dir, f"{scenario}_{method.replace('+', '_')}.csv")
+             for method in control.METHOD_NAMES],
+            [logs[(method, scenario)] for method in control.METHOD_NAMES])
     table = control.tracking_report(logs)
     payload = {"tracking_rmse_deg": table}
     if "disturbance" in scenarios:

@@ -86,14 +86,26 @@ class RunLog:
         return float(np.sqrt(np.mean(self.e_theta ** 2)))
 
     def to_csv(self, path) -> None:
-        write_csv(path, ",".join(RUN_LOG_COLUMNS), [
-            self.disturbed.astype(int) if key == "disturbed" else getattr(self, key)
-            for key in RUN_LOG_COLUMNS.values()])
+        write_run_logs([path], [self])
 
     @classmethod
     def from_csv(cls, path) -> "RunLog":
         cols = read_csv(path, ",".join(RUN_LOG_COLUMNS))
         return cls(**{key: cols[:, j] for j, key in enumerate(RUN_LOG_COLUMNS.values())})
+
+
+def write_run_logs(paths, logs) -> None:
+    """Write each log to its path as ``RunLog.to_csv`` would, all in one pass.
+
+    The logs must have one length. A scenario's runs share the clock and
+    the reference, and its fprc runs share the feedforward columns, so
+    writing them together turns each shared block of values into strings
+    once.
+    """
+    write_csv([(path, ",".join(RUN_LOG_COLUMNS), [
+                   log.disturbed.astype(int) if key == "disturbed" else getattr(log, key)
+                   for key in RUN_LOG_COLUMNS.values()])
+               for path, log in zip(paths, logs, strict=True)])
 
 
 class RecordedFeedforward:

@@ -57,7 +57,7 @@ class Dataset:
                        self.p_i[lo:hi], self.p_o[lo:hi], self.dt)
 
     def save_csv(self, path) -> None:
-        write_csv(path, CSV_HEADER, (self.times, self.theta, self.p_exp, self.p_i, self.p_o))
+        write_csv([(path, CSV_HEADER, (self.times, self.theta, self.p_exp, self.p_i, self.p_o))])
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":

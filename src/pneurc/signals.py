@@ -7,11 +7,13 @@ harness.
 """
 from __future__ import annotations
 
+import contextlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDataError, InvalidSpecError
+from .errors import DimensionError, InvalidDataError, InvalidSpecError
 
 DEFAULT_DT = 1.0 / 200.0
 
@@ -30,49 +32,67 @@ def format_float(x) -> str:
 CSV_BLOCK_ROWS = 1024
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write ``header`` and one comma-joined line per row of equal-length columns.
+def write_csv(files) -> None:
+    """Write each ``(path, header, columns)`` of ``files``: the header, then
+    one comma-joined line per row of the columns.
 
-    Floats are written as ``format_float`` writes them, integers as plain
-    integers. Rows are converted to Python numbers and written
-    ``CSV_BLOCK_ROWS`` at a time, so the temporaries do not grow with the
-    record.
+    Every column of every file has one length. Floats are written as
+    ``format_float`` writes them, integers as plain integers. The files are
+    written in one pass, ``CSV_BLOCK_ROWS`` rows at a time, so the
+    temporaries do not grow with the record; within a block, columns of
+    equal dtype and bytes (a run's clock in each of a scenario's logs, the
+    feedforward two runs replay) are turned into strings once.
     """
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
+    files = [(path, header, [np.asarray(c) for c in columns])
+             for path, header, columns in files]
+    n = len(files[0][2][0])
+    if any(len(c) != n for _, _, columns in files for c in columns):
+        raise DimensionError("CSV columns must all have one length")
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", encoding="ascii", newline="\n"))
+                   for path, _, _ in files]
+        for fh, (_, header, _) in zip(handles, files):
+            fh.write(header + "\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            rows = zip(*(c[lo:lo + CSV_BLOCK_ROWS].tolist() for c in columns))
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+            strings = {}
+            for fh, (_, _, columns) in zip(handles, files):
+                strs = []
+                for c in columns:
+                    block = c[lo:lo + CSV_BLOCK_ROWS]
+                    key = (block.dtype, block.tobytes())
+                    if key not in strings:
+                        strings[key] = list(map(repr, block.tolist()))
+                    strs.append(strings[key])
+                fh.write("\n".join(map(",".join, zip(*strs))) + "\n")
 
 
 def read_csv(path, header: str) -> np.ndarray:
     """The rows of a CSV file with ``header``, one float per field.
 
-    Blank lines are skipped. A file that is not ASCII text, another header,
-    a row with another column count or a field that is not a number raises
+    Blank lines are skipped. Each row is parsed as it is read, into one
+    flat array of floats. A file that is not ASCII text, another header, a
+    row with another column count or a field that is not a number raises
     InvalidDataError naming the path and, for a row, its line in the file.
     """
+    width = header.count(",") + 1
+    values = array("d")
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = (ln for ln in map(str.strip, fh) if ln)
+            if next(lines, None) != header:
+                raise InvalidDataError(f"{path}: expected header {header!r}")
+            for i, ln in enumerate(lines):
+                parts = ln.split(",")
+                if len(parts) != width:
+                    raise InvalidDataError(f"{path}:{csv_line(path, i)}: expected {width} "
+                                           f"columns, got {len(parts)}")
+                try:
+                    values.extend(map(float, parts))
+                except ValueError as exc:
+                    raise InvalidDataError(f"{path}:{csv_line(path, i)}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidDataError(f"{path}: not ASCII text ({exc})") from exc
-    if not lines or lines[0] != header:
-        raise InvalidDataError(f"{path}: expected header {header!r}")
-    width = header.count(",") + 1
-    cols = np.empty((len(lines) - 1, width))
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        if len(parts) != width:
-            raise InvalidDataError(f"{path}:{csv_line(path, i)}: expected {width} columns, "
-                                   f"got {len(parts)}")
-        try:
-            cols[i] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise InvalidDataError(f"{path}:{csv_line(path, i)}: {exc}") from exc
-    return cols
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def csv_line(path, row: int) -> int:
@@ -172,9 +192,10 @@ class SignalSpec:
         """Sample the signal at t = 0, dt, ..., duration - dt.
 
         sine and multisine: amplitude * sum_i sin(2 pi f_i t + phase) + offset.
-        chirp-linear: the frequency sweeps linearly from f_start to f_end
-        across the record, with the phase fixed at -pi/2 so the sweep
-        starts at its minimum (``phase`` is not read).
+        chirp-linear: amplitude * sin(2 pi (f_start t + (f_end - f_start)
+        t^2 / (2 T)) - pi/2 + phase) + offset over a record of length T, so
+        the frequency sweeps linearly from f_start to f_end and, at phase 0,
+        the sweep starts at its minimum.
         chirp-quadratic: amplitude * sin(pi t (c2 t + c1) + phase) + offset,
         whose instantaneous frequency (2 c2 t + c1) / 2 is a plain sine's
         c1 / 2 when c2 = 0.
@@ -189,7 +210,7 @@ class SignalSpec:
             f_start, f_end = self.frequencies
             T = n * dt
             values = np.sin(2.0 * np.pi * (f_start * t + (f_end - f_start) * t * t / (2.0 * T))
-                            - 0.5 * np.pi)
+                            - 0.5 * np.pi + self.phase)
         elif self.kind == "chirp-quadratic":
             c1, c2 = self.frequencies
             values = np.sin(np.pi * t * (c2 * t + c1) + self.phase)

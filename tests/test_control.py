@@ -2,15 +2,16 @@
 import numpy as np
 import pytest
 
-from pneurc.control import (ControllerGains, RUN_LOG_COLUMNS, RunLog,
+from pneurc.config import ExperimentConfig
+from pneurc.control import (ControllerGains, RUN_LOG_COLUMNS, RecordedFeedforward, RunLog,
                             disturbance_window_rmse, extract_hysteresis_loop, pd_step,
                             report_to_csv, run_closed_loop, run_open_loop,
-                            shoelace_area, tracking_report)
+                            shoelace_area, tracking_report, write_run_logs)
 from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
                            NumericError)
 from pneurc.fprc import drive_reservoir
 from pneurc.plant import (INPUT_PRESSURE_LIMIT, ActuatorConfig, DisturbanceSpec,
-                          ReservoirConfig)
+                          PlayOperatorStack, ReservoirConfig)
 from pneurc.signals import CSV_BLOCK_ROWS, TimeSeries, format_float
 
 
@@ -176,6 +177,61 @@ def test_runs_are_bitwise_reproducible():
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+class ExactInverse:
+    """The actuator's exact inverse as a feedforward: a known answer for the harness.
+
+    The actuator is a Prandtl-Ishlinskii stack of play operators (r_0 = 0),
+    an Euler first-order lag and an output clamp. The stack's inverse is
+    another such stack (Kuhnen 2003) with radii r^_j = sum_{i<=j} w_i (r_j - r_i)
+    and weights w^_0 = 1 / w_0, w^_j = -w_j / (W_j W_{j-1}), W_j = sum_{i<=j} w_i.
+    It is driven by the stack output that takes the lag from the angle a(k)
+    measured at tick k to theta_d(k+1): a(k) + (tau / dt) (theta_d(k+1) - a(k)),
+    with a(0) = 0 (the plant starts at rest) and a(k) = theta_d(k) after.
+    """
+
+    def __init__(self, actuator):
+        r, w = actuator.hysteresis.radii, actuator.hysteresis.weights
+        cum = np.cumsum(w)
+        self.stack = PlayOperatorStack(radii=r * cum - np.cumsum(w * r),
+                                       weights=np.concatenate([[1.0 / w[0]],
+                                                               -w[1:] / (cum[1:] * cum[:-1])]))
+        self.tau = actuator.lag_time_constant
+
+    def run(self, theta_d, dt, disturbance=None):
+        angle = np.concatenate([[0.0], theta_d[1:]])
+        ahead = np.append(theta_d[1:], theta_d[-1])
+        p_ff = self.stack.run(angle + (self.tau / dt) * (ahead - angle))
+        zeros = np.zeros(len(theta_d))
+        return p_ff, zeros, zeros, zeros, zeros
+
+
+def test_exact_inverse_inverts_the_play_stack(rng):
+    forward = ActuatorConfig().build().hysteresis
+    inverse = ExactInverse(ActuatorConfig().build()).stack
+    y = np.cumsum(rng.normal(0.0, 0.5, 3000)) + 30.0
+    np.testing.assert_allclose(forward.run(inverse.run(y)), y, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("scenario", ["sine02", "sine05", "disturbance"])
+def test_open_loop_exact_inverse_tracks_from_tick_one(tmp_path, scenario):
+    # pins the tick order (measure, then actuate), the lag, the clamp count
+    # and the logged columns end to end, to rounding
+    cfg = ExperimentConfig()
+    ref = cfg.signals.scenarios[scenario].render(cfg.dt)
+    actuator = cfg.build_actuator()
+    spec = cfg.disturbance_spec() if scenario == "disturbance" else None
+    log = run_open_loop(ref, ExactInverse(actuator), actuator, cfg.controller_gains(),
+                        disturbance=spec)
+    assert log.clamp_steps == 0 and actuator.clamp_events == 0
+    assert log.e_theta[0] == ref.values[0]  # the plant starts at 0 deg
+    assert float(np.max(np.abs(log.e_theta[1:]))) <= 1e-12
+    path = tmp_path / "run.csv"
+    log.to_csv(path)
+    back = RunLog.from_csv(path)
+    for key in RUN_LOG_COLUMNS.values():
+        assert getattr(back, key).tobytes() == getattr(log, key).tobytes(), key
+
+
 # ---------------------------------------------------------------------------
 # geometry
 
@@ -318,6 +374,32 @@ def test_runlog_csv_bytes_match_per_element_writer(tmp_path):
         path = tmp_path / f"run{i}.csv"
         run.to_csv(path)
         assert path.read_bytes() == per_element_runlog_csv(run).encode("ascii")
+
+
+def test_run_logs_written_together_match_per_element_writer(tmp_path):
+    # one scenario's three runs, disturbed, over 2,600 rows: the writer shares
+    # each block's strings between equal columns, across block edges too
+    spec = DisturbanceSpec(t_start=5.0, t_end=6.0, magnitude=8.0)
+    ref = ref_sine(duration=13.0)
+    ff = RecordedFeedforward(ConstantModel(reservoir=ReservoirConfig().build())
+                             .run(ref.values, ref.dt, spec))
+    fprc = run_open_loop(ref, ff, ActuatorConfig().build(), ControllerGains(),
+                         disturbance=spec)
+    fprc_pd = run_closed_loop(ref, ff, ActuatorConfig().build(), ControllerGains(),
+                              disturbance=spec)
+    pd = run_closed_loop(ref, None, ActuatorConfig().build(), ControllerGains())
+    assert len(ref) == 2600 and np.any(fprc.disturbed > 0)
+    np.testing.assert_array_equal(fprc.p_d, fprc.p_ff)
+    # p_o of -0.0 beside p_i of 0.0 (equal as floats, not as bytes), and a
+    # disturbed column of int zeros beside float zeros (equal bytes, not dtypes)
+    pd.p_o = -np.zeros(len(ref))
+    assert not np.any(pd.disturbed) and not np.any(pd.p_i) and not np.any(pd.p_ff)
+    logs = (fprc, fprc_pd, pd)
+    paths = [tmp_path / f"run{i}.csv" for i in range(3)]
+    write_run_logs(paths, logs)
+    for path, log in zip(paths, logs):
+        assert path.read_bytes() == per_element_runlog_csv(log).encode("ascii")
+    assert b",-0.0," in paths[2].read_bytes() and b",0.0,0\n" in paths[2].read_bytes()
 
 
 def test_runlog_csv_errors(tmp_path):

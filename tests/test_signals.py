@@ -121,6 +121,15 @@ def test_sweep_closed_form_phase():
     np.testing.assert_allclose(ts.values, 3.0 * np.sin(phase) + 5.0, atol=1e-12)
 
 
+def test_sweep_reads_its_phase():
+    specs = [SignalSpec(kind="chirp-linear", amplitude=3.0, offset=5.0, frequencies=(0.2, 0.8),
+                        duration=10.0, phase=phase) for phase in (0.0, 1.3)]
+    renders = [spec.render(0.125).values for spec in specs]
+    assert not np.array_equal(*renders)
+    for spec, values in zip(specs, renders):
+        np.testing.assert_array_equal(values, closed_form(spec, 0.125))
+
+
 def test_sweep_constant_frequency_reduces_to_sine():
     ts = sweep(0.5, 0.5, 1.0, 0.0, duration=4.0).render(0.01)
     t = ts.times
@@ -192,7 +201,8 @@ def closed_form(spec: SignalSpec, dt: float) -> np.ndarray:
     if spec.kind == "chirp-linear":
         f0, f1 = spec.frequencies
         T = t.size * dt
-        return a * np.sin(2 * np.pi * (f0 * t + (f1 - f0) * t * t / (2 * T)) - np.pi / 2) + b
+        return a * np.sin(2 * np.pi * (f0 * t + (f1 - f0) * t * t / (2 * T)) - np.pi / 2
+                          + phase) + b
     c1, c2 = spec.frequencies
     return a * np.sin(np.pi * t * (c2 * t + c1) + phase) + b
 

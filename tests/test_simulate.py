@@ -17,10 +17,14 @@ from pneurc.control import METHOD_NAMES, RUN_LOG_COLUMNS, SCENARIO_NAMES, RunLog
 FF_COLUMNS = ("p_ff_kpa", "p_i_kpa", "p_o_kpa", "p_o_filt_kpa", "disturbed")
 
 
+def log_name(method: str, scenario: str) -> str:
+    return f"{scenario}_{method.replace('+', '_')}.csv"
+
+
 @pytest.fixture(scope="module")
 def simulated(tmp_path_factory, fprc_cv_model):
-    """Run logs and clamp counts of one ``simulate`` run, and its count of
-    reservoir steps."""
+    """Run logs and clamp counts of one ``simulate`` run, its count of
+    reservoir steps, and its run-log directory."""
     out = tmp_path_factory.mktemp("simulate")
     artifact = str(out / "fprc.json")
     fprc_cv_model.save(artifact)
@@ -35,17 +39,17 @@ def simulated(tmp_path_factory, fprc_cv_model):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fprc, "reservoir_step", counting_step)
         assert cli.main(["--out", str(out), "simulate", "--model-artifact", artifact]) == 0
-    logs = {(method, scenario): RunLog.from_csv(os.path.join(
-                out, "reports", "runlogs", f"{scenario}_{method.replace('+', '_')}.csv"))
+    log_dir = out / "reports" / "runlogs"
+    logs = {(method, scenario): RunLog.from_csv(log_dir / log_name(method, scenario))
             for scenario in SCENARIO_NAMES for method in METHOD_NAMES}
     with open(os.path.join(out, "reports", "tracking.json"), encoding="ascii") as fh:
         clamp_steps = json.load(fh)["clamp_steps"]
-    return logs, clamp_steps, steps
+    return logs, clamp_steps, steps, log_dir
 
 
 @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
 def test_fprc_runs_share_the_feedforward(simulated, scenario):
-    logs, _, _ = simulated
+    logs, _, _, _ = simulated
     open_loop, closed_loop = logs[("fprc", scenario)], logs[("fprc+pd", scenario)]
     for name in FF_COLUMNS:
         np.testing.assert_array_equal(open_loop.column(name), closed_loop.column(name))
@@ -57,7 +61,7 @@ def test_fprc_runs_share_the_feedforward(simulated, scenario):
 def test_fprc_runs_match_runs_with_their_own_reservoir(simulated, default_config,
                                                        fprc_cv_model, scenario):
     cfg = default_config
-    logs, clamp_steps, _ = simulated
+    logs, clamp_steps, _, _ = simulated
     ref = cfg.signals.scenarios[scenario].render(cfg.dt)
     spec = cfg.disturbance_spec() if scenario == "disturbance" else None
     for method in ("fprc", "fprc+pd"):
@@ -75,6 +79,16 @@ def test_fprc_runs_match_runs_with_their_own_reservoir(simulated, default_config
 
 def test_simulate_steps_the_reservoir_once_per_scenario_sample(simulated, default_config):
     cfg = default_config
-    _, _, steps = simulated
+    _, _, steps, _ = simulated
     samples = sum(len(cfg.signals.scenarios[s].render(cfg.dt)) for s in SCENARIO_NAMES)
     assert steps == samples
+
+
+def test_run_logs_written_together_equal_each_log_written_alone(simulated, tmp_path):
+    # simulate writes a scenario's three logs in one pass, sharing the strings
+    # of equal columns; each file must still be what RunLog.to_csv writes
+    logs, _, _, log_dir = simulated
+    for (method, scenario), log in logs.items():
+        alone = tmp_path / log_name(method, scenario)
+        log.to_csv(alone)
+        assert (log_dir / alone.name).read_bytes() == alone.read_bytes(), alone.name
