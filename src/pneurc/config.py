@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 import types
 import typing
@@ -45,6 +46,7 @@ def _decode(tp, value, path: str):
     required one, ``dict[str, X]`` and ``tuple[X, ...]`` from mappings and
     lists; a scalar must have its annotated type exactly, except that an
     int is taken where a float is expected, and None only where allowed.
+    A float must be finite.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
@@ -68,8 +70,14 @@ def _decode(tp, value, path: str):
     if origin is types.UnionType:  # X | None
         (inner,) = [a for a in args if a is not type(None)]
         return None if value is None else _decode(inner, value, path)
-    if tp is float and type(value) is int:
-        return float(value)
+    if tp is float and type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if not math.isfinite(number):  # json.load reads NaN and Infinity
+            raise InvalidSpecError(f"{path}: expected a finite number, got {value!r}")
+        return number
     if type(value) is not tp:  # also refuses a bool where an int is expected
         name = (origin or tp).__name__
         raise InvalidSpecError(f"{path}: expected {name}, got {type(value).__name__} {value!r}")
@@ -200,10 +208,10 @@ class ExperimentConfig:
                 d = json.load(fh)
         except FileNotFoundError:
             raise
-        except json.JSONDecodeError as exc:
-            raise InvalidSpecError(f"{path}: not valid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:
             raise InvalidSpecError(f"{path}: not ASCII text ({exc})") from exc
+        except ValueError as exc:  # JSONDecodeError, or an int of over 4,300 digits
+            raise InvalidSpecError(f"{path}: not valid JSON ({exc})") from exc
         except OSError as exc:
             raise InvalidSpecError(f"{path}: cannot be read ({exc.strerror})") from exc
         return cls.from_dict(d)

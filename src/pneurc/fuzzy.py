@@ -18,64 +18,80 @@ from .training import ridge_solve
 _CENTER_COLLAPSE_TOL = 1e-12
 
 
-def _sq_distances(centers: np.ndarray, X: np.ndarray,
-                  xx: np.ndarray | None = None) -> np.ndarray:
+def _sq_distances(centers: np.ndarray, X: np.ndarray, xx: np.ndarray | None = None,
+                  out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances, cluster-major: shape (n_c, N), clipped at zero.
 
     Built as ||x_k||^2 + ||c_i||^2 - 2 c_i . x_k from one ``centers @ X.T``
     GEMM, so every later reduction over clusters or points runs along the
     long contiguous axis. ``xx`` is ||x_k||^2, passed by callers that reuse
     the same rows. The expansion cancels to about eps * ||x||^2 near a
-    center; use direct differences where that matters.
+    center; use direct differences where that matters. ``out`` (n_c, N)
+    receives the distances and ``scratch`` (N,) one row's norm sum, so a
+    caller that recomputes distances into the same pair allocates no array
+    of N elements or more.
     """
     if xx is None:
         xx = np.sum(X * X, axis=1)
-    d2 = (-2.0 * centers) @ X.T  # exact: scaling by a power of two
+    d2 = np.matmul(-2.0 * centers, X.T, out=out)  # exact: scaling by a power of two
     # (||x||^2 + ||c||^2) is summed first, as in the textbook expansion, and
-    # one row at a time so that no second (n_c, N) temporary is allocated
+    # one row at a time: an (N,) sum stays in cache, an (n_c, N) one ran slower
     for row, cc in zip(d2, np.sum(centers * centers, axis=1)):
-        row += xx + cc
+        row += np.add(xx, cc, out=scratch)
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _memberships_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
+def _memberships_from_distances(d2: np.ndarray, m: float, out: np.ndarray | None = None,
+                                total: np.ndarray | None = None) -> np.ndarray:
     """FCM membership update u_ik = 1 / sum_j (d_ik / d_jk)^(2/(m-1)), shape (n_c, N).
 
     Points that coincide with a center (an infinite inverse distance, hence
-    a non-finite column sum) get a one-hot column on that center.
+    a non-finite column sum) get a one-hot column on that center. ``out``
+    (n_c, N) receives the memberships and ``total`` (N,) the column sums.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv = np.reciprocal(d2) if m == 2.0 else np.power(d2, -1.0 / (m - 1.0))
-        total = np.sum(inv, axis=0)
+        inv = (np.reciprocal(d2, out=out) if m == 2.0
+               else np.power(d2, -1.0 / (m - 1.0), out=out))
+        total = np.sum(inv, axis=0, out=total)
         u = np.divide(inv, total, out=inv)
-    hits = np.flatnonzero(~np.isfinite(total))
-    if hits.size:
+        # the column sums are non-negative: if their sum is finite, so is each
+        hit_any = not np.isfinite(np.sum(total))
+    if hit_any:
+        hits = np.flatnonzero(~np.isfinite(total))
         u[:, hits] = 0.0
         u[np.argmin(d2[:, hits], axis=0), hits] = 1.0
     return u
 
 
+def _objective(um: np.ndarray, d2: np.ndarray) -> float:
+    """J = sum_ik u_ik^m d2_ik from u^m and the distances, both (n_c, N)."""
+    return float(np.sum(um * d2))
+
+
 def fcm_objective(X: np.ndarray, centers: np.ndarray, u: np.ndarray, m: float) -> float:
     """J = sum_ik u_ik^m ||x_k - c_i||^2, with u shaped (N, n_c)."""
-    return float(np.sum((u.T ** m) * _sq_distances(centers, X)))
+    return _objective(u.T ** m, _sq_distances(centers, X))
 
 
-def _collapsed_pair(centers: np.ndarray):
+def _collapsed_pair(centers: np.ndarray, pairs=None):
     """The lowest pair (i, j) of centers within _CENTER_COLLAPSE_TOL, or None.
 
     Uses direct differences: the norm expansion's cancellation error at
     |c| ~ 100 (about 1e-9) would swamp the tolerance, and its distance
     between two equal rows often rounds to a small positive value.
+    ``pairs`` is ``np.triu_indices(n_c, k=1)``, passed by callers that check
+    the same number of centers repeatedly.
     """
-    i, j = np.triu_indices(centers.shape[0], k=1)
+    i, j = np.triu_indices(centers.shape[0], k=1) if pairs is None else pairs
     gaps = np.sqrt(np.sum((centers[i] - centers[j]) ** 2, axis=1))
     close = np.flatnonzero(gaps < _CENTER_COLLAPSE_TOL)
     return (int(i[close[0]]), int(j[close[0]])) if close.size else None
 
 
-def _check_center_separation(centers: np.ndarray) -> None:
+def _check_center_separation(centers: np.ndarray, pairs=None) -> None:
     """Raise when two centers lie within _CENTER_COLLAPSE_TOL, naming the lowest pair."""
-    pair = _collapsed_pair(centers)
+    pair = _collapsed_pair(centers, pairs)
     if pair is not None:
         raise DegenerateClusteringError(
             f"cluster centers {pair[0]} and {pair[1]} collapsed within {_CENTER_COLLAPSE_TOL}")
@@ -115,32 +131,38 @@ def fcm_cluster(data, n_c: int, m: float = 2.0, tol: float = 1e-4,
         raise InvalidDataError(f"need at least n_c={n_c} samples, got {X.shape[0]}")
     if m <= 1.0:
         raise InvalidSpecError(f"fuzziness m must exceed 1, got {m}")
-    if max_iter < 1 or tol <= 0.0:
-        raise InvalidSpecError("max_iter must be >= 1 and tol positive")
+    if max_iter < 1 or not 0.0 < tol < np.inf:  # also refuses a NaN tol
+        raise InvalidSpecError(f"max_iter must be >= 1 and tol finite and positive, "
+                               f"got max_iter={max_iter}, tol={tol}")
 
     centers = X[_draw_initial_centers(X, n_c, seed)]
 
-    # cluster-major throughout: d2, u and u^m are (n_c, N)
+    # cluster-major throughout, in buffers allocated once per fit: d2 holds
+    # the distances and u the memberships, then u^m in place; total and
+    # scratch are (N,) work rows
+    d2, u = np.empty((n_c, X.shape[0])), np.empty((n_c, X.shape[0]))
+    total, scratch = np.empty(X.shape[0]), np.empty(X.shape[0])
+    pairs = np.triu_indices(n_c, k=1)
     xx = np.sum(X * X, axis=1)
-    d2 = _sq_distances(centers, X, xx)
+    _sq_distances(centers, X, xx, out=d2, scratch=scratch)
     history = []
     for _ in range(max_iter):
-        u = _memberships_from_distances(d2, m)
-        um = u * u if m == 2.0 else np.power(u, m)
+        _memberships_from_distances(d2, m, out=u, total=total)
+        um = np.multiply(u, u, out=u) if m == 2.0 else np.power(u, m, out=u)
         mass = np.sum(um, axis=1)
         if np.any(mass == 0.0):
             raise DegenerateClusteringError("a cluster lost all membership mass")
         new_centers = (um @ X) / mass[:, None]
-        _check_center_separation(new_centers)
+        _check_center_separation(new_centers, pairs)
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
-        d2 = _sq_distances(centers, X, xx)
+        _sq_distances(centers, X, xx, out=d2, scratch=scratch)
         if return_history:
-            history.append(fcm_objective(X, centers, u.T, m))
+            history.append(_objective(um, d2))
         if shift < tol:
             break
     # memberships for the final centers, returned point-major (N, n_c)
-    u = _memberships_from_distances(d2, m).T
+    u = _memberships_from_distances(d2, m, out=u, total=total).T
     if return_history:
         return centers, u, history
     return centers, u

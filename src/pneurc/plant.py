@@ -256,6 +256,8 @@ class DisturbanceSpec:
             raise InvalidSpecError("disturbance window must satisfy t_start < t_end")
         if self.magnitude < 0.0:
             raise InvalidSpecError("disturbance magnitude must be non-negative")
+        if self.seed < 0:
+            raise InvalidSpecError(f"disturbance seed must be non-negative, got {self.seed}")
 
     @property
     def window(self) -> tuple:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour with a reduced configuration."""
 import dataclasses
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -256,10 +257,8 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("key, value", [("model.fprc.n_c", "8"), ("gains.pd_kp", "20"),
-                                        ("disturbance.t_start", None), ("seed", True),
-                                        ("cv_folds", 2.5)])
-def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, key, value):
+def _generate_with_config_value(tmp_path, key, value):
+    """Exit code of ``generate`` on the default config with one leaf replaced."""
     doc = ExperimentConfig().to_dict()
     *parents, name = key.split(".")
     section = doc
@@ -268,11 +267,58 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, key, value):
     section[name] = value
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
-    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "generate"]) == 2
+    return main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "generate"])
+
+
+@pytest.mark.parametrize("key, value", [("model.fprc.n_c", "8"), ("gains.pd_kp", "20"),
+                                        ("disturbance.t_start", None), ("seed", True),
+                                        ("cv_folds", 2.5)])
+def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, key, value):
+    assert _generate_with_config_value(tmp_path, key, value) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"config.{key}:" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("signals.train_excitation.duration", math.inf),
+    ("signals.scenarios.chirp.duration", math.inf),
+    ("disturbance.magnitude", math.nan),
+    ("disturbance.magnitude", math.inf),
+    ("disturbance.t_end", math.inf),
+    ("model.fprc.fcm_tol", math.nan),
+    ("model.fprc.fcm_tol", math.inf),
+    ("model.fprc.sigma", math.inf),
+    ("gains.pd_kp", math.inf),
+    ("gains.pd_kp", -math.inf),
+    ("gains.pd_kd", -math.inf),
+    ("plant.reservoir.lag_time_constant", math.inf),
+    pytest.param("plant.actuator.bend_range", 10 ** 400, id="plant.actuator.bend_range-10**400"),
+])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
+    assert _generate_with_config_value(tmp_path, key, value) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"config.{key}: expected a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_disturbance_seed_exits_2(tmp_path, capsys):
+    assert _generate_with_config_value(tmp_path, "disturbance.seed", -1) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "disturbance seed must be non-negative" in err
+
+
+def test_over_long_config_int_exits_2(tmp_path, capsys):
+    # json.load refuses integers of more than 4,300 digits with a ValueError
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"seed": ' + "9" * 5000 + "}")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "not valid JSON" in err
 
 
 def _truncated_json(good: str) -> str:

@@ -139,3 +139,111 @@ def test_distances_are_clipped_where_the_expansion_cancels():
     assert d2.shape == (50, 200)
     assert np.all(d2 >= 0.0)
     assert_rel(d2, ref_sq_distances(X, centers).T, rel=1e-15)
+
+
+# --- Bit identity against the allocating loop --------------------------------
+#
+# ``fcm_cluster`` reuses (n_c, N) buffers across iterations. The oracle below
+# is the loop as it stood before that change, with its own distance and
+# membership routines, allocating fresh arrays on every step. Buffer reuse
+# changes no arithmetic, so the two must agree bit for bit.
+
+def alloc_sq_distances(centers, X, xx=None):
+    if xx is None:
+        xx = np.sum(X * X, axis=1)
+    d2 = (-2.0 * centers) @ X.T
+    for row, cc in zip(d2, np.sum(centers * centers, axis=1)):
+        row += xx + cc
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def alloc_memberships(d2, m):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = np.reciprocal(d2) if m == 2.0 else np.power(d2, -1.0 / (m - 1.0))
+        total = np.sum(inv, axis=0)
+        u = np.divide(inv, total, out=inv)
+    hits = np.flatnonzero(~np.isfinite(total))
+    if hits.size:
+        u[:, hits] = 0.0
+        u[np.argmin(d2[:, hits], axis=0), hits] = 1.0
+    return u
+
+
+def alloc_objective(X, centers, u, m):
+    return float(np.sum((u.T ** m) * alloc_sq_distances(centers, X)))
+
+
+def alloc_collapsed_pair(centers):
+    i, j = np.triu_indices(centers.shape[0], k=1)
+    gaps = np.sqrt(np.sum((centers[i] - centers[j]) ** 2, axis=1))
+    close = np.flatnonzero(gaps < COLLAPSE_TOL)
+    return (int(i[close[0]]), int(j[close[0]])) if close.size else None
+
+
+def alloc_draw(X, n_c, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        idx = rng.choice(X.shape[0], size=n_c, replace=False)
+        if alloc_collapsed_pair(X[idx]) is None:
+            return idx
+    raise AssertionError("no distinct initial centers")
+
+
+def alloc_fcm(X, n_c, m, tol, max_iter, seed):
+    """The allocating loop: (centers, u of shape (N, n_c), objective history)."""
+    centers = X[alloc_draw(X, n_c, seed)]
+    xx = np.sum(X * X, axis=1)
+    d2 = alloc_sq_distances(centers, X, xx)
+    history = []
+    for _ in range(max_iter):
+        u = alloc_memberships(d2, m)
+        um = u * u if m == 2.0 else np.power(u, m)
+        mass = np.sum(um, axis=1)
+        assert not np.any(mass == 0.0)
+        new_centers = (um @ X) / mass[:, None]
+        assert alloc_collapsed_pair(new_centers) is None
+        shift = float(np.max(np.abs(new_centers - centers)))
+        centers = new_centers
+        d2 = alloc_sq_distances(centers, X, xx)
+        history.append(alloc_objective(X, centers, u.T, m))
+        if shift < tol:
+            break
+    u = alloc_memberships(d2, m).T
+    return centers, u, history
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [2.0, 1.5])
+@pytest.mark.parametrize("n_c", [1, 8])
+@pytest.mark.parametrize("tol, max_iter", [(1e-4, 300), (1e-12, 40)],
+                         ids=["default-tol", "pinned"])
+def test_bit_identical_to_allocating_loop(m, n_c, tol, max_iter):
+    X = blobs(max(n_c, 3), n=900, d=8, seed=n_c + 11)
+    seed = [5, n_c]
+    got = fcm_cluster(X, n_c, m=m, tol=tol, max_iter=max_iter, seed=seed,
+                      return_history=True)
+    want = alloc_fcm(X, n_c, m, tol, max_iter, seed)
+    for g, w in zip(got, want):
+        assert_same_bytes(g, w)
+    # without the history the fit is the same
+    for g, w in zip(fcm_cluster(X, n_c, m=m, tol=tol, max_iter=max_iter, seed=seed), want):
+        assert_same_bytes(g, w)
+
+
+@pytest.mark.parametrize("m", [2.0, 1.5])
+@pytest.mark.parametrize("max_iter", [1, 300])
+def test_one_hot_path_bit_identical_to_allocating_loop(m, max_iter):
+    X = integer_grid()
+    n_c, seed = 6, [3, 0]
+    start = X[alloc_draw(X, n_c, seed)]
+    assert np.sum(alloc_sq_distances(start, X) == 0.0) >= n_c
+    got = fcm_cluster(X, n_c, m=m, tol=1e-4, max_iter=max_iter, seed=seed,
+                      return_history=True)
+    want = alloc_fcm(X, n_c, m, 1e-4, max_iter, seed)
+    for g, w in zip(got, want):
+        assert_same_bytes(g, w)

@@ -112,8 +112,9 @@ def test_fcm_validation(rng):
         fcm_cluster(X, 0)
     with pytest.raises(InvalidSpecError):
         fcm_cluster(X, 2, m=1.0)
-    with pytest.raises(InvalidSpecError):
-        fcm_cluster(X, 2, tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidSpecError):
+            fcm_cluster(X, 2, tol=tol)
     with pytest.raises(InvalidDataError):
         fcm_cluster(X, 11)
     with pytest.raises(InvalidDataError):

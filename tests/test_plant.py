@@ -280,6 +280,8 @@ def test_disturbance_spec_validation():
         DisturbanceSpec(mode="zap")
     with pytest.raises(InvalidSpecError):
         DisturbanceSpec(magnitude=-1.0)
+    with pytest.raises(InvalidSpecError):
+        DisturbanceSpec(seed=-1)
     assert set(DISTURBANCE_MODES) == {"additive-pressure", "state-kick"}
 
 
