@@ -13,9 +13,8 @@ from .esn import (EsnConfig, EsnModel, EsnParams, EsnTrainer, TrainedEsn,
 from .fprc import (FprcConfig, FprcModel, FprcParams, FprcTrainer, convert_angle,
                    drive_reservoir, fprc_collect_training, fprc_weight_analysis)
 from .fuzzy import (FuzzyRuleSet, fcm_cluster, fuzzy_infer_batch, train_fuzzy_readout)
-from .plant import (ActuatorConfig, ActuatorPlant, DisturbanceSpec, PlayOperatorStack,
-                    ReservoirConfig, ReservoirPlant, actuator_step, apply_disturbance,
-                    reservoir_step)
+from .plant import (ActuatorConfig, DisturbanceSpec, Plant, PlayOperatorStack,
+                    ReservoirConfig, apply_disturbance, drive, plant_step)
 from .signals import DEFAULT_DT, SignalSpec, TimeSeries
 from .training import (BenchmarkResult, CvReport, SweepResult, benchmark_execution,
                        kfold_cv, normalize_minmax, ridge_solve, rmse, run_sweep,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -26,6 +25,7 @@ from .errors import (InvalidDataError, InvalidSpecError, NumericError,
                      PneurcError, ResourceError, StateError)
 from .esn import EsnTrainer, TrainedEsn
 from .fprc import FprcModel, FprcTrainer
+from .signals import write_json
 
 
 class _UsageError(Exception):
@@ -89,9 +89,7 @@ def _ensure_parent(path: str) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     _ensure_parent(path)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _dataset_paths(cfg: ExperimentConfig, reverse: bool) -> tuple[str, str]:
@@ -120,7 +118,10 @@ def _load_model(cfg: ExperimentConfig, kind: str, artifact: str | None):
     path = artifact or cfg.model_artifact_path(kind)
     if not os.path.exists(path):
         raise InvalidDataError(f"model artifact {path} not found; run 'pneurc train' first")
-    return TrainedEsn.load(path) if kind == "esn" else FprcModel.load(path)
+    model = TrainedEsn.load(path) if kind == "esn" else FprcModel.load(path)
+    if model.kind != kind:
+        raise InvalidSpecError(f"{path} holds a {model.kind} model, not {kind}")
+    return model
 
 
 def cmd_generate(args, cfg: ExperimentConfig) -> int:
@@ -176,8 +177,6 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     model = _load_model(cfg, "fprc", args.model_artifact)
-    if model.kind != "fprc":
-        raise InvalidSpecError("the scenario suite drives the reservoir-backed model")
     gains = cfg.controller_gains()
     scenarios = tuple(args.scenario) if args.scenario else control.SCENARIO_NAMES
     log_dir = os.path.join(cfg.out_dir, "reports", "runlogs")
@@ -223,14 +222,11 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 def cmd_sweep(args, cfg: ExperimentConfig) -> int:
     train_ds, test_ds = map(_load_dataset, _dataset_paths(cfg, args.reverse))
-    values = args.values
-    if values is not None and args.axis in ("clusters", "taps"):
-        values = [int(v) for v in values]
-    result = training.run_sweep(args.axis, values, cfg, train_ds, test_ds, k=cfg.cv_folds)
+    result = training.run_sweep(args.axis, args.values, cfg, train_ds, test_ds, k=cfg.cv_folds)
     base = os.path.join(cfg.out_dir, "reports", f"sweep_{args.axis}")
     _ensure_parent(base + ".csv")
     result.to_csv(base + ".csv", include_timings=False)
-    _write_json(base + ".json", result.to_dict(include_timings=False))
+    _write_json(base + ".json", result.to_dict())
     result.to_csv(base + "_timing.csv", include_timings=True)
     n_failed = sum(1 for c in result.cells if c.status != "ok")
     print(f"sweep {args.axis}: {len(result.cells)} cells, {n_failed} failed")

@@ -25,9 +25,8 @@ from .control import ControllerGains
 from .errors import InvalidSpecError
 from .esn import EsnConfig, EsnParams
 from .fprc import FprcConfig, FprcParams
-from .plant import (ActuatorConfig, ActuatorPlant, DisturbanceSpec, ReservoirConfig,
-                    ReservoirPlant)
-from .signals import DEFAULT_DT, SignalSpec
+from .plant import ActuatorConfig, DisturbanceSpec, Plant, ReservoirConfig
+from .signals import DEFAULT_DT, SignalSpec, write_json
 
 SCENARIO_KEYS = ("sine02", "sine05", "chirp", "complex", "disturbance")
 MODEL_KINDS = ("fprc", "esn", "fuzzy-linear")
@@ -197,9 +196,7 @@ class ExperimentConfig:
         return _decode(cls, d, "config")
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -230,10 +227,10 @@ class ExperimentConfig:
 
     # -- builders ---------------------------------------------------------
 
-    def build_actuator(self) -> ActuatorPlant:
+    def build_actuator(self) -> Plant:
         return self.plant.actuator.build()
 
-    def build_reservoir(self) -> ReservoirPlant:
+    def build_reservoir(self) -> Plant:
         return self.plant.reservoir.build()
 
     def esn_params(self) -> EsnParams:

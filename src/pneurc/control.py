@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
                      NumericError)
-from .plant import (INPUT_PRESSURE_LIMIT, ActuatorPlant, DisturbanceSpec,
-                    actuator_step)
+from .plant import INPUT_PRESSURE_LIMIT, DisturbanceSpec, Plant, plant_step
 from .signals import TimeSeries, format_float, read_csv, write_csv
 
 # run-log CSV columns in file order, each mapped to the RunLog attribute it holds
@@ -122,7 +121,7 @@ class RecordedFeedforward:
         return self.columns
 
 
-def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
+def run_closed_loop(reference: TimeSeries, model, actuator: Plant,
                     gains: ControllerGains, feedback: bool = True,
                     disturbance: DisturbanceSpec | None = None,
                     scenario: str = "", method: str = "") -> RunLog:
@@ -155,14 +154,14 @@ def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
     prev_error = None
     clamp_steps = 0
     for k, (theta_d, p_ff_k) in enumerate(zip(reference.values.tolist(), p_ff.tolist())):
-        theta = actuator.angle_state
+        theta = actuator.output
         error = theta_d - theta
         p_fb = pd_step(error, prev_error, gains, dt) if feedback else 0.0
         p_d = p_ff_k + p_fb
         applied = min(max(p_d, 0.0), INPUT_PRESSURE_LIMIT)
         if applied != p_d:
             clamp_steps += 1
-        theta_next = actuator_step(actuator, applied, dt)
+        theta_next = plant_step(actuator, applied, dt)
         if not (math.isfinite(p_ff_k) and math.isfinite(theta_next)):
             raise NumericError(f"run diverged at step {k} (t={k * dt:.3f} s)")
         cols["theta"].append(theta)
@@ -176,7 +175,7 @@ def run_closed_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
                   scenario=scenario, method=method, clamp_steps=clamp_steps, **cols)
 
 
-def run_open_loop(reference: TimeSeries, model, actuator: ActuatorPlant,
+def run_open_loop(reference: TimeSeries, model, actuator: Plant,
                   gains: ControllerGains, disturbance: DisturbanceSpec | None = None,
                   scenario: str = "", method: str = "") -> RunLog:
     """Feedforward-only run: P_fb is identically zero."""

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidDataError, InvalidSpecError
 from .fprc import drive_reservoir
-from .plant import ActuatorPlant, ReservoirPlant, actuator_step
+from .plant import Plant, drive
 from .signals import TimeSeries, csv_line, format_float, read_csv, write_csv
 
 CSV_HEADER = "t_s,theta_deg,p_exp_kpa,p_i_kpa,p_o_kpa"
@@ -78,9 +78,8 @@ class Dataset:
                    p_o=cols[:, 4], dt=dt)
 
 
-def generate_dataset(excitation: TimeSeries, actuator: ActuatorPlant,
-                     reservoir: ReservoirPlant, k_in: float,
-                     input_limit: float) -> Dataset:
+def generate_dataset(excitation: TimeSeries, actuator: Plant, reservoir: Plant,
+                     k_in: float, input_limit: float) -> Dataset:
     """Run the identification experiment for one excitation record.
 
     Per sample: the actuator is pressurized with P_exp and its angle
@@ -92,6 +91,6 @@ def generate_dataset(excitation: TimeSeries, actuator: ActuatorPlant,
         raise InvalidSpecError(f"excitation must be a pressure in kPa, got unit "
                                f"{excitation.unit!r}")
     dt = excitation.dt
-    theta = np.array([actuator_step(actuator, p, dt) for p in excitation.values.tolist()])
+    theta, _ = drive(actuator, excitation.values, dt)
     p_i, p_o, _ = drive_reservoir(theta, reservoir, k_in, input_limit, dt)
     return Dataset(theta=theta, p_exp=excitation.values.copy(), p_i=p_i, p_o=p_o, dt=dt)

@@ -18,9 +18,8 @@ from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
                      NumericError, decoding)
 from .fuzzy import (FuzzyRuleSet, fcm_cluster, fuzzy_infer_batch,
                     train_fuzzy_readout)
-from .plant import (INPUT_PRESSURE_LIMIT, DisturbanceSpec, ReservoirPlant,
-                    apply_disturbance, reservoir_step)
-from .signals import tap_matrix
+from .plant import INPUT_PRESSURE_LIMIT, DisturbanceSpec, Plant, drive
+from .signals import tap_matrix, write_json
 from .training import Trainer, normalize_minmax, weight_contributions
 
 FILTER_INIT_MODES = ("first-sample", "zero")
@@ -80,26 +79,18 @@ def convert_angle(theta_d: float, k_in: float,
     return float(0.0 if p_i < 0.0 else (limit if p_i > limit else p_i))
 
 
-def drive_reservoir(theta, reservoir: ReservoirPlant, k_in: float, input_limit: float,
+def drive_reservoir(theta, reservoir: Plant, k_in: float, input_limit: float,
                     dt: float, disturbance: DisturbanceSpec | None = None):
     """Drive the reservoir with P_i = convert_angle(theta) one sample at a time.
 
-    With a ``disturbance`` spec the reservoir is perturbed before each
-    sample whose time k * dt falls inside the window, from a generator
-    seeded once per call with ``disturbance.seed``. Returns the arrays
-    (p_i, p_o, disturbed), one entry per sample; the reservoir is left in
-    its final state.
+    ``disturbance`` perturbs the reservoir as ``plant.drive`` does. Returns
+    the arrays (p_i, p_o, disturbed), one entry per sample; the reservoir is
+    left in its final state.
     """
     theta = np.asarray(theta, dtype=float)
-    p_i = [convert_angle(th, k_in, input_limit) for th in theta.tolist()]
-    p_o = []
-    disturbed = np.zeros(theta.size)
-    rng = np.random.default_rng(disturbance.seed) if disturbance is not None else None
-    for k, p in enumerate(p_i):
-        if disturbance is not None:
-            disturbed[k] = apply_disturbance(reservoir, disturbance, k * dt, rng)
-        p_o.append(reservoir_step(reservoir, p, dt))
-    return np.array(p_i), np.array(p_o), disturbed
+    p_i = np.array([convert_angle(th, k_in, input_limit) for th in theta.tolist()])
+    p_o, disturbed = drive(reservoir, p_i, dt, disturbance)
+    return p_i, p_o, disturbed
 
 
 def _lowpass_series(p_o: np.ndarray, params: FprcParams) -> np.ndarray:
@@ -187,7 +178,7 @@ class FprcModel:
                                      reservoir_features=self.reservoir_features)
         return self.predict(X), y
 
-    def feedforward(self, reservoir: ReservoirPlant | None = None) -> "FprcFeedforward":
+    def feedforward(self, reservoir: Plant | None = None) -> "FprcFeedforward":
         if self.reservoir_features and reservoir is None:
             raise InvalidSpecError("the reservoir-backed model needs a reservoir instance")
         return FprcFeedforward(self, reservoir)
@@ -200,9 +191,7 @@ class FprcModel:
             "centers": self.ruleset.centers.tolist(),
             "w_out": self.ruleset.w_out.tolist(),
         }
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, doc)
 
     @classmethod
     def load(cls, path) -> "FprcModel":
@@ -221,7 +210,7 @@ class FprcModel:
 class FprcFeedforward:
     """A trained model bound to the reservoir it drives during tracking runs."""
 
-    def __init__(self, model: FprcModel, reservoir: ReservoirPlant | None):
+    def __init__(self, model: FprcModel, reservoir: Plant | None):
         self.model = model
         self.reservoir = reservoir
 

@@ -2,9 +2,9 @@
 
 A stack of weighted play (backlash) operators provides rate-independent
 hysteresis with memory; a first-order lag on top gives each device its
-time response. Two devices are modeled: the pneumatic bending actuator
-(pressure in, bend angle out) and the sensing reservoir (pressure in,
-internal pressure out).
+time response. The rig uses this one device twice, with different
+constants: the pneumatic bending actuator (pressure in, bend angle out)
+and the sensing reservoir (pressure in, internal pressure out).
 """
 from __future__ import annotations
 
@@ -116,20 +116,37 @@ class PlayOperatorStack:
 
 
 @dataclass
-class ActuatorPlant:
-    """Pneumatic bending actuator: pressure (kPa) to bend angle (deg)."""
+class Plant:
+    """One pneumatic device: input pressure (kPa) to its output.
+
+    Both devices of the rig are this model with different constants. The
+    input is clamped to [0, ``input_limit``] and each clamp is counted in
+    ``clamp_events``; the play stack's output on top of ``baseline`` is the
+    target that a first-order lag follows; the output is kept inside
+    ``output_bounds``. It starts at ``baseline``.
+    """
 
     hysteresis: PlayOperatorStack
     lag_time_constant: float
     output_bounds: tuple
-    angle_state: float = 0.0
+    input_limit: float
+    baseline: float
+    output: float | None = None
     clamp_events: int = 0
 
     def __post_init__(self):
         if self.lag_time_constant <= 0.0:
             raise InvalidSpecError("lag_time_constant must be positive")
-        if self.output_bounds[0] >= self.output_bounds[1]:
+        lo, hi = self.output_bounds
+        if lo >= hi:
             raise InvalidSpecError("output_bounds must be (low, high) with low < high")
+        if self.input_limit <= 0.0:
+            raise InvalidSpecError("input_limit must be positive")
+        if self.baseline < 0.0:
+            raise InvalidSpecError("baseline must be non-negative")
+        self.output_bounds = (float(lo), float(hi))
+        if self.output is None:
+            self.output = float(self.baseline)
 
 
 @dataclass(frozen=True)
@@ -147,57 +164,13 @@ class ActuatorConfig:
     radius_span: float | None = None
     lag_time_constant: float = 0.05
 
-    def build(self) -> ActuatorPlant:
+    def build(self) -> Plant:
+        """The bending actuator: pressure to angle (deg), no upper input clamp."""
         stack = PlayOperatorStack.uniform(self.n_ops, self.full_scale_pressure, self.bend_range,
                                           self.radius_span)
-        return ActuatorPlant(hysteresis=stack, lag_time_constant=self.lag_time_constant,
-                             output_bounds=(0.0, self.bend_range))
-
-
-def actuator_step(plant: ActuatorPlant, p_demand: float, dt: float) -> float:
-    """Advance the actuator one sample with demanded pressure, return the angle.
-
-    Negative demands are clamped to 0 (vented actuator) and counted on the
-    plant so the harness can flag them.
-    """
-    if not math.isfinite(p_demand):
-        raise NumericError(f"actuator pressure must be finite, got {p_demand!r}")
-    if not (0.0 < dt):
-        raise InvalidSpecError("dt must be positive")
-    if p_demand < 0.0:
-        p_demand = 0.0
-        plant.clamp_events += 1
-    target = plant.hysteresis.step(p_demand)
-    angle = plant.angle_state + (dt / plant.lag_time_constant) * (target - plant.angle_state)
-    lo, hi = plant.output_bounds
-    plant.angle_state = angle = float(lo if angle < lo else (hi if angle > hi else angle))
-    return angle
-
-
-@dataclass
-class ReservoirPlant:
-    """Sensing reservoir: input pressure (kPa) to internal pressure (kPa).
-
-    Pre-pressurized to ``baseline_pressure``; the play stack adds the
-    hysteretic response of the fabric-constrained chamber on top.
-    """
-
-    hysteresis: PlayOperatorStack
-    lag_time_constant: float
-    baseline_pressure: float
-    input_limit: float
-    pressure: float | None = None
-    clamp_events: int = 0
-
-    def __post_init__(self):
-        if self.lag_time_constant <= 0.0:
-            raise InvalidSpecError("lag_time_constant must be positive")
-        if self.baseline_pressure < 0.0:
-            raise InvalidSpecError("baseline_pressure must be non-negative")
-        if self.input_limit <= 0.0:
-            raise InvalidSpecError("input_limit must be positive")
-        if self.pressure is None:
-            self.pressure = float(self.baseline_pressure)
+        return Plant(hysteresis=stack, lag_time_constant=self.lag_time_constant,
+                     output_bounds=(0.0, self.bend_range), input_limit=math.inf,
+                     baseline=0.0)
 
 
 @dataclass(frozen=True)
@@ -211,36 +184,41 @@ class ReservoirConfig:
     baseline_pressure: float = 100.0
     lag_time_constant: float = 0.05
 
-    def build(self) -> ReservoirPlant:
+    def build(self) -> Plant:
+        """The sensing reservoir: pressure to internal pressure (kPa).
+
+        Pre-pressurized to ``baseline_pressure``; the play stack adds the
+        hysteretic response of the fabric-constrained chamber on top.
+        """
         stack = PlayOperatorStack.uniform(self.n_ops, self.input_range, self.pressure_span,
                                           self.radius_span)
-        return ReservoirPlant(hysteresis=stack, lag_time_constant=self.lag_time_constant,
-                              baseline_pressure=self.baseline_pressure,
-                              input_limit=self.input_range)
+        return Plant(hysteresis=stack, lag_time_constant=self.lag_time_constant,
+                     output_bounds=(0.0, math.inf), input_limit=self.input_range,
+                     baseline=self.baseline_pressure)
 
 
-def reservoir_step(res: ReservoirPlant, p_in: float, dt: float) -> float:
-    """Advance the reservoir one sample with input pressure, return P_o.
-
-    The input is clamped to [0, input_limit] (clamp events are counted on
-    the reservoir); the output pressure never drops below zero.
-    """
+def plant_step(plant: Plant, p_in: float, dt: float) -> float:
+    """Advance the plant one sample with input pressure p_in, return its output."""
     if not math.isfinite(p_in):
-        raise NumericError(f"reservoir input pressure must be finite, got {p_in!r}")
+        raise NumericError(f"plant input pressure must be finite, got {p_in!r}")
     if not (0.0 < dt):
         raise InvalidSpecError("dt must be positive")
-    clamped = min(max(p_in, 0.0), res.input_limit)
-    if clamped != p_in:
-        res.clamp_events += 1
-    target = res.baseline_pressure + res.hysteresis.step(clamped)
-    pressure = res.pressure + (dt / res.lag_time_constant) * (target - res.pressure)
-    res.pressure = pressure = 0.0 if pressure < 0.0 else pressure
-    return pressure
+    if p_in < 0.0:
+        p_in = 0.0
+        plant.clamp_events += 1
+    elif p_in > plant.input_limit:
+        p_in = plant.input_limit
+        plant.clamp_events += 1
+    target = plant.baseline + plant.hysteresis.step(p_in)
+    out = plant.output + (dt / plant.lag_time_constant) * (target - plant.output)
+    lo, hi = plant.output_bounds
+    plant.output = out = lo if out < lo else (hi if out > hi else out)
+    return out
 
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    """Random perturbation applied to the reservoir inside a time window."""
+    """Random perturbation applied to a plant inside a time window."""
 
     t_start: float = 10.0
     t_end: float = 25.0
@@ -264,23 +242,44 @@ class DisturbanceSpec:
         return self.t_start, self.t_end
 
 
-def apply_disturbance(res: ReservoirPlant, spec: DisturbanceSpec, t: float,
+def apply_disturbance(plant: Plant, spec: DisturbanceSpec, t: float,
                       rng: np.random.Generator) -> bool:
-    """Perturb the reservoir if t falls inside the disturbance window.
+    """Perturb the plant if t falls inside the disturbance window.
 
     Returns True when a perturbation was applied. Outside the window the
-    reservoir is untouched and no random numbers are drawn, so the draw
+    plant is untouched and no random numbers are drawn, so the draw
     sequence is reproducible for a fixed seed.
     """
     if not (spec.t_start <= t < spec.t_end):
         return False
     if spec.mode == "additive-pressure":
-        res.pressure = float(max(res.pressure + rng.uniform(-spec.magnitude, spec.magnitude), 0.0))
+        lo, hi = plant.output_bounds
+        kicked = plant.output + rng.uniform(-spec.magnitude, spec.magnitude)
+        plant.output = float(min(max(kicked, lo), hi))
     else:  # state-kick
-        stack = res.hysteresis
+        stack = plant.hysteresis
         kicked = stack.states + rng.uniform(-spec.magnitude, spec.magnitude, stack.radii.size)
         # keep each operator inside its play band around the last input
         lo = stack.last_input - stack.radii
         hi = stack.last_input + stack.radii
         stack.states = np.minimum(np.maximum(kicked, lo), hi)
     return True
+
+
+def drive(plant: Plant, pressures, dt: float, disturbance: DisturbanceSpec | None = None):
+    """Drive the plant open loop with one input pressure per sample.
+
+    With a ``disturbance`` spec the plant is perturbed before each sample
+    whose time k * dt falls inside the window, from a generator seeded once
+    per call with ``disturbance.seed``. Returns the arrays (outputs,
+    disturbed), one entry per sample; the plant is left in its final state.
+    """
+    pressures = np.asarray(pressures, dtype=float).tolist()
+    outputs = []
+    disturbed = np.zeros(len(pressures))
+    rng = np.random.default_rng(disturbance.seed) if disturbance is not None else None
+    for k, p in enumerate(pressures):
+        if disturbance is not None:
+            disturbed[k] = apply_disturbance(plant, disturbance, k * dt, rng)
+        outputs.append(plant_step(plant, p, dt))
+    return np.array(outputs), disturbed

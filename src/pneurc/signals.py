@@ -1,4 +1,4 @@
-"""Excitation and reference signals, CSV helpers and tap matrices.
+"""Excitation and reference signals, CSV and JSON helpers and tap matrices.
 
 :meth:`SignalSpec.render` samples t = 0, dt, ..., duration - dt (endpoint
 exclusive) on a uniform grid and returns a unit-tagged :class:`TimeSeries`.
@@ -8,6 +8,7 @@ harness.
 from __future__ import annotations
 
 import contextlib
+import json
 from array import array
 from dataclasses import dataclass
 
@@ -27,6 +28,13 @@ def format_float(x) -> str:
     the bare number (numpy's repr wraps the value in its type name).
     """
     return repr(float(x))
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 CSV_BLOCK_ROWS = 1024

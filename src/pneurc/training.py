@@ -342,17 +342,20 @@ class SweepResult:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {"axis": self.axis, "cells": []}
-        for c in self.cells:
-            d = {"settings": c.settings, "status": c.status, "message": c.message,
-                 "e_train_mean": c.e_train_mean, "e_train_sd": c.e_train_sd,
-                 "e_val_mean": c.e_val_mean, "e_val_sd": c.e_val_sd, "e_test": c.e_test}
-            if include_timings:
-                d["train_time_s"] = c.train_time_s
-                d["test_time_s"] = c.test_time_s
-            out["cells"].append(d)
-        return out
+    def to_dict(self) -> dict:
+        return {"axis": self.axis, "cells": [
+            {"settings": c.settings, "status": c.status, "message": c.message,
+             "e_train_mean": c.e_train_mean, "e_train_sd": c.e_train_sd,
+             "e_val_mean": c.e_val_mean, "e_val_sd": c.e_val_sd, "e_test": c.e_test}
+            for c in self.cells]}
+
+
+def _integral(axis: str, values) -> tuple:
+    """The values of an integer axis as ints; a non-finite or fractional one is an error."""
+    for v in values:
+        if not float(v).is_integer():
+            raise InvalidSpecError(f"sweep axis {axis!r} takes integer values, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
 def _sweep_grid(axis: str, values):
@@ -360,11 +363,11 @@ def _sweep_grid(axis: str, values):
         vals = EPSILON_SWEEP if values is None else tuple(values)
         return [{"epsilon": float(v)} for v in vals]
     if axis == "clusters":
-        vals = CLUSTER_SWEEP if values is None else tuple(values)
-        return [{"model": m, "n_c": int(v)} for m in ("fprc", "fuzzy-linear") for v in vals]
+        vals = CLUSTER_SWEEP if values is None else _integral(axis, values)
+        return [{"model": m, "n_c": v} for m in ("fprc", "fuzzy-linear") for v in vals]
     if axis == "taps":
-        vals = TAP_SWEEP if values is None else tuple(values)
-        return [{"n_u": int(u), "n_y": int(y)} for u in vals for y in vals]
+        vals = TAP_SWEEP if values is None else _integral(axis, values)
+        return [{"n_u": u, "n_y": y} for u in vals for y in vals]
     raise InvalidSpecError(f"unknown sweep axis {axis!r}, expected epsilon, clusters, or taps")
 
 

@@ -165,6 +165,18 @@ def test_sweep(workspace):
     assert all(c["status"] == "ok" for c in doc["cells"])
 
 
+@pytest.mark.parametrize("axis, value", [("taps", "1.5"), ("taps", "inf"),
+                                         ("clusters", "nan"), ("clusters", "2.5"),
+                                         ("clusters", "1e400")])
+def test_sweep_non_integral_value_exits_2(workspace, tmp_path, capsys, axis, value):
+    args = _out_with(workspace, tmp_path / "out", "data/train.csv", "data/test.csv")
+    assert main([*args, "sweep", "--axis", axis, "--values", "2", value]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"sweep axis '{axis}' takes integer values" in err
+    assert not (tmp_path / "out" / "reports").exists()
+
+
 def test_bench(workspace):
     cfg_path, out = workspace["cfg_path"], workspace["out"]
     assert main(["--config", cfg_path, "bench"]) == 0
@@ -345,6 +357,23 @@ def test_corrupt_fprc_artifact_exits_2(workspace, tmp_path, capsys, corrupt):
     assert main(["--config", workspace["cfg_path"], "evaluate",
                  "--model-artifact", str(bad)]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, held, asked", [
+    (["evaluate", "--model", "fprc"], "fuzzy-linear", "fprc"),
+    (["evaluate", "--model", "fuzzy-linear"], "fprc", "fuzzy-linear"),
+    (["simulate", "--scenario", "sine05"], "fuzzy-linear", "fprc")])
+def test_artifact_of_another_kind_exits_2(workspace, tmp_path, capsys, command, held, asked):
+    args = _out_with(workspace, tmp_path / "out", "data/train.csv", "data/test.csv",
+                     "models/fprc.json")
+    assert main([*args, "train", "--model", "fuzzy-linear"]) == 0
+    path = tmp_path / "out" / "models" / f"{held}.json"
+    capsys.readouterr()
+    assert main([*args, *command, "--model-artifact", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{path} holds a {held} model, not {asked}" in err
+    assert not (tmp_path / "out" / "reports").exists()
 
 
 @pytest.mark.parametrize("content", [b"garbage, not an archive",

@@ -17,7 +17,7 @@ from pneurc.datasets import CSV_HEADER, Dataset, generate_dataset
 from pneurc.errors import InvalidDataError, InvalidSpecError
 from pneurc.esn import WEIGHT_DISTRIBUTIONS
 from pneurc.fprc import FILTER_INIT_MODES, convert_angle
-from pneurc.plant import DISTURBANCE_MODES, DisturbanceSpec, actuator_step, reservoir_step
+from pneurc.plant import DISTURBANCE_MODES, DisturbanceSpec, plant_step
 from pneurc.signals import CSV_BLOCK_ROWS, SignalSpec, format_float
 
 
@@ -168,11 +168,11 @@ def test_generate_dataset_matches_manual_simulation(default_config):
     act = default_config.build_actuator()
     res = default_config.build_reservoir()
     for k in range(len(ds)):
-        theta = actuator_step(act, excitation.values[k], excitation.dt)
+        theta = plant_step(act, excitation.values[k], excitation.dt)
         assert ds.theta[k] == theta
         p_i = convert_angle(theta, params.k_in, params.input_limit)
         assert ds.p_i[k] == p_i
-        assert ds.p_o[k] == reservoir_step(res, p_i, excitation.dt)
+        assert ds.p_o[k] == plant_step(res, p_i, excitation.dt)
     np.testing.assert_array_equal(ds.p_exp, excitation.values)
     assert ds.dt == excitation.dt
 
@@ -274,7 +274,7 @@ def test_config_builders(default_config):
     act = default_config.build_actuator()
     res = default_config.build_reservoir()
     assert act.lag_time_constant == 0.05
-    assert res.baseline_pressure == 100.0
+    assert res.baseline == 100.0
     assert res.input_limit == 450.0
     gains = default_config.controller_gains()
     assert gains.pd_kp == 20.0 and gains.pd_kd == 0.2

@@ -17,7 +17,7 @@ from pneurc.esn import EsnParams, EsnTrainer, esn_update
 from pneurc.fprc import FprcTrainer, convert_angle
 from pneurc.fuzzy import rule_outputs
 from pneurc.plant import (DISTURBANCE_MODES, INPUT_PRESSURE_LIMIT, DisturbanceSpec,
-                          actuator_step, apply_disturbance, reservoir_step)
+                          apply_disturbance, plant_step)
 from pneurc.signals import TimeSeries
 
 TOL = 1e-9
@@ -53,7 +53,7 @@ def fprc_ticker(model, reservoir, dt, disturbance):
         if disturbance is not None:
             disturbed = apply_disturbance(reservoir, disturbance, k * dt, rng)
         p_i = convert_angle(theta_d, params.k_in, params.input_limit)
-        p_o = reservoir_step(reservoir, p_i, dt)
+        p_o = plant_step(reservoir, p_i, dt)
         if filt is None:
             filt = p_o if params.filter_init == "first-sample" else 0.0
         filt = params.epsilon * p_o + (1.0 - params.epsilon) * filt
@@ -87,10 +87,10 @@ def per_tick_run(tick, reference, actuator, gains):
         signals = tick(k, theta_d)
         for name, value in zip(FF_COLUMNS, signals):
             out[name][k] = value
-        theta = actuator.angle_state
+        theta = actuator.output
         error = theta_d - theta
         p_d = signals[0] + pd_step(error, prev_error, gains, dt)
-        actuator_step(actuator, min(max(p_d, 0.0), INPUT_PRESSURE_LIMIT), dt)
+        plant_step(actuator, min(max(p_d, 0.0), INPUT_PRESSURE_LIMIT), dt)
         out["theta"][k] = theta
         prev_error = error
     return out

@@ -11,7 +11,6 @@ from pneurc.fprc import (FILTER_INIT_MODES, FprcModel, FprcParams, FprcTrainer,
                          _lowpass_series, convert_angle, drive_reservoir,
                          fprc_collect_training, fprc_weight_analysis)
 from pneurc.fuzzy import FuzzyRuleSet, fuzzy_infer_batch
-from pneurc.plant import ReservoirPlant
 from pneurc.training import ridge_solve
 
 

@@ -1,4 +1,4 @@
-"""Play-operator stacks and the two device surrogates."""
+"""Play-operator stacks and the plant built as either device."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pneurc.errors import InvalidSpecError, NumericError
 from pneurc.plant import (DISTURBANCE_MODES, INPUT_PRESSURE_LIMIT, ActuatorConfig,
                           DisturbanceSpec, PlayOperatorStack, ReservoirConfig,
-                          actuator_step, apply_disturbance, reservoir_step)
+                          apply_disturbance, plant_step)
 
 
 def tiny_stack() -> PlayOperatorStack:
@@ -199,29 +199,29 @@ def test_actuator_settles_to_hysteresis_target():
     target = plant.hysteresis.copy().step(200.0)
     angle = 0.0
     for _ in range(2000):  # 10 s at 200 Hz, lag time constant 0.05 s
-        angle = actuator_step(plant, 200.0, dt=1 / 200)
+        angle = plant_step(plant, 200.0, dt=1 / 200)
     assert angle == pytest.approx(target, abs=1e-6)
 
 
 def test_actuator_clamps_negative_demand():
     plant = ActuatorConfig().build()
-    actuator_step(plant, -10.0, dt=1 / 200)
+    plant_step(plant, -10.0, dt=1 / 200)
     assert plant.clamp_events == 1
-    assert plant.angle_state >= 0.0
+    assert plant.output >= 0.0
 
 
 def test_actuator_angle_stays_in_bounds():
     plant = ActuatorConfig().build()
     for p in (450.0, 450.0, 0.0, 450.0):
         for _ in range(400):
-            angle = actuator_step(plant, p, dt=1 / 200)
+            angle = plant_step(plant, p, dt=1 / 200)
             assert 0.0 <= angle <= 60.0
 
 
 def test_actuator_full_scale_saturates_against_bound():
     plant = ActuatorConfig(full_scale_pressure=370.0).build()
     for _ in range(4000):
-        angle = actuator_step(plant, 450.0, dt=1 / 200)
+        angle = plant_step(plant, 450.0, dt=1 / 200)
     assert angle == pytest.approx(60.0, abs=1e-9)
 
 
@@ -229,9 +229,9 @@ def test_actuator_validation():
     with pytest.raises(InvalidSpecError):
         ActuatorConfig(lag_time_constant=0.0).build()
     with pytest.raises(NumericError):
-        actuator_step(ActuatorConfig().build(), float("inf"), dt=1 / 200)
+        plant_step(ActuatorConfig().build(), float("inf"), dt=1 / 200)
     with pytest.raises(InvalidSpecError):
-        actuator_step(ActuatorConfig().build(), 100.0, dt=0.0)
+        plant_step(ActuatorConfig().build(), 100.0, dt=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +240,17 @@ def test_actuator_validation():
 
 def test_reservoir_rests_at_baseline():
     res = ReservoirConfig().build()
-    assert res.pressure == 100.0
+    assert res.output == 100.0
     for _ in range(100):
-        p = reservoir_step(res, 0.0, dt=1 / 200)
+        p = plant_step(res, 0.0, dt=1 / 200)
     assert p == pytest.approx(100.0, abs=1e-9)
 
 
 def test_reservoir_clamps_input_and_counts():
     res = ReservoirConfig().build()
-    reservoir_step(res, 500.0, dt=1 / 200)
+    plant_step(res, 500.0, dt=1 / 200)
     assert res.hysteresis.last_input == pytest.approx(INPUT_PRESSURE_LIMIT)
-    reservoir_step(res, -5.0, dt=1 / 200)
+    plant_step(res, -5.0, dt=1 / 200)
     assert res.clamp_events == 2
     assert res.hysteresis.last_input == pytest.approx(0.0)
 
@@ -258,14 +258,14 @@ def test_reservoir_clamps_input_and_counts():
 def test_reservoir_pressure_never_negative():
     res = ReservoirConfig(baseline_pressure=0.0).build()
     for _ in range(50):
-        assert reservoir_step(res, 0.0, dt=1 / 200) >= 0.0
+        assert plant_step(res, 0.0, dt=1 / 200) >= 0.0
 
 
 def test_reservoir_settles_to_baseline_plus_stack():
     res = ReservoirConfig().build()
-    target = res.baseline_pressure + res.hysteresis.copy().step(300.0)
+    target = res.baseline + res.hysteresis.copy().step(300.0)
     for _ in range(3000):
-        p = reservoir_step(res, 300.0, dt=1 / 200)
+        p = plant_step(res, 300.0, dt=1 / 200)
     assert p == pytest.approx(target, abs=1e-6)
 
 
@@ -287,32 +287,32 @@ def test_disturbance_spec_validation():
 
 def test_disturbance_outside_window_is_inert():
     res = ReservoirConfig().build()
-    reservoir_step(res, 200.0, dt=1 / 200)
+    plant_step(res, 200.0, dt=1 / 200)
     spec = DisturbanceSpec(t_start=10.0, t_end=25.0, magnitude=8.0)
     rng = np.random.default_rng(spec.seed)
-    before = res.pressure
+    before = res.output
     assert apply_disturbance(res, spec, 9.99, rng) is False
     assert apply_disturbance(res, spec, 25.0, rng) is False
-    assert res.pressure == before
+    assert res.output == before
     # no draws happened outside the window, so the stream is still fresh
     assert rng.uniform() == np.random.default_rng(spec.seed).uniform()
 
 
 def test_disturbance_additive_pressure_moves_reservoir():
     res = ReservoirConfig().build()
-    reservoir_step(res, 200.0, dt=1 / 200)
+    plant_step(res, 200.0, dt=1 / 200)
     spec = DisturbanceSpec(t_start=10.0, t_end=25.0, magnitude=8.0)
     rng = np.random.default_rng(spec.seed)
-    before = res.pressure
+    before = res.output
     assert apply_disturbance(res, spec, 10.0, rng) is True
-    assert res.pressure != before
-    assert abs(res.pressure - before) <= 8.0
+    assert res.output != before
+    assert abs(res.output - before) <= 8.0
 
 
 def test_disturbance_state_kick_respects_play_bands():
     res = ReservoirConfig().build()
     for _ in range(10):
-        reservoir_step(res, 250.0, dt=1 / 200)
+        plant_step(res, 250.0, dt=1 / 200)
     spec = DisturbanceSpec(t_start=0.0, t_end=1.0, mode="state-kick", magnitude=50.0)
     rng = np.random.default_rng(7)
     assert apply_disturbance(res, spec, 0.5, rng) is True
@@ -326,12 +326,12 @@ def test_disturbance_state_kick_respects_play_bands():
 def test_disturbance_is_reproducible():
     def run(seed):
         res = ReservoirConfig().build()
-        reservoir_step(res, 200.0, dt=1 / 200)
+        plant_step(res, 200.0, dt=1 / 200)
         spec = DisturbanceSpec(t_start=0.0, t_end=1.0, magnitude=8.0, seed=seed)
         rng = np.random.default_rng(spec.seed)
         for t in np.linspace(0.0, 0.9, 10):
             apply_disturbance(res, spec, float(t), rng)
-        return res.pressure
+        return res.output
 
     assert run(123) == run(123)
     assert run(123) != run(124)

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from pneurc import cli, fprc
+from pneurc import cli, plant
 from pneurc.control import METHOD_NAMES, RUN_LOG_COLUMNS, SCENARIO_NAMES, RunLog, run_closed_loop
 
 FF_COLUMNS = ("p_ff_kpa", "p_i_kpa", "p_o_kpa", "p_o_filt_kpa", "disturbed")
@@ -28,8 +28,10 @@ def simulated(tmp_path_factory, fprc_cv_model):
     out = tmp_path_factory.mktemp("simulate")
     artifact = str(out / "fprc.json")
     fprc_cv_model.save(artifact)
+    # control binds plant_step under its own name, so this counts only the
+    # steps of plant.drive, which simulate runs on the reservoir alone
     steps = 0
-    step = fprc.reservoir_step
+    step = plant.plant_step
 
     def counting_step(res, p_in, dt):
         nonlocal steps
@@ -37,7 +39,7 @@ def simulated(tmp_path_factory, fprc_cv_model):
         return step(res, p_in, dt)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fprc, "reservoir_step", counting_step)
+        mp.setattr(plant, "plant_step", counting_step)
         assert cli.main(["--out", str(out), "simulate", "--model-artifact", artifact]) == 0
     log_dir = out / "reports" / "runlogs"
     logs = {(method, scenario): RunLog.from_csv(log_dir / log_name(method, scenario))
