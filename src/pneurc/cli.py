@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -25,6 +26,7 @@ from .errors import (InvalidDataError, InvalidSpecError, NumericError,
                      PneurcError, ResourceError, StateError)
 from .esn import EsnTrainer, TrainedEsn
 from .fprc import FprcModel, FprcTrainer
+from .parallel import fork_map
 from .signals import write_json
 
 
@@ -124,19 +126,25 @@ def _load_model(cfg: ExperimentConfig, kind: str, artifact: str | None):
     return model
 
 
+def _write_dataset(cfg: ExperimentConfig, job) -> int:
+    """Write the dataset of one (excitation, path) job; returns its row count."""
+    excitation, path = job
+    ds = generate_dataset(excitation.render(cfg.dt), cfg.build_actuator(),
+                          cfg.build_reservoir(), cfg.fprc_params().k_in,
+                          cfg.plant.reservoir.input_range)
+    _ensure_parent(path)
+    ds.save_csv(path)
+    return len(ds)
+
+
 def cmd_generate(args, cfg: ExperimentConfig) -> int:
-    train_ex = cfg.signals.train_excitation.render(cfg.dt)
-    test_ex = cfg.signals.test_excitation.render(cfg.dt)
-    k_in = cfg.fprc_params().k_in
-    limit = cfg.plant.reservoir.input_range
-    train_ds = generate_dataset(train_ex, cfg.build_actuator(), cfg.build_reservoir(),
-                                k_in, limit)
-    test_ds = generate_dataset(test_ex, cfg.build_actuator(), cfg.build_reservoir(),
-                               k_in, limit)
-    for ds, path in ((train_ds, cfg.train_data_path()), (test_ds, cfg.test_data_path())):
-        _ensure_parent(path)
-        ds.save_csv(path)
-        print(f"wrote {path} ({len(ds)} rows)")
+    jobs = ((cfg.signals.train_excitation, cfg.train_data_path()),
+            (cfg.signals.test_excitation, cfg.test_data_path()))
+    # the two datasets are written at once, so they need two files
+    if os.path.realpath(jobs[0][1]) == os.path.realpath(jobs[1][1]):
+        raise InvalidSpecError(f"config train_data and test_data name one file, {jobs[0][1]}")
+    for (_, path), rows in zip(jobs, fork_map(functools.partial(_write_dataset, cfg), jobs)):
+        print(f"wrote {path} ({rows} rows)")
     return 0
 
 
@@ -175,41 +183,49 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _simulate_scenario(cfg: ExperimentConfig, model: FprcModel, log_dir: str,
+                       scenario: str):
+    """Run one scenario with every method and write its three run logs.
+
+    Returns a ``control.RunSummary`` per (method, scenario) and, for the
+    disturbance scenario alone, each method's ``disturbance_window_rmse``.
+    """
+    ref = cfg.signals.scenarios[scenario].render(cfg.dt)
+    spec = cfg.disturbance_spec() if scenario == "disturbance" else None
+    # the feedforward never reads the plant, so fprc and fprc+pd share one drive
+    recorded = control.RecordedFeedforward(
+        model.feedforward(cfg.build_reservoir()).run(ref.values, ref.dt, spec))
+    logs = []
+    for method in control.METHOD_NAMES:
+        ff = recorded if method != "pd" else None
+        run = control.run_open_loop if method == "fprc" else control.run_closed_loop
+        logs.append(run(ref, ff, cfg.build_actuator(), cfg.controller_gains(),
+                        disturbance=spec, scenario=scenario, method=method))
+    control.write_run_logs(
+        [os.path.join(log_dir, f"{scenario}_{method.replace('+', '_')}.csv")
+         for method in control.METHOD_NAMES], logs)
+    runs = {(log.method, scenario): control.RunSummary(log.tracking_rmse(), log.clamp_steps)
+            for log in logs}
+    window = None if spec is None else {
+        log.method: control.disturbance_window_rmse(log, spec.window) for log in logs}
+    return runs, window
+
+
 def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     model = _load_model(cfg, "fprc", args.model_artifact)
-    gains = cfg.controller_gains()
-    scenarios = tuple(args.scenario) if args.scenario else control.SCENARIO_NAMES
+    # a scenario named twice runs once: two workers must not write one file
+    scenarios = tuple(dict.fromkeys(args.scenario or control.SCENARIO_NAMES))
     log_dir = os.path.join(cfg.out_dir, "reports", "runlogs")
     os.makedirs(log_dir, exist_ok=True)
-    logs = {}
-    for scenario in scenarios:
-        ref = cfg.signals.scenarios[scenario].render(cfg.dt)
-        spec = cfg.disturbance_spec() if scenario == "disturbance" else None
-        # the feedforward never reads the plant, so fprc and fprc+pd share one drive
-        recorded = control.RecordedFeedforward(
-            model.feedforward(cfg.build_reservoir()).run(ref.values, ref.dt, spec))
-        for method in control.METHOD_NAMES:
-            actuator = cfg.build_actuator()
-            ff = recorded if method != "pd" else None
-            if method == "fprc":
-                log = control.run_open_loop(ref, ff, actuator, gains, disturbance=spec,
-                                            scenario=scenario, method=method)
-            else:
-                log = control.run_closed_loop(ref, ff, actuator, gains, disturbance=spec,
-                                              scenario=scenario, method=method)
-            logs[(method, scenario)] = log
-        control.write_run_logs(
-            [os.path.join(log_dir, f"{scenario}_{method.replace('+', '_')}.csv")
-             for method in control.METHOD_NAMES],
-            [logs[(method, scenario)] for method in control.METHOD_NAMES])
-    table = control.tracking_report(logs)
+    results = dict(zip(scenarios, fork_map(
+        functools.partial(_simulate_scenario, cfg, model, log_dir), scenarios)))
+    runs = {key: run for scenario_runs, _ in results.values()
+            for key, run in scenario_runs.items()}
+    table = control.tracking_report(runs)
     payload = {"tracking_rmse_deg": table}
-    if "disturbance" in scenarios:
-        payload["disturbance"] = {
-            method: control.disturbance_window_rmse(
-                logs[(method, "disturbance")], cfg.disturbance_spec().window)
-            for method in control.METHOD_NAMES if (method, "disturbance") in logs}
-    payload["clamp_steps"] = {f"{m}/{s}": logs[(m, s)].clamp_steps for (m, s) in sorted(logs)}
+    if "disturbance" in results:
+        payload["disturbance"] = results["disturbance"][1]
+    payload["clamp_steps"] = {f"{m}/{s}": runs[(m, s)].clamp_steps for (m, s) in sorted(runs)}
     report_path = os.path.join(cfg.out_dir, "reports", "tracking")
     _write_json(report_path + ".json", payload)
     control.report_to_csv(table, report_path + ".csv")

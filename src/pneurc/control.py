@@ -107,6 +107,17 @@ def write_run_logs(paths, logs) -> None:
                for path, log in zip(paths, logs, strict=True)])
 
 
+@dataclass(frozen=True)
+class RunSummary:
+    """What the tracking reports read of one run, without its columns."""
+
+    rmse: float
+    clamp_steps: int
+
+    def tracking_rmse(self) -> float:
+        return self.rmse
+
+
 class RecordedFeedforward:
     """Feedforward columns computed once and replayed by every run on one reference.
 
@@ -225,7 +236,8 @@ def extract_hysteresis_loop(log: RunLog, x_column: str, y_column: str,
 def tracking_report(logs: dict) -> dict:
     """Tracking RMSE table: method rows by scenario columns.
 
-    ``logs`` maps (method, scenario) to RunLog. Missing cells are NaN.
+    ``logs`` maps (method, scenario) to a RunLog or a RunSummary. Missing
+    cells are NaN.
     """
     table = {}
     for method in METHOD_NAMES:

@@ -6,6 +6,7 @@ sweeps, and the execution-time benchmark.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from .errors import (DegenerateRangeError, DimensionError, InvalidDataError,
                      InvalidSpecError, NumericError)
+from .parallel import fork_map
 from .signals import format_float
 
 EPSILON_SWEEP = (1.0, 0.1, 0.01, 1e-3, 1e-4)
@@ -371,41 +373,44 @@ def _sweep_grid(axis: str, values):
     raise InvalidSpecError(f"unknown sweep axis {axis!r}, expected epsilon, clusters, or taps")
 
 
+def _sweep_cell(config, train_ds, test_ds, k: int, settings: dict) -> SweepCell:
+    """Train and evaluate one grid point; a failure is recorded in the cell."""
+    from .fprc import FprcTrainer  # imported here to avoid a module cycle
+
+    cell = SweepCell(settings=dict(settings))
+    params = config.fprc_params()
+    kind = settings.get("model", "fprc")
+    overrides = {k_: v for k_, v in settings.items() if k_ != "model"}
+    try:
+        params = params.replace(**overrides)
+        trainer = FprcTrainer(params, seed=config.seed, reservoir_features=(kind == "fprc"))
+        t0 = time.perf_counter()
+        model, report = kfold_cv(train_ds, trainer, k=k)
+        cell.train_time_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        yhat, y = model.evaluate(test_ds)
+        cell.test_time_s = time.perf_counter() - t0
+        cell.e_test = rmse(yhat, y)
+        cell.e_train_mean = report.e_train_mean
+        cell.e_train_sd = report.e_train_sd
+        cell.e_val_mean = report.e_val_mean
+        cell.e_val_sd = report.e_val_sd
+    except Exception as exc:  # noqa: BLE001 - cells must not kill the sweep
+        cell.status = "failed"
+        cell.message = f"{type(exc).__name__}: {exc}"
+    return cell
+
+
 def run_sweep(axis: str, values, config, train_ds, test_ds, k: int = 5) -> SweepResult:
     """Train and evaluate across one hyperparameter axis.
 
-    Cells are independent: a failing cell is recorded with its error
-    message and the sweep continues.
+    Cells are independent and run in worker processes (``fork_map``): a
+    failing cell is recorded with its error message and the sweep
+    continues.
     """
-    from .fprc import FprcTrainer  # imported here to avoid a module cycle
-
     grid = _sweep_grid(axis, values)
-    result = SweepResult(axis=axis)
-    for settings in grid:
-        cell = SweepCell(settings=dict(settings))
-        params = config.fprc_params()
-        kind = settings.get("model", "fprc")
-        overrides = {k_: v for k_, v in settings.items() if k_ != "model"}
-        try:
-            params = params.replace(**overrides)
-            trainer = FprcTrainer(params, seed=config.seed,
-                                  reservoir_features=(kind == "fprc"))
-            t0 = time.perf_counter()
-            model, report = kfold_cv(train_ds, trainer, k=k)
-            cell.train_time_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            yhat, y = model.evaluate(test_ds)
-            cell.test_time_s = time.perf_counter() - t0
-            cell.e_test = rmse(yhat, y)
-            cell.e_train_mean = report.e_train_mean
-            cell.e_train_sd = report.e_train_sd
-            cell.e_val_mean = report.e_val_mean
-            cell.e_val_sd = report.e_val_sd
-        except Exception as exc:  # noqa: BLE001 - cells must not kill the sweep
-            cell.status = "failed"
-            cell.message = f"{type(exc).__name__}: {exc}"
-        result.cells.append(cell)
-    return result
+    cells = fork_map(functools.partial(_sweep_cell, config, train_ds, test_ds, k), grid)
+    return SweepResult(axis=axis, cells=cells)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from pneurc import cli
 from pneurc.cli import main
 from pneurc.config import (EsnConfig, ExperimentConfig, SignalsConfig)
 from pneurc.datasets import Dataset
@@ -163,6 +165,71 @@ def test_sweep(workspace):
     doc = json.loads((base.parent / "sweep_epsilon.json").read_text())
     assert [c["settings"]["epsilon"] for c in doc["cells"]] == [0.01, 0.1]
     assert all(c["status"] == "ok" for c in doc["cells"])
+
+
+def test_simulate_runs_a_repeated_scenario_once(workspace, tmp_path, monkeypatch):
+    # one scenario runs in this process and the whole suite in workers; a
+    # scenario named twice must run once and write what it writes when named once
+    calls = []
+    run_scenario = cli._simulate_scenario
+
+    def counted(*args):
+        calls.append(args[-1])
+        return run_scenario(*args)
+
+    runs = {}
+    for name, scenarios in (("twice", ["sine02", "sine02"]), ("once", ["sine02"]),
+                            ("suite", [])):
+        args = _out_with(workspace, tmp_path / name, "models/fprc.json")
+        argv = [a for s in scenarios for a in ("--scenario", s)]
+        with monkeypatch.context() as mp:
+            if name == "twice":
+                mp.setattr(cli, "_simulate_scenario", counted)
+            assert main([*args, "simulate", *argv]) == 0
+        reports = tmp_path / name / "reports"
+        runs[name] = {str(p.relative_to(reports)): p.read_bytes()
+                      for p in sorted(reports.rglob("*")) if p.is_file()}
+    assert calls == ["sine02"]
+    assert runs["twice"] == runs["once"]
+    assert len(runs["once"]) == 5  # three run logs, tracking.json and tracking.csv
+    for name in ("runlogs/sine02_fprc.csv", "runlogs/sine02_fprc_pd.csv",
+                 "runlogs/sine02_pd.csv"):
+        assert runs["suite"][name] == runs["once"][name], name
+
+
+def test_simulate_numeric_failure_in_a_worker_exits_3(workspace, tmp_path, capsys):
+    # with kp = kd = 1e308 the PD output kp*e + kd*(e - e_prev)/dt is inf - inf,
+    # a NaN that the pressure clamp passes on to the actuator's step
+    cfg = dataclasses.replace(workspace["cfg"], out_dir=str(tmp_path / "out"),
+                              gains=dataclasses.replace(workspace["cfg"].gains,
+                                                        pd_kp=1e308, pd_kd=1e308))
+    cfg_path = tmp_path / "config.json"
+    cfg.to_json(cfg_path)
+    _out_with(workspace, tmp_path / "out", "models/fprc.json")
+    assert main(["--config", str(cfg_path), "simulate"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip() == "numeric failure: plant input pressure must be finite, got nan"
+
+
+def test_commands_leave_no_worker_running(workspace, tmp_path):
+    args = _out_with(workspace, tmp_path / "out", "models/fprc.json")
+    for command in (["generate"], ["simulate"], ["sweep", "--axis", "epsilon",
+                                                  "--values", "0.01", "0.1"]):
+        assert main([*args, *command]) == 0
+        assert multiprocessing.active_children() == [], command
+
+
+def test_generate_refuses_one_file_for_both_datasets(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = dataclasses.replace(small_config(str(out)), test_data=str(out / "data" / "train.csv"))
+    cfg_path = tmp_path / "config.json"
+    cfg.to_json(cfg_path)
+    assert main(["--config", str(cfg_path), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "config train_data and test_data name one file" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("axis, value", [("taps", "1.5"), ("taps", "inf"),

@@ -22,14 +22,18 @@ def log_name(method: str, scenario: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def simulated(tmp_path_factory, fprc_cv_model):
-    """Run logs and clamp counts of one ``simulate`` run, its count of
-    reservoir steps, and its run-log directory."""
+def simulated(tmp_path_factory, default_config, fprc_cv_model):
+    """Run logs and clamp counts of one ``simulate`` run, the count of
+    reservoir steps of its per-scenario runs, and its run-log directory."""
     out = tmp_path_factory.mktemp("simulate")
     artifact = str(out / "fprc.json")
     fprc_cv_model.save(artifact)
-    # control binds plant_step under its own name, so this counts only the
-    # steps of plant.drive, which simulate runs on the reservoir alone
+    assert cli.main(["--out", str(out), "simulate", "--model-artifact", artifact]) == 0
+    # simulate runs its scenarios in worker processes, where a patch of this
+    # process counts nothing; so the steps are counted on the per-scenario
+    # function, called here for every scenario. control binds plant_step
+    # under its own name, so this counts only the steps of plant.drive,
+    # which simulate runs on the reservoir alone
     steps = 0
     step = plant.plant_step
 
@@ -38,9 +42,11 @@ def simulated(tmp_path_factory, fprc_cv_model):
         steps += 1
         return step(res, p_in, dt)
 
+    counted_dir = tmp_path_factory.mktemp("simulate_counted")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plant, "plant_step", counting_step)
-        assert cli.main(["--out", str(out), "simulate", "--model-artifact", artifact]) == 0
+        for scenario in SCENARIO_NAMES:
+            cli._simulate_scenario(default_config, fprc_cv_model, str(counted_dir), scenario)
     log_dir = out / "reports" / "runlogs"
     logs = {(method, scenario): RunLog.from_csv(log_dir / log_name(method, scenario))
             for scenario in SCENARIO_NAMES for method in METHOD_NAMES}
