@@ -7,13 +7,16 @@ then frozen.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import (InvalidDataError, InvalidSpecError, NumericError,
                      ResourceError, StateError, decoding)
+from .parallel import fork_map, usable_cpus
 from .signals import tap_matrix
 from .training import Trainer, ridge_solve
 
@@ -255,6 +258,45 @@ class EsnTrainer(Trainer):
         return TrainedEsn(fitted)
 
 
+def _replay_spans(n: int) -> list:
+    """Chunks (lo, seam, hi) of a replay of ``n`` samples, one per usable
+    CPU: a chunk drives the reservoir over samples lo..hi-1 and keeps the
+    predictions from its seam on. Chunk 0 is (0, 0, b_1); chunk j >= 1
+    warms up over the block before its seam b_j. Seams fall on block
+    boundaries, so each chunk computes the same blocks as one run from
+    sample 0, and each steps about (n + (p - 1) w) / p samples, warm-up
+    included, for p chunks of block size w. That share is held to two
+    blocks or more, so a record shorter than three blocks is one chunk.
+    """
+    w = _REPLAY_BLOCK_ROWS
+    p = max(1, min(usable_cpus(), n // w - 1))
+    share = (n + (p - 1) * w) / p
+    seams = [0] + [w * math.floor((j * share - (j - 1) * w) / w + 0.5) for j in range(1, p)]
+    return [(max(b - w, 0), b, hi) for b, hi in zip(seams, seams[1:] + [n])]
+
+
+def _replay_chunk(trained: "TrainedEsn", theta: np.ndarray, span: tuple,
+                  state: np.ndarray | None = None) -> tuple:
+    """Predictions of samples seam..hi-1 of a span (lo, seam, hi), with the
+    reservoir state at the seam and after sample hi - 1. The reservoir
+    starts at sample lo from ``state``, a cold one if None, and runs in
+    blocks of ``_REPLAY_BLOCK_ROWS`` rows, holding one at a time."""
+    lo, seam, hi = span
+    model = trained.model.cold_copy()
+    if state is not None:
+        model.state = state
+    at_seam = model.state
+    out = np.empty(hi - seam)
+    for a in range(lo, hi, _REPLAY_BLOCK_ROWS):
+        b = min(a + _REPLAY_BLOCK_ROWS, hi)
+        rows = esn_collect_states(model, theta, a, b)
+        if a >= seam:
+            out[a - seam:b - seam] = trained.predict(rows)
+        elif b == seam:
+            at_seam = model.state
+    return out, at_seam, model.state
+
+
 class TrainedEsn:
     """Fitted ESN with dataset evaluation and artifact round trip."""
 
@@ -271,14 +313,30 @@ class TrainedEsn:
 
     def _replay(self, theta) -> np.ndarray:
         """Readout over an angle record from a cold state, one value per
-        sample, holding one block of extended states at a time."""
+        sample, in time chunks on worker processes (``_replay_spans``).
+
+        A later chunk starts cold one block before its seam; once its state
+        there has the bytes the chunk before it ends with, the echo-state
+        property makes every later state, and so its predictions, those of
+        one run from sample 0. A chunk whose state differs at its seam is
+        recomputed here from that final state, so the result is that of one
+        run either way.
+        """
         theta = np.asarray(theta, dtype=float)
-        model = self.model.cold_copy()
-        out = np.empty(theta.size)
-        for lo in range(0, theta.size, _REPLAY_BLOCK_ROWS):
-            hi = min(lo + _REPLAY_BLOCK_ROWS, theta.size)
-            out[lo:hi] = self.predict(esn_collect_states(model, theta, lo, hi))
-        return out
+        spans = _replay_spans(theta.size)
+        chunks = fork_map(functools.partial(_replay_chunk, self, theta), spans)
+        out, _, state = chunks[0]
+        parts = [out]
+        for (_, seam, hi), (out, at_seam, final) in zip(spans[1:], chunks[1:]):
+            if at_seam.tobytes() != state.tobytes():
+                out, _, final = _replay_chunk(self, theta, (seam, seam, hi), state)
+            parts.append(out)
+            state = final
+        return np.concatenate(parts)
+
+    def replay_processes(self, n: int) -> int:
+        """Processes a replay of ``n`` samples runs on, one per chunk."""
+        return len(_replay_spans(n))
 
     def evaluate(self, ds) -> tuple[np.ndarray, np.ndarray]:
         """Replay a dataset from a cold state; rows before washout are

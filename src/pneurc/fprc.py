@@ -178,6 +178,10 @@ class FprcModel:
                                      reservoir_features=self.reservoir_features)
         return self.predict(X), y
 
+    def replay_processes(self, n: int) -> int:
+        """Processes a replay of ``n`` samples runs on: this one alone."""
+        return 1
+
     def feedforward(self, reservoir: Plant | None = None) -> "FprcFeedforward":
         if self.reservoir_features and reservoir is None:
             raise InvalidSpecError("the reservoir-backed model needs a reservoir instance")

@@ -421,6 +421,7 @@ class BenchmarkResult:
     e_train: float
     e_test: float
     n_test_steps: int
+    replay_processes: int = 1
 
     @property
     def train_time_mean(self) -> float:
@@ -440,6 +441,8 @@ class BenchmarkResult:
 
     @property
     def per_step_us(self) -> float:
+        """Wall time per test step, with the replay on ``replay_processes``
+        processes."""
         return 1e6 * self.test_time_mean / self.n_test_steps
 
     def metrics_dict(self) -> dict:
@@ -455,7 +458,8 @@ class BenchmarkResult:
                 "test_time_mean_s": self.test_time_mean,
                 "test_time_sd_s": self.test_time_sd,
                 "per_step_us": self.per_step_us,
-                "repetitions": len(self.test_times_s)}
+                "repetitions": len(self.test_times_s),
+                "replay_processes": self.replay_processes}
 
 
 def benchmark_execution(trainer, train_ds, test_ds, repetitions: int = 10,
@@ -486,4 +490,5 @@ def benchmark_execution(trainer, train_ds, test_ds, repetitions: int = 10,
     e_test = rmse(yhat, y)
     return BenchmarkResult(model_kind=trainer.kind, train_times_s=train_times,
                            test_times_s=test_times, e_train=e_train, e_test=e_test,
-                           n_test_steps=len(test_ds))
+                           n_test_steps=len(test_ds),
+                           replay_processes=model.replay_processes(len(test_ds)))

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from pneurc import cli
+from pneurc import cli, esn
 from pneurc.cli import main
 from pneurc.config import (EsnConfig, ExperimentConfig, SignalsConfig)
 from pneurc.datasets import Dataset
@@ -255,6 +255,10 @@ def test_bench(workspace):
         assert timing[kind]["per_step_us"] > 0.0
         assert timing[kind]["repetitions"] == 2
     assert "per_step_us" not in json.dumps(metrics)
+    # the ESN replays in one process per chunk, FPRC and fuzzy-linear in one
+    n_test = metrics["esn"]["n_test_steps"]
+    assert timing["esn"]["replay_processes"] == len(esn._replay_spans(n_test))
+    assert timing["fprc"]["replay_processes"] == timing["fuzzy-linear"]["replay_processes"] == 1
 
 
 def test_seed_override_changes_artifact(tmp_path):

@@ -1,4 +1,8 @@
 """Echo state network: init, update law, state collection, training."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +256,77 @@ def test_replay_in_blocks_matches_one_readout(monkeypatch):
     np.testing.assert_allclose(yhat, full[20:], rtol=1e-12, atol=0.0)
     p_ff = trained.run(ds.theta, ds.dt)[0]
     np.testing.assert_allclose(p_ff, full, rtol=1e-12, atol=0.0)
+
+
+# Runs in a fresh interpreter under one BLAS thread: the replay's chunks run
+# in workers held to one thread, and a one- and a two-thread mat-vec may
+# differ in their last bits, so the serial oracle must use one thread too.
+# Prints, per weight draw and forced CPU count: chunks, equal bytes, and how
+# many chunks were recomputed from the chunk before them.
+_CHUNKED_REPLAY_CHECK = r"""
+import numpy as np
+from pneurc import esn
+from pneurc.esn import EsnParams, TrainedEsn, esn_collect_states, esn_init
+
+
+def serial_replay(trained, theta):
+    # the reference: one run from sample 0, read out block by block
+    model = trained.model.cold_copy()
+    out = np.empty(theta.size)
+    for lo in range(0, theta.size, esn._REPLAY_BLOCK_ROWS):
+        hi = min(lo + esn._REPLAY_BLOCK_ROWS, theta.size)
+        out[lo:hi] = trained.predict(esn_collect_states(model, theta, lo, hi))
+    return out
+
+
+recomputed = []
+chunk = esn._replay_chunk
+
+
+def counted(trained, theta, span, state=None):
+    if state is not None:  # only the parent passes a state: a seam that did not match
+        recomputed.append(span)
+    return chunk(trained, theta, span, state)
+
+
+esn._replay_chunk = counted
+rng = np.random.default_rng(0)
+n = 4500  # not a whole number of blocks
+theta = 30.0 + 20.0 * np.sin(np.linspace(0.0, 40.0, n)) + rng.normal(0.0, 0.1, n)
+for dist in ("uniform", "uniform-sym"):
+    model = esn_init(EsnParams(reservoir_size=80, weight_distribution=dist, seed=3))
+    model.w_out = rng.standard_normal(model.extended_dim)
+    trained = TrainedEsn(model)
+    want = serial_replay(trained, theta).tobytes()
+    for cpus in (1, 2, 3):
+        esn.usable_cpus = lambda: cpus
+        recomputed.clear()
+        same = trained._replay(theta).tobytes() == want
+        print(dist, cpus, trained.replay_processes(n), same, len(recomputed))
+"""
+
+
+def test_chunked_replay_has_the_bytes_of_one_serial_run():
+    proc = subprocess.run([sys.executable, "-c", _CHUNKED_REPLAY_CHECK],
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # the uniform draw rejoins within the warm-up block at every seam; the
+    # uniform-sym draw does not, and each later chunk is recomputed
+    assert proc.stdout.split("\n")[:-1] == [
+        "uniform 1 1 True 0", "uniform 2 2 True 0", "uniform 3 3 True 0",
+        "uniform-sym 1 1 True 0", "uniform-sym 2 2 True 1", "uniform-sym 3 3 True 2"]
+
+
+def test_default_reservoir_rejoins_within_one_block_of_a_seam(esn_trained, test_dataset):
+    # the fast path of the chunked replay: on the default draw, a chunk
+    # started cold one block before its seam holds, at the seam, the bytes
+    # of the run from sample 0
+    w = esn._REPLAY_BLOCK_ROWS
+    seam = 2 * w
+    true_state = esn._replay_chunk(esn_trained, test_dataset.theta, (0, 0, seam))[2]
+    at_seam = esn._replay_chunk(esn_trained, test_dataset.theta, (seam - w, seam, seam))[1]
+    assert at_seam.tobytes() == true_state.tobytes()
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 500), (250, 600)])

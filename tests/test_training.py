@@ -146,6 +146,9 @@ class StubModel:
         self.evaluated.append(len(ds))
         return self.predict(ds.p_exp), ds.p_exp
 
+    def replay_processes(self, n):
+        return 1
+
 
 class StubTrainer(Trainer):
     """Its states are the targets themselves; the model predicts their mean."""
@@ -506,6 +509,7 @@ def test_benchmark_metrics_dict_has_no_timings():
     assert set(metrics) == {"model", "e_train", "e_test", "n_test_steps"}
     timing = result.timing_dict()
     assert "per_step_us" in timing and "repetitions" in timing
+    assert timing["replay_processes"] == 1
 
 
 def test_benchmark_validation():
