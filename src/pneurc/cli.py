@@ -4,8 +4,8 @@ Subcommands: generate, train, evaluate, simulate, sweep, bench. Every
 command is driven by one ExperimentConfig (JSON via --config, defaults
 otherwise); --seed and --out override the corresponding config fields.
 
-Exit codes: 0 success, 1 usage error, 2 data or spec error, 3 numeric or
-state failure.
+Exit codes: 0 success, 1 usage error, 2 data, spec or I/O error, 3 numeric
+or state failure.
 
 Wall-clock measurements (bench and sweep timings) land in separate
 ``*_timing`` files; every other CSV/JSON output is a pure function of the
@@ -83,17 +83,6 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _ensure_parent(path)
-    write_json(path, payload)
-
-
 def _dataset_paths(cfg: ExperimentConfig, reverse: bool) -> tuple[str, str]:
     """(training path, evaluation path); --reverse swaps their roles."""
     train_path, test_path = cfg.train_data_path(), cfg.test_data_path()
@@ -132,7 +121,6 @@ def _write_dataset(cfg: ExperimentConfig, job) -> int:
     ds = generate_dataset(excitation.render(cfg.dt), cfg.build_actuator(),
                           cfg.build_reservoir(), cfg.fprc_params().k_in,
                           cfg.plant.reservoir.input_range)
-    _ensure_parent(path)
     ds.save_csv(path)
     return len(ds)
 
@@ -153,12 +141,12 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     train_ds = _load_dataset(_dataset_paths(cfg, args.reverse)[0])
     trainer = _trainer(cfg, kind)
     model, report = training.kfold_cv(train_ds, trainer, k=cfg.cv_folds)
-    artifact = cfg.model_artifact_path(kind)
-    _ensure_parent(artifact)
-    model.save(artifact)
+    # the report makes models/, which the artifact shares and np.savez does not make
     report_path = os.path.join(cfg.out_dir, "models", f"{kind}_cv")
-    _write_json(report_path + ".json", report.to_dict())
+    write_json(report_path + ".json", report.to_dict())
     report.to_csv(report_path + ".csv")
+    artifact = cfg.model_artifact_path(kind)
+    model.save(artifact)
     print(f"trained {kind}: best fold {report.best_index} "
           f"(e_train={report.folds[report.best_index].e_train:.4f} kPa, "
           f"e_val={report.folds[report.best_index].e_val:.4f} kPa)")
@@ -177,7 +165,7 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
                "reverse": bool(args.reverse)}
     path = os.path.join(cfg.out_dir, "reports",
                         f"evaluate_{kind}{'_reverse' if args.reverse else ''}.json")
-    _write_json(path, payload)
+    write_json(path, payload)
     print(f"{kind} RMSE on {payload['dataset']} dataset: {e:.4f} kPa")
     print(f"wrote {path}")
     return 0
@@ -216,7 +204,6 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     # a scenario named twice runs once: two workers must not write one file
     scenarios = tuple(dict.fromkeys(args.scenario or control.SCENARIO_NAMES))
     log_dir = os.path.join(cfg.out_dir, "reports", "runlogs")
-    os.makedirs(log_dir, exist_ok=True)
     results = dict(zip(scenarios, fork_map(
         functools.partial(_simulate_scenario, cfg, model, log_dir), scenarios)))
     runs = {key: run for scenario_runs, _ in results.values()
@@ -227,7 +214,7 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
         payload["disturbance"] = results["disturbance"][1]
     payload["clamp_steps"] = {f"{m}/{s}": runs[(m, s)].clamp_steps for (m, s) in sorted(runs)}
     report_path = os.path.join(cfg.out_dir, "reports", "tracking")
-    _write_json(report_path + ".json", payload)
+    write_json(report_path + ".json", payload)
     control.report_to_csv(table, report_path + ".csv")
     for method in control.METHOD_NAMES:
         row = " ".join(f"{s}={table[method][s]:.3f}" for s in control.REPORT_SCENARIOS)
@@ -240,9 +227,8 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
     train_ds, test_ds = map(_load_dataset, _dataset_paths(cfg, args.reverse))
     result = training.run_sweep(args.axis, args.values, cfg, train_ds, test_ds, k=cfg.cv_folds)
     base = os.path.join(cfg.out_dir, "reports", f"sweep_{args.axis}")
-    _ensure_parent(base + ".csv")
     result.to_csv(base + ".csv", include_timings=False)
-    _write_json(base + ".json", result.to_dict())
+    write_json(base + ".json", result.to_dict())
     result.to_csv(base + "_timing.csv", include_timings=True)
     n_failed = sum(1 for c in result.cells if c.status != "ok")
     print(f"sweep {args.axis}: {len(result.cells)} cells, {n_failed} failed")
@@ -262,8 +248,8 @@ def cmd_bench(args, cfg: ExperimentConfig) -> int:
               f"train {result.train_time_mean * 1e3:8.1f} ms  "
               f"test {result.test_time_mean * 1e3:8.1f} ms")
     report_dir = os.path.join(cfg.out_dir, "reports")
-    _write_json(os.path.join(report_dir, "bench_metrics.json"), metrics)
-    _write_json(os.path.join(report_dir, "bench_timing.json"), timing)
+    write_json(os.path.join(report_dir, "bench_metrics.json"), metrics)
+    write_json(os.path.join(report_dir, "bench_timing.json"), timing)
     print(f"wrote {os.path.join(report_dir, 'bench_metrics.json')}")
     return 0
 
@@ -291,7 +277,7 @@ def main(argv=None) -> int:
     except PneurcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
                      NumericError)
 from .plant import INPUT_PRESSURE_LIMIT, DisturbanceSpec, Plant, plant_step
-from .signals import TimeSeries, format_float, read_csv, write_csv
+from .signals import TimeSeries, read_csv, write_csv
 
 # run-log CSV columns in file order, each mapped to the RunLog attribute it holds
 RUN_LOG_COLUMNS = {"t_s": "t", "theta_d_deg": "theta_d", "theta_deg": "theta",
@@ -269,9 +269,6 @@ def disturbance_window_rmse(log: RunLog, window: tuple, settle_time: float = 2.0
 
 
 def report_to_csv(table: dict, path) -> None:
-    lines = ["method," + ",".join(REPORT_SCENARIOS)]
-    for method in METHOD_NAMES:
-        row = table[method]
-        lines.append(method + "," + ",".join(format_float(row[s]) for s in REPORT_SCENARIOS))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv([(path, "method," + ",".join(REPORT_SCENARIOS),
+                [list(METHOD_NAMES)] + [[table[m][s] for m in METHOD_NAMES]
+                                        for s in REPORT_SCENARIOS])])

@@ -48,11 +48,14 @@ def decoding(path):
     """Report a failure to decode the file at ``path`` as InvalidDataError.
 
     Wraps the reading of a model artifact: malformed JSON, missing keys,
-    unknown parameters and damaged archives all name the file. Errors the
+    unknown parameters and damaged archives all name the file, and so does
+    a parameter out of its range (InvalidSpecError). Other errors the
     package raises itself pass through unchanged.
     """
     try:
         yield
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(f"{path}: {exc}") from exc
     except PneurcError:
         raise
     except (ValueError, KeyError, TypeError, IndexError, EOFError,

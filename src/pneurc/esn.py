@@ -372,7 +372,14 @@ class TrainedEsn:
             if "format_version" not in data or int(data["format_version"][0]) != 2:
                 raise InvalidDataError(f"{path}: unsupported ESN artifact format")
             params = EsnParams(**json.loads(data["params"].item()))
-            model = EsnModel(params=params, w_input=data["w_input"],
-                             w_reservoir=data["w_reservoir"],
-                             state=np.zeros(params.reservoir_size), w_out=data["w_out"])
+            r = params.reservoir_size
+            shapes = {"w_input": (r,), "w_reservoir": (r, r), "w_out": (1 + params.n_y + r,)}
+            weights = {name: data[name] for name in shapes}  # each access reads the archive
+            for name, shape in shapes.items():
+                if weights[name].shape != shape:
+                    raise InvalidDataError(f"{path}: {name} has shape "
+                                           f"{weights[name].shape}, expected {shape}")
+                if not np.all(np.isfinite(weights[name])):
+                    raise InvalidDataError(f"{path}: {name} weights must all be finite")
+            model = EsnModel(params=params, state=np.zeros(r), **weights)
         return cls(model)

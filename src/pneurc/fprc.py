@@ -53,7 +53,7 @@ class FprcParams(FprcConfig):
     input_limit: float = INPUT_PRESSURE_LIMIT
 
     def __post_init__(self):
-        if self.k_in <= 0.0:
+        if not (self.k_in > 0.0):
             raise InvalidSpecError("k_in must be positive")
         if not (0.0 < self.epsilon <= 1.0):
             raise InvalidSpecError("epsilon must lie in (0, 1]")
@@ -61,7 +61,7 @@ class FprcParams(FprcConfig):
             raise InvalidSpecError("n_u and n_y must be >= 1")
         if self.n_c < 1:
             raise InvalidSpecError("n_c must be >= 1")
-        if self.sigma <= 0.0:
+        if not (self.sigma > 0.0):
             raise InvalidSpecError("sigma must be positive")
         if self.filter_init not in FILTER_INIT_MODES:
             raise InvalidSpecError(f"filter_init must be one of {FILTER_INIT_MODES}")
@@ -204,10 +204,13 @@ class FprcModel:
                 doc = json.load(fh)
             if not isinstance(doc, dict) or doc.get("format_version") != 1:
                 raise InvalidDataError(f"{path}: unsupported model artifact format")
+            if doc["kind"] not in ("fprc", "fuzzy-linear"):
+                raise InvalidDataError(f"{path}: unknown model kind {doc['kind']!r}")
             params = FprcParams(**doc["params"])
-            ruleset = FuzzyRuleSet(centers=np.array(doc["centers"]),
-                                   w_out=np.array(doc["w_out"]),
-                                   sigma=params.sigma)
+            centers, w_out = np.array(doc["centers"], float), np.array(doc["w_out"], float)
+            if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(w_out))):
+                raise InvalidDataError(f"{path}: model weights must all be finite")
+            ruleset = FuzzyRuleSet(centers=centers, w_out=w_out, sigma=params.sigma)
             return cls(params, ruleset, reservoir_features=(doc["kind"] == "fprc"))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 from array import array
 from dataclasses import dataclass
 
@@ -30,9 +31,17 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
+def _open_for_writing(path):
+    """``path`` opened for ASCII text with Unix line ends, its directory made first."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    return open(path, "w", encoding="ascii", newline="\n")
+
+
 def write_json(path, payload) -> None:
     """Write ``payload`` as indented JSON with sorted keys and a final newline."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _open_for_writing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -45,11 +54,11 @@ def write_csv(files) -> None:
     one comma-joined line per row of the columns.
 
     Every column of every file has one length. Floats are written as
-    ``format_float`` writes them, integers as plain integers. The files are
-    written in one pass, ``CSV_BLOCK_ROWS`` rows at a time, so the
-    temporaries do not grow with the record; within a block, columns of
-    equal dtype and bytes (a run's clock in each of a scenario's logs, the
-    feedforward two runs replay) are turned into strings once.
+    ``format_float`` writes them, integers as plain integers and strings as
+    they are. The files are written in one pass, ``CSV_BLOCK_ROWS`` rows at
+    a time, so the temporaries do not grow with the record; within a block,
+    columns of equal dtype and bytes (a run's clock in each of a scenario's
+    logs, the feedforward two runs replay) are turned into strings once.
     """
     files = [(path, header, [np.asarray(c) for c in columns])
              for path, header, columns in files]
@@ -57,8 +66,7 @@ def write_csv(files) -> None:
     if any(len(c) != n for _, _, columns in files for c in columns):
         raise DimensionError("CSV columns must all have one length")
     with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "w", encoding="ascii", newline="\n"))
-                   for path, _, _ in files]
+        handles = [stack.enter_context(_open_for_writing(path)) for path, _, _ in files]
         for fh, (_, header, _) in zip(handles, files):
             fh.write(header + "\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
@@ -69,7 +77,8 @@ def write_csv(files) -> None:
                     block = c[lo:lo + CSV_BLOCK_ROWS]
                     key = (block.dtype, block.tobytes())
                     if key not in strings:
-                        strings[key] = list(map(repr, block.tolist()))
+                        strings[key] = (block.tolist() if block.dtype.kind == "U"
+                                        else list(map(repr, block.tolist())))
                     strs.append(strings[key])
                 fh.write("\n".join(map(",".join, zip(*strs))) + "\n")
 

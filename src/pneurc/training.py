@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DegenerateRangeError, DimensionError, InvalidDataError,
                      InvalidSpecError, NumericError)
 from .parallel import fork_map
-from .signals import format_float
+from .signals import write_csv
 
 EPSILON_SWEEP = (1.0, 0.1, 0.01, 1e-3, 1e-4)
 CLUSTER_SWEEP = (1, 2, 4, 8, 16)
@@ -129,12 +129,9 @@ class CvReport:
         }
 
     def to_csv(self, path) -> None:
-        lines = ["fold,e_train,e_val,e_bar,selected"]
-        for f in self.folds:
-            lines.append(f"{f.index},{format_float(f.e_train)},{format_float(f.e_val)},"
-                         f"{format_float(f.e_bar)},{int(f.index == self.best_index)}")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = [(f.index, f.e_train, f.e_val, f.e_bar, int(f.index == self.best_index))
+                for f in self.folds]
+        write_csv([(path, "fold,e_train,e_val,e_bar,selected", list(zip(*rows)))])
 
 
 def contiguous_folds(n: int, k: int) -> list:
@@ -318,31 +315,15 @@ class SweepResult:
     axis: str
     cells: list = field(default_factory=list)
 
-    def _setting_keys(self):
-        keys = []
-        for c in self.cells:
-            for k in c.settings:
-                if k not in keys:
-                    keys.append(k)
-        return keys
-
     def to_csv(self, path, include_timings: bool = False) -> None:
-        keys = self._setting_keys()
-        cols = keys + ["status", "e_train_mean", "e_train_sd", "e_val_mean", "e_val_sd", "e_test"]
+        # every cell of a grid has the same settings keys
+        keys = list(self.cells[0].settings) if self.cells else []
+        fields = ["status", "e_train_mean", "e_train_sd", "e_val_mean", "e_val_sd", "e_test"]
         if include_timings:
-            cols += ["train_time_s", "test_time_s"]
-        lines = [",".join(cols)]
-        for c in self.cells:
-            row = [format_float(c.settings.get(k)) if isinstance(c.settings.get(k), float)
-                   else str(c.settings.get(k, "")) for k in keys]
-            row += [c.status] + [format_float(v) for v in
-                                 (c.e_train_mean, c.e_train_sd,
-                                  c.e_val_mean, c.e_val_sd, c.e_test)]
-            if include_timings:
-                row += [format_float(c.train_time_s), format_float(c.test_time_s)]
-            lines.append(",".join(row))
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fields += ["train_time_s", "test_time_s"]
+        columns = ([[c.settings[k] for c in self.cells] for k in keys]
+                   + [[getattr(c, f) for c in self.cells] for f in fields])
+        write_csv([(path, ",".join(keys + fields), columns)])
 
     def to_dict(self) -> dict:
         return {"axis": self.axis, "cells": [

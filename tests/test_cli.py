@@ -420,7 +420,20 @@ def _unknown_param(good: str) -> str:
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("corrupt", [_truncated_json, _without_params, _unknown_param])
+def _nan_weight(good: str) -> str:
+    doc = json.loads(good)
+    doc["w_out"][0][0] = math.nan
+    return json.dumps(doc)
+
+
+def _nan_sigma(good: str) -> str:
+    doc = json.loads(good)
+    doc["params"]["sigma"] = math.nan
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [_truncated_json, _without_params, _unknown_param,
+                                     _nan_weight, _nan_sigma])
 def test_corrupt_fprc_artifact_exits_2(workspace, tmp_path, capsys, corrupt):
     good = (workspace["out"] / "models" / "fprc.json").read_text()
     bad = tmp_path / "fprc.json"
@@ -481,3 +494,101 @@ def test_v1_esn_artifact_exits_2(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{bad}: unsupported ESN artifact format" in err
+
+
+def test_unknown_artifact_kind_exits_2(workspace, tmp_path, capsys):
+    args = _out_with(workspace, tmp_path / "out", "data/train.csv", "data/test.csv")
+    assert main([*args, "train", "--model", "fuzzy-linear"]) == 0
+    path = tmp_path / "out" / "models" / "fuzzy-linear.json"
+    doc = json.loads(path.read_text())
+    doc["kind"] = "esn"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([*args, "evaluate", "--model", "fuzzy-linear"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{path}: unknown model kind 'esn'" in err
+    assert not (tmp_path / "out" / "reports").exists()
+
+
+def _save_esn_artifact(cfg: ExperimentConfig, path, **weights) -> None:
+    """An ESN artifact of ``cfg``'s shape with zero weights, some replaced."""
+    params = cfg.esn_params()
+    r = params.reservoir_size
+    arrays = {"w_input": np.zeros(r), "w_reservoir": np.zeros((r, r)),
+              "w_out": np.zeros(1 + params.n_y + r)}
+    arrays.update(weights)
+    np.savez(path, format_version=np.array([2]),
+             params=np.array(json.dumps(dataclasses.asdict(params), sort_keys=True)), **arrays)
+
+
+@pytest.mark.parametrize("name, weights, message", [
+    ("w_input", np.zeros(39), "w_input has shape (39,), expected (40,)"),
+    ("w_reservoir", np.zeros((40, 39)), "w_reservoir has shape (40, 39), expected (40, 40)"),
+    ("w_out", np.zeros(45), "w_out has shape (45,), expected (46,)"),
+    ("w_out", np.full(46, math.nan), "w_out weights must all be finite"),
+    ("w_reservoir", np.full((40, 40), math.inf), "w_reservoir weights must all be finite"),
+])
+def test_damaged_esn_weights_exit_2(workspace, tmp_path, capsys, name, weights, message):
+    args = _out_with(workspace, tmp_path / "out", "data/test.csv")
+    path = tmp_path / "esn.npz"
+    _save_esn_artifact(workspace["cfg"], path, **{name: weights})
+    assert main([*args, "evaluate", "--model", "esn", "--model-artifact", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{path}: {message}" in err
+    assert not (tmp_path / "out" / "reports").exists()
+
+
+@pytest.mark.parametrize("case", ["out is a file", "fprc artifact is a directory",
+                                  "esn artifact is a directory",
+                                  "simulate artifact is a directory",
+                                  "train_data is a directory"])
+def test_os_error_exits_2(workspace, tmp_path, capsys, case):
+    args = ["--config", workspace["cfg_path"], "--out", str(tmp_path / "out")]
+    if case == "out is a file":
+        (tmp_path / "out").write_text("")
+        command = ["generate"]
+    elif case == "train_data is a directory":
+        cfg = dataclasses.replace(workspace["cfg"], train_data=str(tmp_path / "data"))
+        (tmp_path / "data").mkdir()
+        cfg.to_json(tmp_path / "config.json")
+        args[1] = str(tmp_path / "config.json")
+        command = ["train"]
+    else:
+        args = _out_with(workspace, tmp_path / "out", "data/test.csv")
+        command = {"fprc": ["evaluate", "--model", "fprc"],
+                   "esn": ["evaluate", "--model", "esn"],
+                   "simulate": ["simulate"]}[case.split()[0]]
+        command += ["--model-artifact", str(tmp_path)]
+    assert main([*args, *command]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+def test_commands_make_their_output_directories(workspace, tmp_path):
+    # the datasets and the artifact read live outside each fresh --out
+    cfg = dataclasses.replace(workspace["cfg"], train_data=workspace["cfg"].train_data_path(),
+                              test_data=workspace["cfg"].test_data_path())
+    cfg.to_json(tmp_path / "config.json")
+    fprc = str(workspace["out"] / "models" / "fprc.json")
+    runs = [(["train", "--model", "esn"], ["models/esn.npz", "models/esn_cv.json",
+                                           "models/esn_cv.csv"]),
+            (["train", "--model", "fprc"], ["models/fprc.json", "models/fprc_cv.json",
+                                            "models/fprc_cv.csv"]),
+            (["evaluate", "--model-artifact", fprc], ["reports/evaluate_fprc.json"]),
+            (["simulate", "--scenario", "sine02", "--scenario", "sine05",
+              "--model-artifact", fprc], ["reports/runlogs/sine02_pd.csv",
+                                          "reports/runlogs/sine05_pd.csv",
+                                          "reports/tracking.json", "reports/tracking.csv"]),
+            (["sweep", "--axis", "epsilon", "--values", "0.1"],
+             ["reports/sweep_epsilon.csv", "reports/sweep_epsilon.json",
+              "reports/sweep_epsilon_timing.csv"]),
+            (["bench"], ["reports/bench_metrics.json", "reports/bench_timing.json"])]
+    for i, (command, outputs) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert main(["--config", str(tmp_path / "config.json"), "--out", str(out),
+                     *command]) == 0, command
+        for name in outputs:
+            assert (out / name).is_file(), name

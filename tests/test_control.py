@@ -319,10 +319,10 @@ def test_report_to_csv(tmp_path):
     table = tracking_report({("fprc", "sine02"): log})
     path = tmp_path / "tracking.csv"
     report_to_csv(table, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "method,sine02,sine05,chirp,complex"
-    assert len(lines) == 4
-    assert lines[1].startswith("fprc,3.0,nan,")
+    assert path.read_text() == ("method,sine02,sine05,chirp,complex\n"
+                                "fprc,3.0,nan,nan,nan\n"
+                                "fprc+pd,nan,nan,nan,nan\n"
+                                "pd,nan,nan,nan,nan\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from pneurc.errors import (DegenerateRangeError, DimensionError,
                            InvalidDataError, InvalidSpecError, NumericError)
 from pneurc.esn import EsnParams, EsnTrainer, TrainedEsn
 from pneurc.fprc import FprcTrainer
-from pneurc.training import (BenchmarkResult, CvReport, FoldResult, Trainer,
-                             benchmark_execution, contiguous_folds, kfold_cv,
-                             normalize_minmax, ridge_solve, rmse, run_sweep,
-                             weight_contributions)
+from pneurc.training import (BenchmarkResult, CvReport, FoldResult, SweepCell,
+                             SweepResult, Trainer, benchmark_execution,
+                             contiguous_folds, kfold_cv, normalize_minmax,
+                             ridge_solve, rmse, run_sweep, weight_contributions)
 
 
 def brute_force_ridge(X, y, alpha, s=None):
@@ -375,10 +375,9 @@ def test_cv_report_csv(tmp_path):
                    best_index=1)
     path = tmp_path / "cv.csv"
     rep.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "fold,e_train,e_val,e_bar,selected"
-    assert lines[1].startswith("0,1.0,2.0,") and lines[1].endswith(",0")
-    assert lines[2].endswith(",1")
+    assert path.read_text() == ("fold,e_train,e_val,e_bar,selected\n"
+                                "0,1.0,2.0,2.23606797749979,0\n"
+                                "1,0.5,0.5,0.7071067811865476,1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +440,40 @@ def test_sweep_failed_cell_is_recorded(default_config, train_dataset, test_datas
     assert np.isnan(result.cells[1].e_test)
 
 
-def test_sweep_csv_excludes_timings_by_default(tmp_path, default_config,
-                                               train_dataset, test_dataset):
-    result = run_sweep("epsilon", [0.01], default_config,
-                       train_dataset.slice(0, 4000), test_dataset.slice(0, 2000), k=2)
+def test_sweep_csv_excludes_timings_by_default(tmp_path):
+    # a clusters grid has a string and an int column; a failed cell reads nan
+    clusters = SweepResult("clusters", [
+        SweepCell({"model": "fprc", "n_c": 2}, "ok", 0.1 + 0.2, 0.5, 12.0, 1e-05, 3.25,
+                  1.5, 2.5e-4),
+        SweepCell({"model": "fuzzy-linear", "n_c": 16}, "ok", 1.0, 0.0, 2.0, 0.125, 7.0,
+                  0.75, 3e-3)])
+    epsilon = SweepResult("epsilon", [
+        SweepCell({"epsilon": 0.01}, "ok", 4.5, 0.25, 166.8, 76.9, 89.8, 0.05, 0.001),
+        SweepCell({"epsilon": 2.0}, "failed", message="InvalidSpecError: epsilon")])
     plain = tmp_path / "sweep.csv"
     timed = tmp_path / "sweep_timing.csv"
-    result.to_csv(plain)
-    result.to_csv(timed, include_timings=True)
-    assert "train_time_s" not in plain.read_text()
-    assert "train_time_s" in timed.read_text()
+    clusters.to_csv(plain)
+    clusters.to_csv(timed, include_timings=True)
+    assert plain.read_text() == (
+        "model,n_c,status,e_train_mean,e_train_sd,e_val_mean,e_val_sd,e_test\n"
+        "fprc,2,ok,0.30000000000000004,0.5,12.0,1e-05,3.25\n"
+        "fuzzy-linear,16,ok,1.0,0.0,2.0,0.125,7.0\n")
+    assert timed.read_text() == (
+        "model,n_c,status,e_train_mean,e_train_sd,e_val_mean,e_val_sd,e_test,"
+        "train_time_s,test_time_s\n"
+        "fprc,2,ok,0.30000000000000004,0.5,12.0,1e-05,3.25,1.5,0.00025\n"
+        "fuzzy-linear,16,ok,1.0,0.0,2.0,0.125,7.0,0.75,0.003\n")
+    epsilon.to_csv(plain)
+    epsilon.to_csv(timed, include_timings=True)
+    assert plain.read_text() == (
+        "epsilon,status,e_train_mean,e_train_sd,e_val_mean,e_val_sd,e_test\n"
+        "0.01,ok,4.5,0.25,166.8,76.9,89.8\n"
+        "2.0,failed,nan,nan,nan,nan,nan\n")
+    assert timed.read_text() == (
+        "epsilon,status,e_train_mean,e_train_sd,e_val_mean,e_val_sd,e_test,"
+        "train_time_s,test_time_s\n"
+        "0.01,ok,4.5,0.25,166.8,76.9,89.8,0.05,0.001\n"
+        "2.0,failed,nan,nan,nan,nan,nan,nan,nan\n")
 
 
 # ---------------------------------------------------------------------------
