@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import sys
 
@@ -160,6 +161,8 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     model = _load_model(cfg, kind, args.model_artifact)
     yhat, y = model.evaluate(eval_ds)
     e = training.rmse(yhat, y)
+    if not math.isfinite(e):
+        raise NumericError(f"RMSE of the {kind} model on the evaluation dataset is {e}")
     payload = {"model": kind, "rmse_kpa": e, "n_rows": int(len(y)),
                "dataset": ("train" if args.reverse else "test"),
                "reverse": bool(args.reverse)}

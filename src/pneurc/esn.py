@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class EsnParams(EsnConfig):
             raise InvalidSpecError(f"weight_distribution must be one of {WEIGHT_DISTRIBUTIONS}")
         if self.seed < 0:
             raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
-
-    def replace(self, **kw) -> "EsnParams":
-        return replace(self, **kw)
 
 
 def spectral_radius_power_iteration(w: np.ndarray, tol: float = 1e-8,

@@ -209,10 +209,6 @@ class FuzzyRuleSet:
         _check_center_separation(self.centers)
 
     @property
-    def n_rules(self) -> int:
-        return self.centers.shape[0]
-
-    @property
     def state_dim(self) -> int:
         return self.centers.shape[1]
 

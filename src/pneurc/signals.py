@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from array import array
 from dataclasses import dataclass
@@ -39,10 +40,20 @@ def _open_for_writing(path):
     return open(path, "w", encoding="ascii", newline="\n")
 
 
+def _null_non_finite(value):
+    """``value`` with every NaN or infinite float in it replaced by None."""
+    if isinstance(value, dict):
+        return {k: _null_non_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_non_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, payload) -> None:
-    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    """Write ``payload`` as strict JSON: indented, keys sorted, a final
+    newline, and a non-finite float as ``null``."""
     with _open_for_writing(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_null_non_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

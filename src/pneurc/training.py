@@ -157,9 +157,9 @@ class Trainer:
 
     ``rejoin(record, spine, at)`` may return fewer rows than ``states``:
     the first rows of ``states(record)``, ending where the rest equal
-    ``spine``'s rows bit for bit. ``spine`` is the (X, y) of another cold
-    run over the same series, whose row r holds sample ``at + r`` of the
-    record (``at`` may be negative). The default never rejoins.
+    ``spine``'s rows bit for bit. ``spine`` is the ``states`` of the
+    series the record was cut from; its row r holds sample ``at + r`` of
+    the record (``at`` may be negative). The default never rejoins.
     """
 
     def rejoin(self, record, spine, at: int):
@@ -192,65 +192,54 @@ def kfold_cv(dataset, trainer, k: int = 5):
     lower index.
 
     Every training segment and validation block starts cold at a fold edge
-    e_j and is a prefix of the run from e_j to the end, so each of those k
-    runs is computed once: run 0 up to e_{k-1}, the others to the end.
-    Fold i trains on run 0 up to e_i followed by run i+1, and validates on
-    the first e_{i+1} - e_i samples of run i.
+    e_j and is a prefix of run j, the run from e_j to the end, so each of
+    the k runs is computed once. Fold i trains on run 0 up to e_i followed
+    by run i+1, and validates on the first e_{i+1} - e_i samples of run i.
 
-    Run 1, the spine, is computed first and in full; it covers every later
-    run and overlaps run 0 on [e_1, e_{k-1}). The other runs come from
-    ``trainer.rejoin``, which may stop a run where its rows start to equal
-    the spine's bit for bit (an ESN's state forgets its cold start); the
-    run's later rows are then read from the spine. Equal means equal bytes,
-    so the folds are exactly those of runs driven to their ends. A trainer
-    that drives a reservoir thus steps it (n - e_1) + sum_{j != 1} r_j
-    times, where r_j is the number of samples run j takes to rejoin the
-    spine, or its length if it never does: at most e_{k-1} + sum_{j>=1}
-    (n - e_j), 2.8 n at k = 5.
-    At most the spine, run 0's own rows, one later run's own rows, one
-    fold's stacked rows and two validation blocks are held at once.
+    Run 0, the spine, is the whole record driven from sample 0; it covers
+    every later run. Runs j >= 1 come from ``trainer.rejoin``, which may
+    stop a run where its rows start to equal the spine's bit for bit (an
+    ESN's state forgets its cold start); the run's later rows are then
+    read from the spine. Equal means equal bytes, so the folds are exactly
+    those of runs driven to their ends. A trainer that drives a reservoir
+    thus steps it n + sum_{j>=1} r_j times, where r_j is the number of
+    samples run j takes to rejoin the spine, or its length if it never
+    does: at most n + sum_{j>=1} (n - e_j), 3.0 n at k = 5.
+    At most the spine, one later run's own rows, one fold's stacked rows
+    and two validation blocks are held at once.
 
     Returns (best_model, CvReport).
     """
     n = len(dataset)
     edges = [lo for lo, _ in contiguous_folds(n, k)] + [n]
-    spine = trainer.states(dataset.slice(edges[1], n))
-    washout = n - edges[1] - len(spine[1])
+    spine = trainer.states(dataset)  # row r holds sample washout + r
+    washout = n - len(spine[1])
     for i in range(k):
         size = edges[i + 1] - edges[i]
         if size <= washout:
             raise InvalidDataError(f"fold {i} holds {size} samples, which leaves no rows "
                                    f"after washout {washout}")
-    start = edges[1] + washout  # the sample of the spine's first row
 
-    def run(j):
-        """Run j's own rows: those before it rejoins the spine."""
-        if j == 1:
-            return spine[0][:0], spine[1][:0]
-        stop = edges[k - 1] if j == 0 else n
-        return trainer.rejoin(dataset.slice(edges[j], stop), spine, start - edges[j])
-
-    def rows(j, own, stop):
-        """Parts holding run j's rows for samples [e_j + washout, stop)."""
+    def rows(j, stop, own=((), ())):
+        """Run j's rows for samples [e_j + washout, stop): ``own``, then the spine's."""
         m = min(len(own[1]), stop - edges[j] - washout)
-        lo, hi = edges[j] + washout + m - start, stop - start
         parts = [(own[0][:m], own[1][:m])] if m > 0 else []
+        lo, hi = edges[j] + m, stop - washout
         if hi > lo:
             parts.append((spine[0][lo:hi], spine[1][lo:hi]))
         return parts
 
-    own0 = run(0)
-    val = _stack(rows(0, own0, edges[1]), copy=True)
+    val = _stack(rows(0, edges[1]))  # run 0 is the spine: it has no rows of its own
     results = []
     models = []
     for i in range(k):
-        parts = rows(0, own0, edges[i]) if i > 0 else []
+        parts = rows(0, edges[i])
         next_val = None
         if i + 1 < k:
-            own = run(i + 1)
-            next_val = _stack(rows(i + 1, own, edges[i + 2]), copy=True)
-            parts += rows(i + 1, own, n)
-            del own  # its rows live on in X and next_val only
+            run = trainer.rejoin(dataset.slice(edges[i + 1], n), spine, washout - edges[i + 1])
+            next_val = _stack(rows(i + 1, edges[i + 2], run), copy=True)
+            parts += rows(i + 1, n, run)
+            del run  # its rows live on in X and next_val only
         X, y = _stack(parts)
         del parts
         model = trainer.fit_states(X, y, fold=i)

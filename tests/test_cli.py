@@ -3,17 +3,24 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pneurc import cli, esn
 from pneurc.cli import main
-from pneurc.config import (EsnConfig, ExperimentConfig, SignalsConfig)
+from pneurc.config import (MODEL_KINDS, EsnConfig, ExperimentConfig, SignalsConfig)
 from pneurc.datasets import Dataset
+from pneurc.fprc import FILTER_INIT_MODES
+from pneurc.plant import DISTURBANCE_MODES
+from pneurc.signals import SIGNAL_KINDS
 
 
 def small_config(out_dir: str) -> ExperimentConfig:
@@ -130,7 +137,7 @@ def test_simulate_single_scenario(workspace):
     tracking = json.loads((out / "reports" / "tracking.json").read_text())
     table = tracking["tracking_rmse_deg"]
     assert np.isfinite(table["fprc+pd"]["sine05"])
-    assert np.isnan(table["fprc+pd"]["chirp"])  # not simulated this run
+    assert table["fprc+pd"]["chirp"] is None  # not simulated this run
     assert "disturbance" not in tracking
     assert set(tracking["clamp_steps"]) == {"fprc/sine05", "fprc+pd/sine05",
                                             "pd/sine05"}
@@ -165,6 +172,34 @@ def test_sweep(workspace):
     doc = json.loads((base.parent / "sweep_epsilon.json").read_text())
     assert [c["settings"]["epsilon"] for c in doc["cells"]] == [0.01, 0.1]
     assert all(c["status"] == "ok" for c in doc["cells"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_sweep_json_of_a_failed_cell_is_strict(workspace, tmp_path):
+    args = _out_with(workspace, tmp_path / "out", "data/train.csv", "data/test.csv")
+    assert main([*args, "sweep", "--axis", "epsilon", "--values", "0.01", "2.0"]) == 0
+    text = (tmp_path / "out" / "reports" / "sweep_epsilon.json").read_text()
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert [c["status"] for c in doc["cells"]] == ["ok", "failed"]
+    assert doc["cells"][1]["e_test"] is None
+
+
+def test_evaluate_non_finite_rmse_exits_3(workspace, tmp_path, capsys):
+    # finite weights, so the loader takes them, that overflow in the readout
+    args = _out_with(workspace, tmp_path / "out", "data/test.csv")
+    doc = json.loads((workspace["out"] / "models" / "fprc.json").read_text())
+    doc["w_out"] = np.full(np.shape(doc["w_out"]), 1e308).tolist()
+    path = tmp_path / "fprc.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        assert main([*args, "evaluate", "--model-artifact", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("numeric failure: RMSE of the fprc model")
+    assert not (tmp_path / "out" / "reports" / "evaluate_fprc.json").exists()
 
 
 def test_simulate_runs_a_repeated_scenario_once(workspace, tmp_path, monkeypatch):
@@ -340,13 +375,19 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def _leaf_parent(doc, path):
+    """The dict or list that holds the value at a key path of a config
+    document, and the value's key in it."""
+    *parents, name = path
+    for part in parents:
+        doc = doc[part]
+    return doc, name
+
+
 def _generate_with_config_value(tmp_path, key, value):
     """Exit code of ``generate`` on the default config with one leaf replaced."""
     doc = ExperimentConfig().to_dict()
-    *parents, name = key.split(".")
-    section = doc
-    for part in parents:
-        section = section[part]
+    section, name = _leaf_parent(doc, key.split("."))
     section[name] = value
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
@@ -592,3 +633,74 @@ def test_commands_make_their_output_directories(workspace, tmp_path):
                      *command]) == 0, command
         for name in outputs:
             assert (out / name).is_file(), name
+
+
+def fuzz_config(out_dir: str) -> dict:
+    """The config document of a pipeline whose commands take a fraction of
+    a second: signals of a few seconds, a 10-unit ESN and two folds."""
+    base = small_config(out_dir)
+    signals = SignalsConfig(
+        train_excitation=dataclasses.replace(base.signals.train_excitation, duration=4.0),
+        test_excitation=dataclasses.replace(base.signals.test_excitation, duration=2.0),
+        scenarios={name: dataclasses.replace(spec, duration=4.0 if name == "disturbance" else 2.0)
+                   for name, spec in base.signals.scenarios.items()},
+    )
+    return dataclasses.replace(
+        base, signals=signals,
+        model=dataclasses.replace(base.model, esn=EsnConfig(reservoir_size=10, washout=20),
+                                  fprc=dataclasses.replace(base.model.fprc, fcm_max_iter=50)),
+        # the report's clean window starts 2 s into the disturbance scenario
+        disturbance=dataclasses.replace(base.disturbance, t_start=2.5, t_end=3.5),
+    ).to_dict()
+
+
+def _config_leaves(doc, path=()):
+    """Key paths of every value in a config document, lists and their items
+    included; the three file paths are left out, so that outputs stay in
+    ``out_dir``."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key not in ("out_dir", "train_data", "test_data"):
+                yield from _config_leaves(value, path + (key,))
+        return
+    yield path
+    if isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from _config_leaves(item, path + (i,))
+
+
+_FUZZ_STRINGS = sorted({"", "x", "deg", "kPa", *SIGNAL_KINDS, *MODEL_KINDS,
+                        *esn.WEIGHT_DISTRIBUTIONS, *FILTER_INIT_MODES, *DISTURBANCE_MODES})
+_FUZZ_SPECIALS = [None, True, "x", math.nan, math.inf, -math.inf, [], {}, [1.0, 2.0, 3.0]]
+
+
+def _fuzz_value(old):
+    """A value to put in place of ``old``: a wrong type, a non-finite number,
+    or a multiple of a number, which keeps signals a few seconds long and
+    reservoirs at 40 units or fewer."""
+    specials = st.sampled_from(_FUZZ_SPECIALS)
+    if isinstance(old, str):
+        return st.sampled_from(_FUZZ_STRINGS) | specials
+    if isinstance(old, (int, float)) and not isinstance(old, bool):
+        scaled = st.sampled_from([-1, 0, 0.5, 2, 4]).map(lambda f: type(old)(old * f))
+        return scaled | st.integers(-1, 3) | specials
+    return st.sampled_from([0, 1, 2.5]) | specials
+
+
+FUZZ_LEAVES = list(_config_leaves(fuzz_config("out")))
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_cli_survives_any_one_config_leaf(data):
+    # every command exits with a documented code, whatever one leaf holds
+    leaf = data.draw(st.sampled_from(FUZZ_LEAVES), label="leaf")
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = fuzz_config(os.path.join(tmp, "out"))
+        section, name = _leaf_parent(doc, leaf)
+        section[name] = data.draw(_fuzz_value(section[name]), label="value")
+        cfg_path = os.path.join(tmp, "config.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(doc, fh)
+        for command in ("generate", "train", "simulate"):
+            assert main(["--config", cfg_path, command]) in (0, 2, 3), command

@@ -185,8 +185,8 @@ def test_kfold_cv_fits_on_complement_segments():
     assert [fold for fold, _ in trainer.fits] == [0, 1, 2, 3]
     for fold, y in trainer.fits:
         np.testing.assert_array_equal(y, np.delete(vals, np.s_[25 * fold:25 * fold + 25]))
-    # one cold start per fold edge: run 0 up to the last edge, the others to the end
-    assert trainer.records == [75, 75, 50, 25]
+    # one cold start per fold edge, each to the end: run 0 is the whole record
+    assert trainer.records == [100, 75, 50, 25]
 
 
 def test_kfold_cv_selects_first_minimal_e_bar():
@@ -265,10 +265,10 @@ def test_kfold_cv_matches_per_fold_reference(kind, k, default_config, small_data
 
 
 def cold_run_lengths(trainer, theta, n, k):
-    """Reservoir steps kfold_cv should take per fold-edge run: run 1 (the
-    spine) to the end; every other run up to the first sample where its
-    cold-started state has the spine's bytes and both runs' angle taps are
-    full, or to its end (run 0 ends at the last fold edge)."""
+    """Reservoir steps kfold_cv should take per fold-edge run: run 0 (the
+    spine) over the whole record; every later run up to the first sample
+    where its cold-started state has the spine's bytes and both runs' angle
+    taps are full, or to its end."""
     p = trainer.params
     edges = [lo for lo, _ in contiguous_folds(n, k)] + [n]
 
@@ -280,18 +280,13 @@ def cold_run_lengths(trainer, theta, n, k):
             esn.esn_update(model, u)
         return out
 
-    spine = states(edges[1], n)  # spine[t - e_1]: the spine's state before sample t
-    lengths = []
-    for j in range(k):
-        stop = edges[k - 1] if j == 0 else n
-        if j == 1:
-            lengths.append(n - edges[1])
-            continue
-        first = max(edges[j], edges[1]) + p.n_y - 1
-        first = max(first, edges[1] + p.washout)  # the spine keeps no washout rows
-        own = states(edges[j], stop)
-        rejoined = [t for t in range(first, stop) if own[t - edges[j]] == spine[t - edges[1]]]
-        lengths.append((rejoined[0] if rejoined else stop) - edges[j])
+    spine = states(0, n)  # spine[t]: the spine's state before sample t
+    lengths = [n]
+    for j in range(1, k):
+        first = max(edges[j] + p.n_y - 1, p.washout)  # the spine keeps no washout rows
+        own = states(edges[j], n)
+        rejoined = [t for t in range(first, n) if own[t - edges[j]] == spine[t]]
+        lengths.append((rejoined[0] if rejoined else n) - edges[j])
     return lengths
 
 
@@ -307,11 +302,8 @@ def count_steps(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("distribution, size, rejoins", [("uniform", 30, True),
-                                                         ("uniform-sym", 120, False)])
-def test_kfold_cv_stops_each_run_where_it_rejoins_the_spine(monkeypatch, small_dataset,
-                                                            distribution, size, rejoins):
-    n, k = 1199, 5
+def check_cv_steps(monkeypatch, small_dataset, distribution, size, k, rejoins):
+    n = 1199
     ds = small_dataset.slice(0, n)
     trainer = EsnTrainer(EsnParams(reservoir_size=size, washout=20, seed=3,
                                    weight_distribution=distribution), alpha=1e-4)
@@ -319,9 +311,21 @@ def test_kfold_cv_stops_each_run_where_it_rejoins_the_spine(monkeypatch, small_d
     calls = count_steps(monkeypatch)
     kfold_cv(ds, trainer, k=k)
     assert len(calls) == sum(expected)
-    # without a rejoin every run is driven to its end, as before the spine
+    # without a rejoin every run is driven to its end
     edges = [lo for lo, _ in contiguous_folds(n, k)]
-    assert (sum(expected) < edges[-1] + sum(n - e for e in edges[1:])) == rejoins
+    assert (sum(expected) < n + sum(n - e for e in edges[1:])) == rejoins
+
+
+@pytest.mark.parametrize("distribution, size, rejoins", [("uniform", 30, True),
+                                                         ("uniform-sym", 120, False)])
+def test_kfold_cv_stops_each_run_where_it_rejoins_the_spine(monkeypatch, small_dataset,
+                                                            distribution, size, rejoins):
+    check_cv_steps(monkeypatch, small_dataset, distribution, size, 5, rejoins)
+
+
+def test_kfold_cv_with_two_folds_stops_run_1_where_it_rejoins_run_0(monkeypatch,
+                                                                     small_dataset):
+    check_cv_steps(monkeypatch, small_dataset, "uniform", 30, 2, True)
 
 
 @st.composite
