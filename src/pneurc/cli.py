@@ -4,8 +4,8 @@ Subcommands: generate, train, evaluate, simulate, sweep, bench. Every
 command is driven by one ExperimentConfig (JSON via --config, defaults
 otherwise); --seed and --out override the corresponding config fields.
 
-Exit codes: 0 success, 1 usage error, 2 data, spec or I/O error, 3 numeric
-or state failure.
+Exit codes: 0 success, 1 usage error, 2 data, spec or I/O error, 3 numeric,
+state or resource failure; a ``PneurcError`` carries its own as ``exit_code``.
 
 Wall-clock measurements (bench and sweep timings) land in separate
 ``*_timing`` files; every other CSV/JSON output is a pure function of the
@@ -23,10 +23,7 @@ import sys
 from . import control, training
 from .config import ExperimentConfig, MODEL_KINDS
 from .datasets import Dataset, generate_dataset
-from .errors import (InvalidDataError, InvalidSpecError, NumericError,
-                     PneurcError, ResourceError, StateError)
-from .esn import EsnTrainer, TrainedEsn
-from .fprc import FprcModel, FprcTrainer
+from .errors import InvalidDataError, InvalidSpecError, NumericError, PneurcError
 from .parallel import fork_map
 from .signals import write_json
 
@@ -96,26 +93,6 @@ def _load_dataset(path: str) -> Dataset:
     return Dataset.load_csv(path)
 
 
-def _trainer(cfg: ExperimentConfig, kind: str):
-    if kind == "esn":
-        return EsnTrainer(cfg.esn_params(), alpha=cfg.model.alpha)
-    if kind == "fprc":
-        return FprcTrainer(cfg.fprc_params(), seed=cfg.seed, reservoir_features=True)
-    if kind == "fuzzy-linear":
-        return FprcTrainer(cfg.fprc_params(), seed=cfg.seed, reservoir_features=False)
-    raise InvalidSpecError(f"unknown model kind {kind!r}")
-
-
-def _load_model(cfg: ExperimentConfig, kind: str, artifact: str | None):
-    path = artifact or cfg.model_artifact_path(kind)
-    if not os.path.exists(path):
-        raise InvalidDataError(f"model artifact {path} not found; run 'pneurc train' first")
-    model = TrainedEsn.load(path) if kind == "esn" else FprcModel.load(path)
-    if model.kind != kind:
-        raise InvalidSpecError(f"{path} holds a {model.kind} model, not {kind}")
-    return model
-
-
 def _write_dataset(cfg: ExperimentConfig, job) -> int:
     """Write the dataset of one (excitation, path) job; returns its row count."""
     excitation, path = job
@@ -140,7 +117,7 @@ def cmd_generate(args, cfg: ExperimentConfig) -> int:
 def cmd_train(args, cfg: ExperimentConfig) -> int:
     kind = args.model or cfg.model.kind
     train_ds = _load_dataset(_dataset_paths(cfg, args.reverse)[0])
-    trainer = _trainer(cfg, kind)
+    trainer = cfg.trainer(kind)
     model, report = training.kfold_cv(train_ds, trainer, k=cfg.cv_folds)
     # the report makes models/, which the artifact shares and np.savez does not make
     report_path = os.path.join(cfg.out_dir, "models", f"{kind}_cv")
@@ -158,7 +135,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
 def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     kind = args.model or cfg.model.kind
     eval_ds = _load_dataset(_dataset_paths(cfg, args.reverse)[1])
-    model = _load_model(cfg, kind, args.model_artifact)
+    model = cfg.load_model(kind, args.model_artifact)
     yhat, y = model.evaluate(eval_ds)
     e = training.rmse(yhat, y)
     if not math.isfinite(e):
@@ -174,11 +151,10 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _simulate_scenario(cfg: ExperimentConfig, model: FprcModel, log_dir: str,
-                       scenario: str):
+def _simulate_scenario(cfg: ExperimentConfig, model, log_dir: str, scenario: str):
     """Run one scenario with every method and write its three run logs.
 
-    Returns a ``control.RunSummary`` per (method, scenario) and, for the
+    Returns the (tracking RMSE, clamp steps) per (method, scenario) and, for the
     disturbance scenario alone, each method's ``disturbance_window_rmse``.
     """
     ref = cfg.signals.scenarios[scenario].render(cfg.dt)
@@ -195,27 +171,30 @@ def _simulate_scenario(cfg: ExperimentConfig, model: FprcModel, log_dir: str,
     control.write_run_logs(
         [os.path.join(log_dir, f"{scenario}_{method.replace('+', '_')}.csv")
          for method in control.METHOD_NAMES], logs)
-    runs = {(log.method, scenario): control.RunSummary(log.tracking_rmse(), log.clamp_steps)
-            for log in logs}
+    runs = {(log.method, scenario): (log.tracking_rmse(), log.clamp_steps) for log in logs}
     window = None if spec is None else {
         log.method: control.disturbance_window_rmse(log, spec.window) for log in logs}
     return runs, window
 
 
 def cmd_simulate(args, cfg: ExperimentConfig) -> int:
-    model = _load_model(cfg, "fprc", args.model_artifact)
+    model = cfg.load_model("fprc", args.model_artifact)
     # a scenario named twice runs once: two workers must not write one file
     scenarios = tuple(dict.fromkeys(args.scenario or control.SCENARIO_NAMES))
+    if "disturbance" in scenarios:
+        # a window the run cannot cover fails here, before any scenario runs
+        ref = cfg.signals.scenarios["disturbance"].render(cfg.dt)
+        control.disturbance_windows(ref.times, cfg.disturbance_spec().window)
     log_dir = os.path.join(cfg.out_dir, "reports", "runlogs")
     results = dict(zip(scenarios, fork_map(
         functools.partial(_simulate_scenario, cfg, model, log_dir), scenarios)))
     runs = {key: run for scenario_runs, _ in results.values()
             for key, run in scenario_runs.items()}
-    table = control.tracking_report(runs)
+    table = control.tracking_report({key: rmse for key, (rmse, _) in runs.items()})
     payload = {"tracking_rmse_deg": table}
     if "disturbance" in results:
         payload["disturbance"] = results["disturbance"][1]
-    payload["clamp_steps"] = {f"{m}/{s}": runs[(m, s)].clamp_steps for (m, s) in sorted(runs)}
+    payload["clamp_steps"] = {f"{m}/{s}": clamps for (m, s), (_, clamps) in runs.items()}
     report_path = os.path.join(cfg.out_dir, "reports", "tracking")
     write_json(report_path + ".json", payload)
     control.report_to_csv(table, report_path + ".csv")
@@ -243,7 +222,7 @@ def cmd_bench(args, cfg: ExperimentConfig) -> int:
     train_ds, test_ds = map(_load_dataset, _dataset_paths(cfg, args.reverse))
     metrics, timing = {}, {}
     for kind in ("esn", "fprc", "fuzzy-linear"):
-        result = training.benchmark_execution(_trainer(cfg, kind), train_ds, test_ds,
+        result = training.benchmark_execution(cfg.trainer(kind), train_ds, test_ds,
                                               repetitions=cfg.bench_repetitions)
         metrics[kind] = result.metrics_dict()
         timing[kind] = result.timing_dict()
@@ -271,15 +250,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](args, cfg)
-    except (InvalidSpecError, InvalidDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericError, StateError, ResourceError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     except PneurcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        prefix = "numeric failure" if exc.exit_code == 3 else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,14 +21,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .control import ControllerGains
-from .errors import InvalidSpecError
-from .esn import EsnConfig, EsnParams
-from .fprc import FprcConfig, FprcParams
+from .control import SCENARIO_NAMES, ControllerGains
+from .errors import InvalidDataError, InvalidSpecError
+from .esn import EsnConfig, EsnParams, EsnTrainer, TrainedEsn
+from .fprc import FprcConfig, FprcModel, FprcParams, FprcTrainer
 from .plant import ActuatorConfig, DisturbanceSpec, Plant, ReservoirConfig
 from .signals import DEFAULT_DT, SignalSpec, write_json
 
-SCENARIO_KEYS = ("sine02", "sine05", "chirp", "complex", "disturbance")
 MODEL_KINDS = ("fprc", "esn", "fuzzy-linear")
 
 # multisine content of the complex excitation and reference
@@ -150,10 +149,10 @@ class SignalsConfig:
     scenarios: dict[str, SignalSpec] = field(default_factory=_default_scenarios)
 
     def __post_init__(self):
-        missing = set(SCENARIO_KEYS) - set(self.scenarios)
-        extra = set(self.scenarios) - set(SCENARIO_KEYS)
+        missing = set(SCENARIO_NAMES) - set(self.scenarios)
+        extra = set(self.scenarios) - set(SCENARIO_NAMES)
         if missing or extra:
-            raise InvalidSpecError(f"scenarios must be exactly {SCENARIO_KEYS}; "
+            raise InvalidSpecError(f"scenarios must be exactly {SCENARIO_NAMES}; "
                                    f"missing {sorted(missing)}, unknown {sorted(extra)}")
 
 
@@ -240,6 +239,29 @@ class ExperimentConfig:
         return FprcParams(**asdict(self.model.fprc), n_y=self.model.n_y,
                           alpha=self.model.alpha,
                           input_limit=self.plant.reservoir.input_range)
+
+    def trainer(self, kind: str, **fprc_overrides):
+        """The trainer of a model kind. ``fprc_overrides`` replace fields of
+        ``fprc_params()`` for the fprc and fuzzy-linear kinds."""
+        if kind == "esn":
+            return EsnTrainer(self.esn_params(), alpha=self.model.alpha)
+        if kind in ("fprc", "fuzzy-linear"):
+            return FprcTrainer(self.fprc_params().replace(**fprc_overrides), seed=self.seed,
+                               reservoir_features=(kind == "fprc"))
+        raise InvalidSpecError(f"unknown model kind {kind!r}")
+
+    def load_model(self, kind: str, artifact: str | None = None):
+        """The trained model of a kind, read from ``artifact`` or by default
+        from ``model_artifact_path(kind)``."""
+        if kind not in MODEL_KINDS:
+            raise InvalidSpecError(f"unknown model kind {kind!r}")
+        path = artifact or self.model_artifact_path(kind)
+        if not os.path.exists(path):
+            raise InvalidDataError(f"model artifact {path} not found; run 'pneurc train' first")
+        model = TrainedEsn.load(path) if kind == "esn" else FprcModel.load(path)
+        if model.kind != kind:
+            raise InvalidSpecError(f"{path} holds a {model.kind} model, not {kind}")
+        return model
 
     def controller_gains(self) -> ControllerGains:
         return self.gains

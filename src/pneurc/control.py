@@ -26,6 +26,8 @@ RUN_LOG_COLUMNS = {"t_s": "t", "theta_d_deg": "theta_d", "theta_deg": "theta",
 SCENARIO_NAMES = ("sine02", "sine05", "chirp", "complex", "disturbance")
 METHOD_NAMES = ("fprc", "fprc+pd", "pd")
 REPORT_SCENARIOS = ("sine02", "sine05", "chirp", "complex")
+# startup transient left out of the clean window of the disturbance scenario
+SETTLE_TIME_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -105,17 +107,6 @@ def write_run_logs(paths, logs) -> None:
                    log.disturbed.astype(int) if key == "disturbed" else getattr(log, key)
                    for key in RUN_LOG_COLUMNS.values()])
                for path, log in zip(paths, logs, strict=True)])
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """What the tracking reports read of one run, without its columns."""
-
-    rmse: float
-    clamp_steps: int
-
-    def tracking_rmse(self) -> float:
-        return self.rmse
 
 
 class RecordedFeedforward:
@@ -233,34 +224,36 @@ def extract_hysteresis_loop(log: RunLog, x_column: str, y_column: str,
     return points, shoelace_area(points[:, 0], points[:, 1])
 
 
-def tracking_report(logs: dict) -> dict:
+def tracking_report(rmse: dict) -> dict:
     """Tracking RMSE table: method rows by scenario columns.
 
-    ``logs`` maps (method, scenario) to a RunLog or a RunSummary. Missing
-    cells are NaN.
+    ``rmse`` maps (method, scenario) to the tracking RMSE of that run.
+    Missing cells are NaN.
     """
-    table = {}
-    for method in METHOD_NAMES:
-        row = {}
-        for scenario in REPORT_SCENARIOS:
-            log = logs.get((method, scenario))
-            row[scenario] = log.tracking_rmse() if log is not None else float("nan")
-        table[method] = row
-    return table
+    return {method: {scenario: rmse.get((method, scenario), float("nan"))
+                     for scenario in REPORT_SCENARIOS}
+            for method in METHOD_NAMES}
 
 
-def disturbance_window_rmse(log: RunLog, window: tuple, settle_time: float = 2.0) -> dict:
-    """Tracking RMSE inside the disturbance window vs. the clean window.
+def disturbance_windows(t: np.ndarray, window: tuple, settle_time: float = SETTLE_TIME_S):
+    """Masks (clean, disturbed) over the sample times ``t``.
 
     The clean window runs from ``settle_time`` (startup transient skipped)
     up to the disturbance onset; the disturbed window is ``window`` itself.
     Both windows must contain samples.
     """
-    t = log.t
     clean = (t >= settle_time) & (t < window[0])
     dist = (t >= window[0]) & (t < window[1])
     if not np.any(clean) or not np.any(dist):
         raise InvalidDataError("run does not cover both the clean and disturbed windows")
+    return clean, dist
+
+
+def disturbance_window_rmse(log: RunLog, window: tuple,
+                            settle_time: float = SETTLE_TIME_S) -> dict:
+    """Tracking RMSE inside the disturbance window vs. the clean window,
+    as ``disturbance_windows`` delimits them."""
+    clean, dist = disturbance_windows(log.t, window, settle_time)
     return {
         "clean_rmse": float(np.sqrt(np.mean(log.e_theta[clean] ** 2))),
         "disturbed_rmse": float(np.sqrt(np.mean(log.e_theta[dist] ** 2))),

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: specification and data problems exit
-with 2, numeric and state failures with 3, usage errors with 1.
+Each class carries the exit code the CLI returns for it: specification
+and data problems exit with 2, numeric, state and resource failures with
+3. Usage errors, which are not PneurcErrors, exit with 1.
 """
 import zipfile
 from contextlib import contextmanager
@@ -9,6 +10,8 @@ from contextlib import contextmanager
 
 class PneurcError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class InvalidSpecError(PneurcError, ValueError):
@@ -30,6 +33,8 @@ class DegenerateRangeError(InvalidDataError):
 class NumericError(PneurcError, ArithmeticError):
     """A numerical routine failed or produced non-finite values."""
 
+    exit_code = 3
+
 
 class DegenerateClusteringError(NumericError):
     """Fuzzy c-means collapsed two cluster centers onto each other."""
@@ -38,9 +43,13 @@ class DegenerateClusteringError(NumericError):
 class StateError(PneurcError, RuntimeError):
     """Operation requires a state the object is not in (e.g. untrained model)."""
 
+    exit_code = 3
+
 
 class ResourceError(PneurcError):
     """A requested allocation exceeds the configured memory budget."""
+
+    exit_code = 3
 
 
 @contextmanager

@@ -221,10 +221,6 @@ class FprcFeedforward:
         self.model = model
         self.reservoir = reservoir
 
-    @property
-    def kind(self) -> str:
-        return self.model.kind
-
     def run(self, theta_d, dt: float, disturbance: DisturbanceSpec | None = None):
         """Feedforward signals for a whole reference angle record.
 
@@ -286,7 +282,5 @@ def fprc_weight_analysis(theta, p_exp, p_o, params: FprcParams, seed: int = 0) -
     theta_n = normalize_minmax(theta)
     p_filt_n = normalize_minmax(_lowpass_series(p_o, params))
     X = _feature_matrix(theta_n, p_filt_n, params)
-    centers, u = fcm_cluster(X, params.n_c, m=params.fuzziness, tol=params.fcm_tol,
-                             max_iter=params.fcm_max_iter, seed=[seed, 0])
-    w_out = train_fuzzy_readout(X, p_exp, u, params.alpha)
-    return weight_contributions(w_out, params.n_y, params.n_u)
+    model = FprcTrainer(params, seed=seed).fit_states(X, p_exp)
+    return weight_contributions(model.ruleset.w_out, params.n_y, params.n_u)

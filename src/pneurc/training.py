@@ -345,15 +345,11 @@ def _sweep_grid(axis: str, values):
 
 def _sweep_cell(config, train_ds, test_ds, k: int, settings: dict) -> SweepCell:
     """Train and evaluate one grid point; a failure is recorded in the cell."""
-    from .fprc import FprcTrainer  # imported here to avoid a module cycle
-
     cell = SweepCell(settings=dict(settings))
-    params = config.fprc_params()
     kind = settings.get("model", "fprc")
     overrides = {k_: v for k_, v in settings.items() if k_ != "model"}
     try:
-        params = params.replace(**overrides)
-        trainer = FprcTrainer(params, seed=config.seed, reservoir_features=(kind == "fprc"))
+        trainer = config.trainer(kind, **overrides)
         t0 = time.perf_counter()
         model, report = kfold_cv(train_ds, trainer, k=k)
         cell.train_time_s = time.perf_counter() - t0

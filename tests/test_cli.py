@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pneurc import cli, esn
+from pneurc import cli, errors, esn
 from pneurc.cli import main
 from pneurc.config import (MODEL_KINDS, EsnConfig, ExperimentConfig, SignalsConfig)
 from pneurc.datasets import Dataset
@@ -245,6 +245,73 @@ def test_simulate_numeric_failure_in_a_worker_exits_3(workspace, tmp_path, capsy
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip() == "numeric failure: plant input pressure must be finite, got nan"
+
+
+def _unusable_disturbance_window(workspace, tmp_path):
+    """CLI args of a config whose 3 s scenarios end before a 2 s settle time
+    can leave a clean window ahead of the 0.5-1.5 s disturbance."""
+    cfg = workspace["cfg"]
+    cfg = dataclasses.replace(
+        cfg, out_dir=str(tmp_path / "out"),
+        signals=dataclasses.replace(cfg.signals, scenarios={
+            name: dataclasses.replace(spec, duration=3.0)
+            for name, spec in cfg.signals.scenarios.items()}),
+        disturbance=dataclasses.replace(cfg.disturbance, t_start=0.5, t_end=1.5))
+    cfg.to_json(tmp_path / "config.json")
+    _out_with(workspace, tmp_path / "out", "models/fprc.json")
+    return ["--config", str(tmp_path / "config.json")]
+
+
+def test_simulate_rejects_an_unusable_disturbance_window_before_any_run(
+        workspace, tmp_path, capsys):
+    args = _unusable_disturbance_window(workspace, tmp_path)
+    assert main([*args, "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: run does not cover both the clean and disturbed windows"
+    assert not (tmp_path / "out" / "reports").exists()
+
+
+def test_simulate_without_the_disturbance_scenario_ignores_its_window(workspace, tmp_path):
+    args = _unusable_disturbance_window(workspace, tmp_path)
+    assert main([*args, "simulate", "--scenario", "sine02"]) == 0
+    assert (tmp_path / "out" / "reports" / "runlogs" / "sine02_pd.csv").is_file()
+
+
+# every error class of the package, with the exit code the CLI returns for it
+ERROR_EXIT_CODES = {
+    errors.PneurcError: 2, errors.InvalidSpecError: 2, errors.InvalidDataError: 2,
+    errors.DimensionError: 2, errors.DegenerateRangeError: 2, errors.NumericError: 3,
+    errors.DegenerateClusteringError: 3, errors.StateError: 3, errors.ResourceError: 3,
+}
+
+
+def test_error_exit_codes_cover_every_error_class():
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.PneurcError)}
+    assert classes == set(ERROR_EXIT_CODES)
+
+
+@pytest.mark.parametrize("error, code", ERROR_EXIT_CODES.items(),
+                         ids=[c.__name__ for c in ERROR_EXIT_CODES])
+def test_every_error_class_exits_with_its_code(monkeypatch, capsys, error, code):
+    def command(args, cfg):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "generate", command)
+    assert main(["generate"]) == code
+    prefix = "numeric failure" if code == 3 else "error"
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+def test_train_of_an_oversized_reservoir_exits_3(workspace, tmp_path, capsys):
+    cfg = workspace["cfg"]
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"), model=dataclasses.replace(
+        cfg.model, esn=dataclasses.replace(cfg.model.esn, reservoir_size=30000)))
+    cfg.to_json(tmp_path / "config.json")
+    _out_with(workspace, tmp_path / "out", "data/train.csv")
+    assert main(["--config", str(tmp_path / "config.json"), "train", "--model", "esn"]) == 3
+    assert capsys.readouterr().err == ("numeric failure: reservoir_size 30000 needs more "
+                                       "than 4 GiB for its recurrent matrix\n")
 
 
 def test_commands_leave_no_worker_running(workspace, tmp_path):

@@ -307,7 +307,7 @@ def test_disturbance_window_rmse_hand_values():
 
 def test_tracking_report_fills_missing_cells():
     log = make_log(n=4, e_theta=np.array([3.0, 3.0, 3.0, 3.0]))
-    table = tracking_report({("fprc", "sine02"): log})
+    table = tracking_report({("fprc", "sine02"): log.tracking_rmse()})
     assert table["fprc"]["sine02"] == pytest.approx(3.0)
     assert np.isnan(table["fprc"]["chirp"])
     assert np.isnan(table["pd"]["sine02"])
@@ -316,7 +316,7 @@ def test_tracking_report_fills_missing_cells():
 
 def test_report_to_csv(tmp_path):
     log = make_log(n=4, e_theta=np.array([3.0, 3.0, 3.0, 3.0]))
-    table = tracking_report({("fprc", "sine02"): log})
+    table = tracking_report({("fprc", "sine02"): log.tracking_rmse()})
     path = tmp_path / "tracking.csv"
     report_to_csv(table, path)
     assert path.read_text() == ("method,sine02,sine05,chirp,complex\n"

@@ -284,6 +284,39 @@ def test_config_builders(default_config):
     assert spec.magnitude == 8.0
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_config_builds_the_trainer_of_every_kind(default_config, kind):
+    assert default_config.trainer(kind).kind == kind
+
+
+def test_config_trainer_takes_fprc_overrides(default_config):
+    trainer = default_config.trainer("fprc", n_c=2)
+    assert trainer.params.n_c == 2
+    assert trainer.params == default_config.fprc_params().replace(n_c=2)
+
+
+def test_config_rejects_an_unknown_model_kind(tmp_path):
+    cfg = ExperimentConfig(out_dir=str(tmp_path))
+    with pytest.raises(InvalidSpecError, match="unknown model kind 'bogus'"):
+        cfg.trainer("bogus")
+    with pytest.raises(InvalidSpecError, match="unknown model kind 'bogus'"):
+        cfg.load_model("bogus")
+
+
+@pytest.mark.parametrize("kind", ["fprc", "esn"])
+def test_config_load_model_round_trips_an_artifact(tmp_path, small_dataset, kind):
+    cfg = ExperimentConfig(out_dir=str(tmp_path), model=ModelConfig(
+        esn=dataclasses.replace(ModelConfig().esn, reservoir_size=30, washout=20)))
+    model = cfg.trainer(kind).fit([small_dataset])
+    path = pathlib.Path(cfg.model_artifact_path(kind))
+    path.parent.mkdir(parents=True)
+    model.save(path)
+    for loaded in (cfg.load_model(kind), cfg.load_model(kind, str(path))):
+        assert loaded.kind == kind
+        for got, want in zip(loaded.evaluate(small_dataset), model.evaluate(small_dataset)):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_default_signal_shapes(default_config):
     train = default_config.signals.train_excitation.render(default_config.dt)
     test = default_config.signals.test_excitation.render(default_config.dt)

@@ -187,7 +187,6 @@ def test_feedforward_run_matches_vectorized_evaluate(small_dataset, default_conf
     p_ff, p_i, p_o, _, _ = ff.run(small_dataset.theta, small_dataset.dt)
     np.testing.assert_array_equal(p_o, small_dataset.p_o)
     np.testing.assert_array_equal(p_ff, yhat)
-    assert ff.kind == "fprc"
 
 
 def test_feedforward_requires_reservoir(small_dataset, default_config):
