@@ -7,6 +7,7 @@ sweeps, and the execution-time benchmark.
 from __future__ import annotations
 
 import functools
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -174,10 +175,9 @@ class Trainer:
         return self.fit_states(X, y, fold)
 
 
-def _stack(parts, copy: bool = False):
-    """(X, y) with the rows of the parts in order. One part is returned as
-    is unless ``copy`` is set, so that its rows do not keep a run alive."""
-    if len(parts) == 1 and not copy:
+def _stack(parts):
+    """(X, y) with the rows of the parts in order; one part is returned as is."""
+    if len(parts) == 1:
         return parts[0]
     return np.vstack([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
@@ -192,21 +192,22 @@ def kfold_cv(dataset, trainer, k: int = 5):
     lower index.
 
     Every training segment and validation block starts cold at a fold edge
-    e_j and is a prefix of run j, the run from e_j to the end, so each of
-    the k runs is computed once. Fold i trains on run 0 up to e_i followed
-    by run i+1, and validates on the first e_{i+1} - e_i samples of run i.
+    e_j and is a prefix of run j, the run from e_j to the end. Fold i trains
+    on run 0 up to e_i followed by run i+1, and validates on the first
+    e_{i+1} - e_i samples of run i.
 
     Run 0, the spine, is the whole record driven from sample 0; it covers
-    every later run. Runs j >= 1 come from ``trainer.rejoin``, which may
-    stop a run where its rows start to equal the spine's bit for bit (an
-    ESN's state forgets its cold start); the run's later rows are then
-    read from the spine. Equal means equal bytes, so the folds are exactly
-    those of runs driven to their ends. A trainer that drives a reservoir
-    thus steps it n + sum_{j>=1} r_j times, where r_j is the number of
-    samples run j takes to rejoin the spine, or its length if it never
-    does: at most n + sum_{j>=1} (n - e_j), 3.0 n at k = 5.
-    At most the spine, one later run's own rows, one fold's stacked rows
-    and two validation blocks are held at once.
+    every later run. The folds are the items of one ``fork_map``, whose
+    workers inherit the spine: fold i drives run i over its validation
+    block (i >= 1) and run i+1 to the end (i + 1 < k) through
+    ``trainer.rejoin``, which may stop a run where its rows start to equal
+    the spine's bit for bit (an ESN's state forgets its cold start); the
+    run's later rows are then read from the spine. Equal means equal
+    bytes, so the folds are exactly those of runs driven to their ends. A
+    trainer that drives a reservoir thus steps it n + sum_{j>=1} (r_j +
+    min(r_j, e_{j+1} - e_j)) times, where r_j is the number of samples run
+    j takes to rejoin the spine, or its length if it never does: at most
+    3.8 n at k = 5. Each process holds the spine and one fold's arrays.
 
     Returns (best_model, CvReport).
     """
@@ -214,44 +215,39 @@ def kfold_cv(dataset, trainer, k: int = 5):
     edges = [lo for lo, _ in contiguous_folds(n, k)] + [n]
     spine = trainer.states(dataset)  # row r holds sample washout + r
     washout = n - len(spine[1])
-    for i in range(k):
-        size = edges[i + 1] - edges[i]
+    for i, size in enumerate(np.diff(edges)):
         if size <= washout:
             raise InvalidDataError(f"fold {i} holds {size} samples, which leaves no rows "
                                    f"after washout {washout}")
+    folds = fork_map(functools.partial(_fold, dataset, trainer, spine, edges), range(k))
+    results = [result for result, _ in folds]
+    best = int(np.argmin([f.e_bar for f in results]))  # the first minimum: lowest index
+    return folds[best][1], CvReport(folds=results, best_index=best)
 
-    def rows(j, stop, own=((), ())):
-        """Run j's rows for samples [e_j + washout, stop): ``own``, then the spine's."""
-        m = min(len(own[1]), stop - edges[j] - washout)
-        parts = [(own[0][:m], own[1][:m])] if m > 0 else []
+
+def _fold(dataset, trainer, spine, edges, i: int):
+    """(FoldResult, model) of fold i of ``kfold_cv``."""
+    n = edges[-1]
+    washout = n - len(spine[1])
+
+    def rows(j, stop):
+        """Run j's rows for samples [e_j + washout, stop): its own, then the spine's."""
+        own = ((), ())
+        if j > 0:
+            own = trainer.rejoin(dataset.slice(edges[j], stop), spine, washout - edges[j])
+        m = len(own[1])
+        parts = [own] if m > 0 else []
         lo, hi = edges[j] + m, stop - washout
         if hi > lo:
             parts.append((spine[0][lo:hi], spine[1][lo:hi]))
         return parts
 
-    val = _stack(rows(0, edges[1]))  # run 0 is the spine: it has no rows of its own
-    results = []
-    models = []
-    for i in range(k):
-        parts = rows(0, edges[i])
-        next_val = None
-        if i + 1 < k:
-            run = trainer.rejoin(dataset.slice(edges[i + 1], n), spine, washout - edges[i + 1])
-            next_val = _stack(rows(i + 1, edges[i + 2], run), copy=True)
-            parts += rows(i + 1, n, run)
-            del run  # its rows live on in X and next_val only
-        X, y = _stack(parts)
-        del parts
-        model = trainer.fit_states(X, y, fold=i)
-        e_train = rmse(model.predict(X), y)
-        e_val = rmse(model.predict(val[0]), val[1])
-        del X, y  # before the next run is computed
-        results.append(FoldResult(index=i, e_train=e_train, e_val=e_val))
-        models.append(model)
-        val = next_val
-    e_bars = [f.e_bar for f in results]
-    best = int(np.argmin(e_bars))  # argmin takes the first minimum, i.e. lowest index
-    return models[best], CvReport(folds=results, best_index=best)
+    val = _stack(rows(i, edges[i + 1]))
+    X, y = _stack(rows(0, edges[i]) + (rows(i + 1, n) if edges[i + 1] < n else []))
+    model = trainer.fit_states(X, y, fold=i)
+    result = FoldResult(index=i, e_train=rmse(model.predict(X), y),
+                        e_val=rmse(model.predict(val[0]), val[1]))
+    return result, model
 
 
 def weight_contributions(w_out: np.ndarray, n_y: int, n_u: int) -> dict:
@@ -384,6 +380,7 @@ class BenchmarkResult:
     model_kind: str
     train_times_s: list
     test_times_s: list
+    test_cpu_s: list
     e_train: float
     e_test: float
     n_test_steps: int
@@ -394,16 +391,8 @@ class BenchmarkResult:
         return float(np.mean(self.train_times_s))
 
     @property
-    def train_time_sd(self) -> float:
-        return float(np.std(self.train_times_s))
-
-    @property
     def test_time_mean(self) -> float:
         return float(np.mean(self.test_times_s))
-
-    @property
-    def test_time_sd(self) -> float:
-        return float(np.std(self.test_times_s))
 
     @property
     def per_step_us(self) -> float:
@@ -417,13 +406,15 @@ class BenchmarkResult:
                 "n_test_steps": self.n_test_steps}
 
     def timing_dict(self) -> dict:
-        """Wall-clock part: varies run to run by nature."""
+        """Wall-clock and CPU-time part: varies run to run by nature. CPU
+        time per step sums every process of the replay."""
         return {"model": self.model_kind,
                 "train_time_mean_s": self.train_time_mean,
-                "train_time_sd_s": self.train_time_sd,
+                "train_time_sd_s": float(np.std(self.train_times_s)),
                 "test_time_mean_s": self.test_time_mean,
-                "test_time_sd_s": self.test_time_sd,
+                "test_time_sd_s": float(np.std(self.test_times_s)),
                 "per_step_us": self.per_step_us,
+                "cpu_per_step_us": 1e6 * float(np.mean(self.test_cpu_s)) / self.n_test_steps,
                 "repetitions": len(self.test_times_s),
                 "replay_processes": self.replay_processes}
 
@@ -439,7 +430,7 @@ def benchmark_execution(trainer, train_ds, test_ds, repetitions: int = 10,
     """
     if repetitions < 1:
         raise InvalidSpecError("repetitions must be >= 1")
-    train_times, test_times = [], []
+    train_times, test_times, test_cpu = [], [], []
     model = None
     e_train = float("nan")
     for rep in range(repetitions):
@@ -450,11 +441,20 @@ def benchmark_execution(trainer, train_ds, test_ds, repetitions: int = 10,
             train_times.append(time.perf_counter() - t0)
             e_train = rmse(model.predict(X), y)
             del X, y
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), _cpu_seconds()
         yhat, y = model.evaluate(test_ds)
         test_times.append(time.perf_counter() - t0)
+        test_cpu.append(_cpu_seconds() - c0)
     e_test = rmse(yhat, y)
     return BenchmarkResult(model_kind=trainer.kind, train_times_s=train_times,
-                           test_times_s=test_times, e_train=e_train, e_test=e_test,
+                           test_times_s=test_times, test_cpu_s=test_cpu,
+                           e_train=e_train, e_test=e_test,
                            n_test_steps=len(test_ds),
                            replay_processes=model.replay_processes(len(test_ds)))
+
+
+def _cpu_seconds() -> float:
+    """CPU seconds of this process (``os.times`` counts 10 ms ticks, longer
+    than a short replay) and of its waited-for children, such as workers."""
+    t = os.times()
+    return time.process_time() + t.children_user + t.children_system

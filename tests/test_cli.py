@@ -355,8 +355,10 @@ def test_bench(workspace):
     for kind in metrics:
         assert np.isfinite(metrics[kind]["e_test"])
         assert timing[kind]["per_step_us"] > 0.0
+        assert timing[kind]["cpu_per_step_us"] > 0.0
         assert timing[kind]["repetitions"] == 2
     assert "per_step_us" not in json.dumps(metrics)
+    assert "cpu_per_step_us" not in json.dumps(metrics)
     # the ESN replays in one process per chunk, FPRC and fuzzy-linear in one
     n_test = metrics["esn"]["n_test_steps"]
     assert timing["esn"]["replay_processes"] == len(esn._replay_spans(n_test))

@@ -1,10 +1,12 @@
 """Ridge solver, cross-validation harness, sweeps, and the benchmark."""
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pneurc import esn
+from pneurc import esn, parallel
 from pneurc.datasets import Dataset
 from pneurc.errors import (DegenerateRangeError, DimensionError,
                            InvalidDataError, InvalidSpecError, NumericError)
@@ -177,7 +179,13 @@ def make_dataset(p_exp, theta=None, dt=0.01):
                    p_i=z.copy(), p_o=z.copy(), dt=dt)
 
 
-def test_kfold_cv_fits_on_complement_segments():
+def serial_folds(monkeypatch):
+    """Run kfold_cv's folds in this process, where the test can count calls."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+
+
+def test_kfold_cv_fits_on_complement_segments(monkeypatch):
+    serial_folds(monkeypatch)
     vals = np.arange(100.0)
     trainer = StubTrainer()
     kfold_cv(make_dataset(vals), trainer, k=4)
@@ -185,8 +193,9 @@ def test_kfold_cv_fits_on_complement_segments():
     assert [fold for fold, _ in trainer.fits] == [0, 1, 2, 3]
     for fold, y in trainer.fits:
         np.testing.assert_array_equal(y, np.delete(vals, np.s_[25 * fold:25 * fold + 25]))
-    # one cold start per fold edge, each to the end: run 0 is the whole record
-    assert trainer.records == [100, 75, 50, 25]
+    # run 0 is the whole record; fold i >= 1 then drives run i over its
+    # validation block, and fold i + 1 < k drives run i + 1 to the end
+    assert trainer.records == [100, 75, 25, 50, 25, 25, 25]
 
 
 def test_kfold_cv_selects_first_minimal_e_bar():
@@ -264,6 +273,37 @@ def test_kfold_cv_matches_per_fold_reference(kind, k, default_config, small_data
         np.testing.assert_array_equal(w, w_ref)
 
 
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_kfold_cv_forked_folds_equal_serial_ones(monkeypatch, kind, default_config,
+                                                 small_dataset):
+    # two usable CPUs fork the folds even on a one-CPU host
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        runs[cpus] = kfold_cv(small_dataset, TRAINERS[kind](default_config), k=5)
+        assert multiprocessing.active_children() == []
+    (serial, serial_report), (forked, forked_report) = runs[1], runs[2]
+    assert forked_report.to_dict() == serial_report.to_dict()
+    for w, w_serial in zip(readout_weights(forked), readout_weights(serial)):
+        assert w.tobytes() == w_serial.tobytes()
+
+
+class FailingTrainer(StubTrainer):
+    def fit_states(self, X, y, fold=0):
+        if fold == 2:
+            raise NumericError(f"fold {fold} failed on {len(y)} rows")
+        return super().fit_states(X, y, fold)
+
+
+def test_kfold_cv_fold_error_is_the_same_forked_or_serial(monkeypatch):
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        with pytest.raises(NumericError, match=r"^fold 2 failed on 75 rows$") as excinfo:
+            kfold_cv(make_dataset(np.arange(100.0)), FailingTrainer(), k=4)
+        assert excinfo.type is NumericError
+        assert multiprocessing.active_children() == []
+
+
 def cold_run_lengths(trainer, theta, n, k):
     """Reservoir steps kfold_cv should take per fold-edge run: run 0 (the
     spine) over the whole record; every later run up to the first sample
@@ -303,17 +343,20 @@ def count_steps(monkeypatch):
 
 
 def check_cv_steps(monkeypatch, small_dataset, distribution, size, k, rejoins):
+    serial_folds(monkeypatch)
     n = 1199
     ds = small_dataset.slice(0, n)
     trainer = EsnTrainer(EsnParams(reservoir_size=size, washout=20, seed=3,
                                    weight_distribution=distribution), alpha=1e-4)
-    expected = cold_run_lengths(trainer, ds.theta, n, k)
+    lengths = cold_run_lengths(trainer, ds.theta, n, k)
+    edges = [lo for lo, _ in contiguous_folds(n, k)] + [n]
+    # fold j >= 1 drives run j once more over its validation block
+    prefixes = [min(r, hi - lo) for r, lo, hi in zip(lengths[1:], edges[1:], edges[2:])]
     calls = count_steps(monkeypatch)
     kfold_cv(ds, trainer, k=k)
-    assert len(calls) == sum(expected)
+    assert len(calls) == sum(lengths) + sum(prefixes)
     # without a rejoin every run is driven to its end
-    edges = [lo for lo, _ in contiguous_folds(n, k)]
-    assert (sum(expected) < n + sum(n - e for e in edges[1:])) == rejoins
+    assert (sum(lengths) < n + sum(n - e for e in edges[1:-1])) == rejoins
 
 
 @pytest.mark.parametrize("distribution, size, rejoins", [("uniform", 30, True),
@@ -500,6 +543,9 @@ def test_benchmark_shapes_and_metrics():
     assert result.e_test == pytest.approx(0.0)
     assert result.n_test_steps == 50
     assert result.per_step_us == pytest.approx(1e6 * result.test_time_mean / 50)
+    assert len(result.test_cpu_s) == 3
+    assert result.timing_dict()["cpu_per_step_us"] == pytest.approx(
+        1e6 * np.mean(result.test_cpu_s) / 50)
 
 
 def test_benchmark_single_fit_mode():
