@@ -160,11 +160,10 @@ def _simulate_scenario(cfg: ExperimentConfig, model, log_dir: str, scenario: str
     ref = cfg.signals.scenarios[scenario].render(cfg.dt)
     spec = cfg.disturbance_spec() if scenario == "disturbance" else None
     # the feedforward never reads the plant, so fprc and fprc+pd share one drive
-    recorded = control.RecordedFeedforward(
-        model.feedforward(cfg.build_reservoir()).run(ref.values, ref.dt, spec))
+    columns = model.feedforward(cfg.build_reservoir())(ref.values, ref.dt, spec)
     logs = []
     for method in control.METHOD_NAMES:
-        ff = recorded if method != "pd" else None
+        ff = (lambda *_: columns) if method != "pd" else None
         run = control.run_open_loop if method == "fprc" else control.run_closed_loop
         logs.append(run(ref, ff, cfg.build_actuator(), cfg.controller_gains(),
                         disturbance=spec, scenario=scenario, method=method))

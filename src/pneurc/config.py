@@ -3,20 +3,17 @@ determines datasets, models, and simulation runs.
 
 The schema nests the domain's own frozen dataclasses (``SignalSpec``,
 ``ActuatorConfig``, ``FprcConfig``, ``ControllerGains``, ...), which hold
-every default. One decoder reads any of them from JSON: unknown fields,
-missing required fields and values of the wrong type are rejected with
-the dotted path of the key, so a typo cannot silently fall back to a
-default. ``ExperimentConfig.default()`` reproduces the benchmarked setup.
+every default. One decoder, ``signals.decode``, reads any of them from
+JSON: unknown fields, missing required fields and values of the wrong
+type are rejected with the dotted path of the key, so a typo cannot
+silently fall back to a default. ``ExperimentConfig.default()``
+reproduces the benchmarked setup.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
-import math
 import os
-import types
-import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,60 +23,12 @@ from .errors import InvalidDataError, InvalidSpecError
 from .esn import EsnConfig, EsnParams, EsnTrainer, TrainedEsn
 from .fprc import FprcConfig, FprcModel, FprcParams, FprcTrainer
 from .plant import ActuatorConfig, DisturbanceSpec, Plant, ReservoirConfig
-from .signals import DEFAULT_DT, SignalSpec, write_json
+from .signals import DEFAULT_DT, SignalSpec, decode, write_json
 
 MODEL_KINDS = ("fprc", "esn", "fuzzy-linear")
 
 # multisine content of the complex excitation and reference
 COMPLEX_FREQS = (0.12, 0.04, 0.31, 0.29, 0.25)
-
-# resolving the string annotations costs more than the rest of a decode
-_type_hints = functools.cache(typing.get_type_hints)
-
-
-def _decode(tp, value, path: str):
-    """``value``, read from JSON, checked against the annotation ``tp``.
-
-    Dataclasses come from mappings that hold no unknown field and every
-    required one, ``dict[str, X]`` and ``tuple[X, ...]`` from mappings and
-    lists; a scalar must have its annotated type exactly, except that an
-    int is taken where a float is expected, and None only where allowed.
-    A float must be finite.
-    """
-    if dataclasses.is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise InvalidSpecError(f"{path}: expected a mapping, got {type(value).__name__}")
-        fields = {f.name: f for f in dataclasses.fields(tp)}
-        unknown = sorted(set(value) - set(fields))
-        if unknown:
-            raise InvalidSpecError(f"{path}: unknown fields {unknown}")
-        missing = sorted(name for name, f in fields.items() if name not in value
-                         and f.default is dataclasses.MISSING
-                         and f.default_factory is dataclasses.MISSING)
-        if missing:
-            raise InvalidSpecError(f"{path}: missing fields {missing}")
-        hints = _type_hints(tp)
-        return tp(**{k: _decode(hints[k], v, f"{path}.{k}") for k, v in value.items()})
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is dict and isinstance(value, dict):
-        return {k: _decode(args[1], v, f"{path}.{k}") for k, v in value.items()}
-    if origin is tuple and isinstance(value, (list, tuple)):
-        return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    if origin is types.UnionType:  # X | None
-        (inner,) = [a for a in args if a is not type(None)]
-        return None if value is None else _decode(inner, value, path)
-    if tp is float and type(value) in (int, float):
-        try:
-            number = float(value)
-        except OverflowError:  # an int beyond the float range
-            number = math.inf
-        if not math.isfinite(number):  # json.load reads NaN and Infinity
-            raise InvalidSpecError(f"{path}: expected a finite number, got {value!r}")
-        return number
-    if type(value) is not tp:  # also refuses a bool where an int is expected
-        name = (origin or tp).__name__
-        raise InvalidSpecError(f"{path}: expected {name}, got {type(value).__name__} {value!r}")
-    return value
 
 
 def _encode(obj):
@@ -192,7 +141,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return _decode(cls, d, "config")
+        return decode(cls, d, "config")
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())

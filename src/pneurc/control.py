@@ -109,28 +109,14 @@ def write_run_logs(paths, logs) -> None:
                for path, log in zip(paths, logs, strict=True)])
 
 
-class RecordedFeedforward:
-    """Feedforward columns computed once and replayed by every run on one reference.
-
-    ``run`` returns the recorded (p_ff, p_i, p_o, p_o_filt, disturbed) as
-    they are; any disturbance was applied when they were computed.
-    """
-
-    def __init__(self, columns):
-        self.columns = tuple(columns)
-
-    def run(self, theta_d, dt: float, disturbance: DisturbanceSpec | None = None):
-        return self.columns
-
-
 def run_closed_loop(reference: TimeSeries, model, actuator: Plant,
                     gains: ControllerGains, feedback: bool = True,
                     disturbance: DisturbanceSpec | None = None,
                     scenario: str = "", method: str = "") -> RunLog:
     """Simulate one tracking run and return its log.
 
-    ``model`` is a feedforward object, or None for pure feedback. It never
-    reads the plant angle, so one call ``model.run(theta_d, dt, disturbance)``
+    ``model`` is a feedforward function, or None for pure feedback. It never
+    reads the plant angle, so one call ``model(theta_d, dt, disturbance)``
     before the tick loop returns the arrays (p_ff, p_i, p_o, p_o_filt,
     disturbed) for the whole reference; a reservoir-backed model applies
     ``disturbance`` to its reservoir there. The loop runs PD, the pressure
@@ -148,7 +134,7 @@ def run_closed_loop(reference: TimeSeries, model, actuator: Plant,
     if model is None:
         ff = [np.zeros(n) for _ in range(5)]
     else:
-        ff = [np.array(c, dtype=float) for c in model.run(reference.values, dt, disturbance)]
+        ff = [np.array(c, dtype=float) for c in model(reference.values, dt, disturbance)]
         if len(ff) != 5 or any(c.shape != (n,) for c in ff):
             raise DimensionError(f"feedforward must return 5 columns of {n} samples")
     p_ff, p_i, p_o, p_o_filt, disturbed = ff
@@ -235,25 +221,24 @@ def tracking_report(rmse: dict) -> dict:
             for method in METHOD_NAMES}
 
 
-def disturbance_windows(t: np.ndarray, window: tuple, settle_time: float = SETTLE_TIME_S):
+def disturbance_windows(t: np.ndarray, window: tuple):
     """Masks (clean, disturbed) over the sample times ``t``.
 
-    The clean window runs from ``settle_time`` (startup transient skipped)
+    The clean window runs from ``SETTLE_TIME_S`` (startup transient skipped)
     up to the disturbance onset; the disturbed window is ``window`` itself.
     Both windows must contain samples.
     """
-    clean = (t >= settle_time) & (t < window[0])
+    clean = (t >= SETTLE_TIME_S) & (t < window[0])
     dist = (t >= window[0]) & (t < window[1])
     if not np.any(clean) or not np.any(dist):
         raise InvalidDataError("run does not cover both the clean and disturbed windows")
     return clean, dist
 
 
-def disturbance_window_rmse(log: RunLog, window: tuple,
-                            settle_time: float = SETTLE_TIME_S) -> dict:
+def disturbance_window_rmse(log: RunLog, window: tuple) -> dict:
     """Tracking RMSE inside the disturbance window vs. the clean window,
     as ``disturbance_windows`` delimits them."""
-    clean, dist = disturbance_windows(log.t, window, settle_time)
+    clean, dist = disturbance_windows(log.t, window)
     return {
         "clean_rmse": float(np.sqrt(np.mean(log.e_theta[clean] ** 2))),
         "disturbed_rmse": float(np.sqrt(np.mean(log.e_theta[dist] ** 2))),

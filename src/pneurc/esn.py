@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (InvalidDataError, InvalidSpecError, NumericError,
                      ResourceError, StateError, decoding)
 from .parallel import fork_map, usable_cpus
-from .signals import tap_matrix
+from .signals import decode, tap_matrix
 from .training import Trainer, ridge_solve
 
 WEIGHT_DISTRIBUTIONS = ("uniform", "uniform-sym", "normal")
@@ -342,10 +342,9 @@ class TrainedEsn:
         _check_washout(len(ds), washout)
         return self._replay(ds.theta)[washout:], ds.p_exp[washout:]
 
-    def feedforward(self) -> "TrainedEsn":
-        """The trained ESN drives tracking runs itself; it keeps no state
-        from one run to the next."""
-        return self
+    def feedforward(self):
+        """``run``: the ESN keeps no state from one tracking run to the next."""
+        return self.run
 
     def run(self, theta_d, dt: float, disturbance=None):
         """Feedforward signals for a whole reference angle record.
@@ -368,7 +367,7 @@ class TrainedEsn:
         with decoding(path), np.load(path) as data:
             if "format_version" not in data or int(data["format_version"][0]) != 2:
                 raise InvalidDataError(f"{path}: unsupported ESN artifact format")
-            params = EsnParams(**json.loads(data["params"].item()))
+            params = decode(EsnParams, json.loads(data["params"].item()), "params")
             r = params.reservoir_size
             shapes = {"w_input": (r,), "w_reservoir": (r, r), "w_out": (1 + params.n_y + r,)}
             weights = {name: data[name] for name in shapes}  # each access reads the archive

@@ -8,6 +8,7 @@ else identical.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -19,7 +20,7 @@ from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
 from .fuzzy import (FuzzyRuleSet, fcm_cluster, fuzzy_infer_batch,
                     train_fuzzy_readout)
 from .plant import INPUT_PRESSURE_LIMIT, DisturbanceSpec, Plant, drive
-from .signals import tap_matrix, write_json
+from .signals import decode, tap_matrix, write_json
 from .training import Trainer, normalize_minmax, weight_contributions
 
 FILTER_INIT_MODES = ("first-sample", "zero")
@@ -182,10 +183,32 @@ class FprcModel:
         """Processes a replay of ``n`` samples runs on: this one alone."""
         return 1
 
-    def feedforward(self, reservoir: Plant | None = None) -> "FprcFeedforward":
+    def run(self, theta_d, dt: float, disturbance: DisturbanceSpec | None = None, *,
+            reservoir: Plant | None = None):
+        """Feedforward signals for a whole reference angle record.
+
+        Returns the arrays (p_ff, p_i, p_o, p_o_filt, disturbed). The
+        reference drives ``reservoir``, perturbed per ``disturbance``, and
+        the readout is that of ``evaluate``. The fuzzy-linear variant has
+        no reservoir: its other four columns are zero.
+        """
+        params = self.params
+        theta_d = np.asarray(theta_d, dtype=float)
+        if self.reservoir_features:
+            p_i, p_o, disturbed = drive_reservoir(theta_d, reservoir, params.k_in,
+                                                  params.input_limit, dt, disturbance)
+            p_filt = _lowpass_series(p_o, params)
+            X = _feature_matrix(theta_d, p_filt, params)
+        else:
+            p_i = p_o = p_filt = disturbed = np.zeros(theta_d.size)
+            X = _feature_matrix(theta_d, None, params)
+        return self.predict(X), p_i, p_o, p_filt, disturbed
+
+    def feedforward(self, reservoir: Plant | None = None):
+        """``run`` bound to the reservoir it drives during tracking runs."""
         if self.reservoir_features and reservoir is None:
             raise InvalidSpecError("the reservoir-backed model needs a reservoir instance")
-        return FprcFeedforward(self, reservoir)
+        return functools.partial(self.run, reservoir=reservoir)
 
     def save(self, path) -> None:
         doc = {
@@ -206,40 +229,12 @@ class FprcModel:
                 raise InvalidDataError(f"{path}: unsupported model artifact format")
             if doc["kind"] not in ("fprc", "fuzzy-linear"):
                 raise InvalidDataError(f"{path}: unknown model kind {doc['kind']!r}")
-            params = FprcParams(**doc["params"])
+            params = decode(FprcParams, doc["params"], "params")
             centers, w_out = np.array(doc["centers"], float), np.array(doc["w_out"], float)
             if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(w_out))):
                 raise InvalidDataError(f"{path}: model weights must all be finite")
             ruleset = FuzzyRuleSet(centers=centers, w_out=w_out, sigma=params.sigma)
             return cls(params, ruleset, reservoir_features=(doc["kind"] == "fprc"))
-
-
-class FprcFeedforward:
-    """A trained model bound to the reservoir it drives during tracking runs."""
-
-    def __init__(self, model: FprcModel, reservoir: Plant | None):
-        self.model = model
-        self.reservoir = reservoir
-
-    def run(self, theta_d, dt: float, disturbance: DisturbanceSpec | None = None):
-        """Feedforward signals for a whole reference angle record.
-
-        Returns the arrays (p_ff, p_i, p_o, p_o_filt, disturbed). The
-        reference drives the reservoir, perturbed per ``disturbance``, and
-        the readout is that of ``FprcModel.evaluate``. The fuzzy-linear
-        variant has no reservoir: its other four columns are zero.
-        """
-        params = self.model.params
-        theta_d = np.asarray(theta_d, dtype=float)
-        if self.model.reservoir_features:
-            p_i, p_o, disturbed = drive_reservoir(theta_d, self.reservoir, params.k_in,
-                                                  params.input_limit, dt, disturbance)
-            p_filt = _lowpass_series(p_o, params)
-            X = _feature_matrix(theta_d, p_filt, params)
-        else:
-            p_i = p_o = p_filt = disturbed = np.zeros(theta_d.size)
-            X = _feature_matrix(theta_d, None, params)
-        return self.model.predict(X), p_i, p_o, p_filt, disturbed
 
 
 class FprcTrainer(Trainer):

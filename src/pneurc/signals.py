@@ -8,9 +8,13 @@ harness.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import json
 import math
 import os
+import types
+import typing
 from array import array
 from dataclasses import dataclass
 
@@ -55,6 +59,55 @@ def write_json(path, payload) -> None:
     with _open_for_writing(path) as fh:
         json.dump(_null_non_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+# resolving the string annotations costs more than the rest of a decode
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def decode(tp, value, path: str):
+    """``value``, read from JSON, checked against the annotation ``tp``.
+
+    Dataclasses come from mappings that hold no unknown field and every
+    required one, ``dict[str, X]`` and ``tuple[X, ...]`` from mappings and
+    lists; a scalar must have its annotated type exactly, except that an
+    int is taken where a float is expected, and None only where allowed.
+    A float must be finite.
+    """
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise InvalidSpecError(f"{path}: expected a mapping, got {type(value).__name__}")
+        fields = {f.name: f for f in dataclasses.fields(tp)}
+        unknown = sorted(set(value) - set(fields))
+        if unknown:
+            raise InvalidSpecError(f"{path}: unknown fields {unknown}")
+        missing = sorted(name for name, f in fields.items() if name not in value
+                         and f.default is dataclasses.MISSING
+                         and f.default_factory is dataclasses.MISSING)
+        if missing:
+            raise InvalidSpecError(f"{path}: missing fields {missing}")
+        hints = _type_hints(tp)
+        return tp(**{k: decode(hints[k], v, f"{path}.{k}") for k, v in value.items()})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is dict and isinstance(value, dict):
+        return {k: decode(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is types.UnionType:  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else decode(inner, value, path)
+    if tp is float and type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if not math.isfinite(number):  # json.load reads NaN and Infinity
+            raise InvalidSpecError(f"{path}: expected a finite number, got {value!r}")
+        return number
+    if type(value) is not tp:  # also refuses a bool where an int is expected
+        name = (origin or tp).__name__
+        raise InvalidSpecError(f"{path}: expected {name}, got {type(value).__name__} {value!r}")
+    return value
 
 
 CSV_BLOCK_ROWS = 1024

@@ -542,15 +542,43 @@ def _nan_sigma(good: str) -> str:
     return json.dumps(doc)
 
 
+def _float_n_y(good: str) -> str:
+    doc = json.loads(good)
+    doc["params"]["n_y"] = 5.0
+    return json.dumps(doc)
+
+
+def _float_n_u(good: str) -> str:
+    doc = json.loads(good)
+    doc["params"]["n_u"] = 3.0
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt", [_truncated_json, _without_params, _unknown_param,
-                                     _nan_weight, _nan_sigma])
+                                     _nan_weight, _nan_sigma, _float_n_y, _float_n_u])
 def test_corrupt_fprc_artifact_exits_2(workspace, tmp_path, capsys, corrupt):
     good = (workspace["out"] / "models" / "fprc.json").read_text()
     bad = tmp_path / "fprc.json"
     bad.write_text(corrupt(good))
     assert main(["--config", workspace["cfg_path"], "evaluate",
                  "--model-artifact", str(bad)]) == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(bad) in err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_float_n_y, "params.n_y: expected int, got float 5.0"),
+    (_float_n_u, "params.n_u: expected int, got float 3.0")])
+def test_simulate_type_checks_artifact_params(workspace, tmp_path, capsys, corrupt, message):
+    good = (workspace["out"] / "models" / "fprc.json").read_text()
+    bad = tmp_path / "fprc.json"
+    bad.write_text(corrupt(good))
+    assert main(["--config", workspace["cfg_path"], "simulate", "--scenario", "sine05",
+                 "--model-artifact", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}: {message}" in err
 
 
 @pytest.mark.parametrize("command, held, asked", [
@@ -578,6 +606,18 @@ def test_corrupt_esn_artifact_exits_2(workspace, tmp_path, capsys, content):
     assert main(["--config", workspace["cfg_path"], "evaluate", "--model", "esn",
                  "--model-artifact", str(bad)]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_esn_artifact_params_are_type_checked(workspace, tmp_path, capsys):
+    bad = tmp_path / "esn.npz"
+    params = dataclasses.asdict(esn.EsnParams(reservoir_size=40, washout=20)) | {"n_y": 5.0}
+    np.savez(bad, format_version=np.array([2]), params=np.array(json.dumps(params)),
+             w_input=np.zeros(40), w_reservoir=np.zeros((40, 40)), w_out=np.zeros(46))
+    assert main(["--config", workspace["cfg_path"], "evaluate", "--model", "esn",
+                 "--model-artifact", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}: params.n_y: expected int, got float 5.0" in err
 
 
 def test_bad_chirp_quadratic_scenario_exits_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from pneurc.config import ExperimentConfig
-from pneurc.control import (ControllerGains, RUN_LOG_COLUMNS, RecordedFeedforward, RunLog,
+from pneurc.control import (ControllerGains, RUN_LOG_COLUMNS, RunLog,
                             disturbance_window_rmse, extract_hysteresis_loop, pd_step,
                             report_to_csv, run_closed_loop, run_open_loop,
                             shoelace_area, tracking_report, write_run_logs)
@@ -24,7 +24,7 @@ class ConstantModel:
         self.reservoir = reservoir
         self.calls = 0
 
-    def run(self, theta_d, dt, disturbance=None):
+    def __call__(self, theta_d, dt, disturbance=None):
         self.calls += 1
         n = len(theta_d)
         disturbed = np.zeros(n)
@@ -140,8 +140,8 @@ def test_loop_queries_feedforward_once():
 
 def test_loop_rejects_feedforward_of_wrong_length():
     class Short(ConstantModel):
-        def run(self, theta_d, dt, disturbance=None):
-            return super().run(theta_d[:-1], dt, disturbance)
+        def __call__(self, theta_d, dt, disturbance=None):
+            return super().__call__(theta_d[:-1], dt, disturbance)
 
     with pytest.raises(DimensionError):
         run_closed_loop(ref_sine(), Short(), ActuatorConfig().build(), ControllerGains())
@@ -197,7 +197,7 @@ class ExactInverse:
                                                                -w[1:] / (cum[1:] * cum[:-1])]))
         self.tau = actuator.lag_time_constant
 
-    def run(self, theta_d, dt, disturbance=None):
+    def __call__(self, theta_d, dt, disturbance=None):
         angle = np.concatenate([[0.0], theta_d[1:]])
         ahead = np.append(theta_d[1:], theta_d[-1])
         p_ff = self.stack.run(angle + (self.tau / dt) * (ahead - angle))
@@ -297,7 +297,7 @@ def test_disturbance_window_rmse_hand_values():
     e = np.array([9.0, 9.0, 3.0, 3.0, 3.0, 4.0, 4.0, 4.0, 9.0, 9.0])
     d = np.array([0.0] * 5 + [1.0] * 3 + [0.0] * 2)
     log = make_log(n=10, e_theta=e, disturbed=d)
-    out = disturbance_window_rmse(log, window=(5.0, 8.0), settle_time=2.0)
+    out = disturbance_window_rmse(log, window=(5.0, 8.0))
     assert out["clean_rmse"] == pytest.approx(3.0)
     assert out["disturbed_rmse"] == pytest.approx(4.0)
     assert out["n_perturbed_steps"] == 3
@@ -381,8 +381,10 @@ def test_run_logs_written_together_match_per_element_writer(tmp_path):
     # each block's strings between equal columns, across block edges too
     spec = DisturbanceSpec(t_start=5.0, t_end=6.0, magnitude=8.0)
     ref = ref_sine(duration=13.0)
-    ff = RecordedFeedforward(ConstantModel(reservoir=ReservoirConfig().build())
-                             .run(ref.values, ref.dt, spec))
+    columns = ConstantModel(reservoir=ReservoirConfig().build())(ref.values, ref.dt, spec)
+
+    def ff(theta_d, dt, disturbance=None):
+        return columns
     fprc = run_open_loop(ref, ff, ActuatorConfig().build(), ControllerGains(),
                          disturbance=spec)
     fprc_pd = run_closed_loop(ref, ff, ActuatorConfig().build(), ControllerGains(),

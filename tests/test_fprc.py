@@ -184,7 +184,7 @@ def test_feedforward_run_matches_vectorized_evaluate(small_dataset, default_conf
     model = FprcTrainer(default_config.fprc_params(), seed=1).fit([small_dataset])
     yhat, _ = model.evaluate(small_dataset)
     ff = model.feedforward(default_config.build_reservoir())
-    p_ff, p_i, p_o, _, _ = ff.run(small_dataset.theta, small_dataset.dt)
+    p_ff, p_i, p_o, _, _ = ff(small_dataset.theta, small_dataset.dt)
     np.testing.assert_array_equal(p_o, small_dataset.p_o)
     np.testing.assert_array_equal(p_ff, yhat)
 
