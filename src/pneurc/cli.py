@@ -97,8 +97,7 @@ def _write_dataset(cfg: ExperimentConfig, job) -> int:
     """Write the dataset of one (excitation, path) job; returns its row count."""
     excitation, path = job
     ds = generate_dataset(excitation.render(cfg.dt), cfg.build_actuator(),
-                          cfg.build_reservoir(), cfg.fprc_params().k_in,
-                          cfg.plant.reservoir.input_range)
+                          cfg.build_reservoir(), cfg.fprc_params().k_in)
     ds.save_csv(path)
     return len(ds)
 
@@ -220,7 +219,7 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
 def cmd_bench(args, cfg: ExperimentConfig) -> int:
     train_ds, test_ds = map(_load_dataset, _dataset_paths(cfg, args.reverse))
     metrics, timing = {}, {}
-    for kind in ("esn", "fprc", "fuzzy-linear"):
+    for kind in MODEL_KINDS:
         result = training.benchmark_execution(cfg.trainer(kind), train_ds, test_ds,
                                               repetitions=cfg.bench_repetitions)
         metrics[kind] = result.metrics_dict()

@@ -186,8 +186,7 @@ class ExperimentConfig:
 
     def fprc_params(self) -> FprcParams:
         return FprcParams(**asdict(self.model.fprc), n_y=self.model.n_y,
-                          alpha=self.model.alpha,
-                          input_limit=self.plant.reservoir.input_range)
+                          alpha=self.model.alpha)
 
     def trainer(self, kind: str, **fprc_overrides):
         """The trainer of a model kind. ``fprc_overrides`` replace fields of

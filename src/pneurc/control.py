@@ -181,9 +181,8 @@ def shoelace_area(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def extract_hysteresis_loop(log: RunLog, x_column: str, y_column: str,
-                            period_steps: int | None = None,
-                            cycle: str = "last") -> tuple[np.ndarray, float]:
-    """Pull one steady cycle from a run and measure its enclosed area.
+                            period_steps: int | None = None) -> tuple[np.ndarray, float]:
+    """Pull the last, steadiest cycle from a run and measure its enclosed area.
 
     ``period_steps`` selects the cycle length in samples; None treats the
     whole run as one closed cycle (for non-periodic references that return
@@ -200,13 +199,7 @@ def extract_hysteresis_loop(log: RunLog, x_column: str, y_column: str,
     if period_steps > len(log):
         raise InvalidDataError(f"run of {len(log)} samples holds no full "
                                f"{period_steps}-sample cycle")
-    if cycle == "last":
-        sl = slice(len(log) - period_steps, len(log))
-    elif cycle == "first":
-        sl = slice(0, period_steps)
-    else:
-        raise InvalidSpecError("cycle must be 'first' or 'last'")
-    points = np.column_stack([x[sl], y[sl]])
+    points = np.column_stack([x[-period_steps:], y[-period_steps:]])
     return points, shoelace_area(points[:, 0], points[:, 1])
 
 

@@ -79,7 +79,7 @@ class Dataset:
 
 
 def generate_dataset(excitation: TimeSeries, actuator: Plant, reservoir: Plant,
-                     k_in: float, input_limit: float) -> Dataset:
+                     k_in: float) -> Dataset:
     """Run the identification experiment for one excitation record.
 
     Per sample: the actuator is pressurized with P_exp and its angle
@@ -92,5 +92,5 @@ def generate_dataset(excitation: TimeSeries, actuator: Plant, reservoir: Plant,
                                f"{excitation.unit!r}")
     dt = excitation.dt
     theta, _ = drive(actuator, excitation.values, dt)
-    p_i, p_o, _ = drive_reservoir(theta, reservoir, k_in, input_limit, dt)
+    p_i, p_o, _ = drive_reservoir(theta, reservoir, k_in, dt)
     return Dataset(theta=theta, p_exp=excitation.values.copy(), p_i=p_i, p_o=p_o, dt=dt)

@@ -69,24 +69,24 @@ class EsnParams(EsnConfig):
             raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
 
 
-def spectral_radius_power_iteration(w: np.ndarray, tol: float = 1e-8,
-                                    max_iter: int = 10_000) -> float:
+def spectral_radius_power_iteration(w: np.ndarray) -> float:
     """Largest absolute eigenvalue estimated by power iteration.
 
-    Avoids a full eigendecomposition for the large recurrent matrix. If
-    the iteration has not converged within max_iter (possible when the
-    dominant eigenvalue is complex), falls back to the exact spectrum.
+    Avoids a full eigendecomposition for the large recurrent matrix. The
+    iteration stops when the estimate changes by at most 1e-8 of itself;
+    if it has not within 10,000 iterations (possible when the dominant
+    eigenvalue is complex), it falls back to the exact spectrum.
     """
     n = w.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
     lam_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(10_000):
         wv = w @ v
         lam = float(np.linalg.norm(wv))
         if lam == 0.0:
             return 0.0
         v = wv / lam
-        if abs(lam - lam_prev) <= tol * lam:
+        if abs(lam - lam_prev) <= 1e-8 * lam:
             return lam
         lam_prev = lam
     return float(np.max(np.abs(np.linalg.eigvals(w))))

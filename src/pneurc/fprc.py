@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
                      NumericError, decoding)
-from .fuzzy import (FuzzyRuleSet, fcm_cluster, fuzzy_infer_batch,
+from .fuzzy import (FuzzyRuleSet, check_sigma, fcm_cluster, fuzzy_infer_batch,
                     train_fuzzy_readout)
-from .plant import INPUT_PRESSURE_LIMIT, DisturbanceSpec, Plant, drive
+from .plant import DisturbanceSpec, Plant, drive
 from .signals import decode, tap_matrix, write_json
 from .training import Trainer, normalize_minmax, weight_contributions
 
@@ -46,12 +46,11 @@ class FprcConfig:
 
 @dataclass(frozen=True)
 class FprcParams(FprcConfig):
-    """All pipeline hyperparameters: the config's plus the angle taps, the
-    ridge strength and the reservoir input limit, which it sets elsewhere."""
+    """All pipeline hyperparameters: the config's plus the angle taps and
+    the ridge strength, which it sets elsewhere."""
 
     n_y: int = 5
     alpha: float = 1e-3
-    input_limit: float = INPUT_PRESSURE_LIMIT
 
     def __post_init__(self):
         if not (self.k_in > 0.0):
@@ -62,8 +61,7 @@ class FprcParams(FprcConfig):
             raise InvalidSpecError("n_u and n_y must be >= 1")
         if self.n_c < 1:
             raise InvalidSpecError("n_c must be >= 1")
-        if not (self.sigma > 0.0):
-            raise InvalidSpecError("sigma must be positive")
+        check_sigma(self.sigma)
         if self.filter_init not in FILTER_INIT_MODES:
             raise InvalidSpecError(f"filter_init must be one of {FILTER_INIT_MODES}")
 
@@ -71,8 +69,7 @@ class FprcParams(FprcConfig):
         return replace(self, **kw)
 
 
-def convert_angle(theta_d: float, k_in: float,
-                  limit: float = INPUT_PRESSURE_LIMIT) -> float:
+def convert_angle(theta_d: float, k_in: float, limit: float) -> float:
     """Reservoir input pressure P_i = k_in * theta_d, clamped to [0, limit]."""
     if not math.isfinite(theta_d):
         raise NumericError(f"theta_d must be finite, got {theta_d!r}")
@@ -80,16 +77,17 @@ def convert_angle(theta_d: float, k_in: float,
     return float(0.0 if p_i < 0.0 else (limit if p_i > limit else p_i))
 
 
-def drive_reservoir(theta, reservoir: Plant, k_in: float, input_limit: float,
-                    dt: float, disturbance: DisturbanceSpec | None = None):
-    """Drive the reservoir with P_i = convert_angle(theta) one sample at a time.
+def drive_reservoir(theta, reservoir: Plant, k_in: float, dt: float,
+                    disturbance: DisturbanceSpec | None = None):
+    """Drive the reservoir with P_i = convert_angle(theta, k_in, its input limit).
 
     ``disturbance`` perturbs the reservoir as ``plant.drive`` does. Returns
     the arrays (p_i, p_o, disturbed), one entry per sample; the reservoir is
     left in its final state.
     """
     theta = np.asarray(theta, dtype=float)
-    p_i = np.array([convert_angle(th, k_in, input_limit) for th in theta.tolist()])
+    limit = reservoir.input_limit
+    p_i = np.array([convert_angle(th, k_in, limit) for th in theta.tolist()])
     p_o, disturbed = drive(reservoir, p_i, dt, disturbance)
     return p_i, p_o, disturbed
 
@@ -149,20 +147,19 @@ def fprc_collect_training(theta, p_exp, p_o=None, params: FprcParams = None,
 
 
 class FprcModel:
-    """Trained feedforward model: params plus the fuzzy readout.
+    """Trained feedforward model: params plus the fuzzy readout, of width ``params.sigma``.
 
     ``reservoir_features=False`` gives the fuzzy-linear variant (angle
     taps only, no physical reservoir in the loop).
     """
 
-    def __init__(self, params: FprcParams, ruleset: FuzzyRuleSet,
-                 reservoir_features: bool = True):
+    def __init__(self, params: FprcParams, centers, w_out, reservoir_features: bool = True):
+        self.ruleset = FuzzyRuleSet(centers=centers, w_out=w_out, sigma=params.sigma)
         expected = params.n_y + (params.n_u if reservoir_features else 0)
-        if ruleset.state_dim != expected:
-            raise DimensionError(f"ruleset state dim {ruleset.state_dim} does not match "
+        if self.ruleset.state_dim != expected:
+            raise DimensionError(f"ruleset state dim {self.ruleset.state_dim} does not match "
                                  f"the {expected} configured taps")
         self.params = params
-        self.ruleset = ruleset
         self.reservoir_features = reservoir_features
 
     @property
@@ -195,8 +192,10 @@ class FprcModel:
         params = self.params
         theta_d = np.asarray(theta_d, dtype=float)
         if self.reservoir_features:
-            p_i, p_o, disturbed = drive_reservoir(theta_d, reservoir, params.k_in,
-                                                  params.input_limit, dt, disturbance)
+            if reservoir is None:
+                raise InvalidSpecError("the reservoir-backed model needs a reservoir instance")
+            p_i, p_o, disturbed = drive_reservoir(theta_d, reservoir, params.k_in, dt,
+                                                  disturbance)
             p_filt = _lowpass_series(p_o, params)
             X = _feature_matrix(theta_d, p_filt, params)
         else:
@@ -206,8 +205,6 @@ class FprcModel:
 
     def feedforward(self, reservoir: Plant | None = None):
         """``run`` bound to the reservoir it drives during tracking runs."""
-        if self.reservoir_features and reservoir is None:
-            raise InvalidSpecError("the reservoir-backed model needs a reservoir instance")
         return functools.partial(self.run, reservoir=reservoir)
 
     def save(self, path) -> None:
@@ -233,8 +230,7 @@ class FprcModel:
             centers, w_out = np.array(doc["centers"], float), np.array(doc["w_out"], float)
             if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(w_out))):
                 raise InvalidDataError(f"{path}: model weights must all be finite")
-            ruleset = FuzzyRuleSet(centers=centers, w_out=w_out, sigma=params.sigma)
-            return cls(params, ruleset, reservoir_features=(doc["kind"] == "fprc"))
+            return cls(params, centers, w_out, reservoir_features=(doc["kind"] == "fprc"))
 
 
 class FprcTrainer(Trainer):
@@ -260,8 +256,7 @@ class FprcTrainer(Trainer):
                                  tol=self.params.fcm_tol, max_iter=self.params.fcm_max_iter,
                                  seed=[self.seed, fold])
         w_out = train_fuzzy_readout(X, y, u, self.params.alpha)
-        ruleset = FuzzyRuleSet(centers=centers, w_out=w_out, sigma=self.params.sigma)
-        return FprcModel(self.params, ruleset, self.reservoir_features)
+        return FprcModel(self.params, centers, w_out, self.reservoir_features)
 
 
 def fprc_weight_analysis(theta, p_exp, p_o, params: FprcParams, seed: int = 0) -> dict:

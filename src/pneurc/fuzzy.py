@@ -189,6 +189,16 @@ def train_fuzzy_readout(X, y, u, alpha: float) -> np.ndarray:
     return W
 
 
+def check_sigma(sigma: float) -> None:
+    """Refuse a Gaussian width unless its divisor 2 sigma^2 is a positive finite float."""
+    try:
+        divisor = 2.0 * sigma ** 2  # as _normalized_memberships_batch computes it
+    except OverflowError:
+        divisor = np.inf
+    if not (sigma > 0.0 and 0.0 < divisor < np.inf):
+        raise InvalidSpecError(f"sigma must be positive with 2 sigma^2 finite, got {sigma!r}")
+
+
 @dataclass
 class FuzzyRuleSet:
     """Trained Takagi-Sugeno model: centers plus per-rule affine weights."""
@@ -200,8 +210,7 @@ class FuzzyRuleSet:
     def __post_init__(self):
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         self.w_out = np.atleast_2d(np.asarray(self.w_out, dtype=float))
-        if self.sigma <= 0.0:
-            raise InvalidSpecError("sigma must be positive")
+        check_sigma(self.sigma)
         if self.w_out.shape != (self.centers.shape[0], self.centers.shape[1] + 1):
             raise DimensionError(
                 f"w_out shape {self.w_out.shape} does not match centers "

@@ -232,8 +232,9 @@ class DisturbanceSpec:
                                    f"expected one of {DISTURBANCE_MODES}")
         if self.t_start >= self.t_end:
             raise InvalidSpecError("disturbance window must satisfy t_start < t_end")
-        if self.magnitude < 0.0:
-            raise InvalidSpecError("disturbance magnitude must be non-negative")
+        if not (0.0 <= self.magnitude and math.isfinite(2.0 * self.magnitude)):
+            raise InvalidSpecError(f"disturbance magnitude must be non-negative, and twice it "
+                                   f"(the span of a kick) finite, got {self.magnitude!r}")
         if self.seed < 0:
             raise InvalidSpecError(f"disturbance seed must be non-negative, got {self.seed}")
 

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidDataError, InvalidSpecError
+from .errors import DimensionError, InvalidDataError, InvalidSpecError, ResourceError
 
 DEFAULT_DT = 1.0 / 200.0
+MAX_RENDER_SAMPLES = 10 ** 7  # the longest signal rendered: about 14 h at 200 Hz
 
 SIGNAL_KINDS = ("sine", "multisine", "chirp-linear", "chirp-quadratic")
 
@@ -219,10 +220,6 @@ class TimeSeries:
         return self.values.size
 
     @property
-    def duration(self) -> float:
-        return self.values.size * self.dt
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.values.size, dtype=float) * self.dt
 
@@ -283,7 +280,11 @@ class SignalSpec:
         """
         if not (dt > 0.0):
             raise InvalidSpecError(f"dt must be positive, got {dt!r}")
-        n = int(round(self.duration / dt))
+        samples = self.duration / dt
+        if not (samples <= MAX_RENDER_SAMPLES):  # also refuses an infinite count
+            raise ResourceError(f"duration {self.duration} at dt {dt} takes {samples:.3g} "
+                                f"samples, over the budget of {MAX_RENDER_SAMPLES}")
+        n = int(round(samples))
         if n < 1:
             raise InvalidSpecError(f"duration {self.duration} too short for dt {dt}")
         t = np.arange(n, dtype=float) * dt

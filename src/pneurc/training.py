@@ -189,7 +189,7 @@ def kfold_cv(dataset, trainer, k: int = 5):
     the trainer on the segments before and after it, each an independent
     record that starts cold. Fold quality is e_bar = sqrt(e_train^2 +
     e_val^2); the fold with minimal e_bar wins, ties resolved toward the
-    lower index.
+    lower index, and a winner that is not finite raises NumericError.
 
     Every training segment and validation block starts cold at a fold edge
     e_j and is a prefix of run j, the run from e_j to the end. Fold i trains
@@ -221,7 +221,9 @@ def kfold_cv(dataset, trainer, k: int = 5):
                                    f"after washout {washout}")
     folds = fork_map(functools.partial(_fold, dataset, trainer, spine, edges), range(k))
     results = [result for result, _ in folds]
-    best = int(np.argmin([f.e_bar for f in results]))  # the first minimum: lowest index
+    best = int(np.argmin([f.e_bar for f in results]))  # the first minimum, or first NaN
+    if not np.isfinite(results[best].e_bar):
+        raise NumericError(f"fold {best} is selected with e_bar {results[best].e_bar}")
     return folds[best][1], CvReport(folds=results, best_index=best)
 
 

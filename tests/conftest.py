@@ -23,8 +23,7 @@ settings.load_profile("pneurc")
 
 def _generate(cfg: ExperimentConfig, spec) -> Dataset:
     return generate_dataset(spec.render(cfg.dt), cfg.build_actuator(),
-                            cfg.build_reservoir(), k_in=cfg.fprc_params().k_in,
-                            input_limit=cfg.plant.reservoir.input_range)
+                            cfg.build_reservoir(), k_in=cfg.fprc_params().k_in)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -554,8 +555,16 @@ def _float_n_u(good: str) -> str:
     return json.dumps(doc)
 
 
+def _input_limit(good: str) -> str:
+    # the reservoir's input limit, which artifacts held before the reservoir alone did
+    doc = json.loads(good)
+    doc["params"]["input_limit"] = 450.0
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt", [_truncated_json, _without_params, _unknown_param,
-                                     _nan_weight, _nan_sigma, _float_n_y, _float_n_u])
+                                     _nan_weight, _nan_sigma, _float_n_y, _float_n_u,
+                                     _input_limit])
 def test_corrupt_fprc_artifact_exits_2(workspace, tmp_path, capsys, corrupt):
     good = (workspace["out"] / "models" / "fprc.json").read_text()
     bad = tmp_path / "fprc.json"
@@ -579,6 +588,60 @@ def test_simulate_type_checks_artifact_params(workspace, tmp_path, capsys, corru
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{bad}: {message}" in err
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["simulate", "--scenario", "sine05"]])
+def test_artifact_holding_an_input_limit_exits_2_naming_it(workspace, tmp_path, capsys,
+                                                          command):
+    good = (workspace["out"] / "models" / "fprc.json").read_text()
+    bad = tmp_path / "fprc.json"
+    bad.write_text(_input_limit(good))
+    args = _out_with(workspace, tmp_path / "out", "data/test.csv")
+    assert main([*args, *command, "--model-artifact", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}: params: unknown fields ['input_limit']" in err
+
+
+@pytest.mark.parametrize("sigma", [1e308, 1.35e154, 1.5e-162, 1e-200])
+def test_sigma_without_a_positive_finite_square_exits_2(workspace, tmp_path, capsys, sigma):
+    # from the config through train, and from an artifact through evaluate and simulate
+    cfg = workspace["cfg"]
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"), model=dataclasses.replace(
+        cfg.model, fprc=dataclasses.replace(cfg.model.fprc, sigma=sigma)))
+    cfg.to_json(tmp_path / "config.json")
+    _out_with(workspace, tmp_path / "out", "data/train.csv", "data/test.csv")
+    args = ["--config", str(tmp_path / "config.json")]
+    assert main([*args, "train"]) == 2
+    doc = json.loads((workspace["out"] / "models" / "fprc.json").read_text())
+    doc["params"]["sigma"] = sigma
+    bad = tmp_path / "fprc.json"
+    bad.write_text(json.dumps(doc))
+    for command in (["evaluate"], ["simulate", "--scenario", "sine05"]):
+        assert main([*args, *command, "--model-artifact", str(bad)]) == 2, command
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count(f"sigma must be positive with 2 sigma^2 finite, got {sigma!r}") == 3
+    assert not (tmp_path / "out" / "models").exists()
+    assert not (tmp_path / "out" / "reports").exists()
+
+
+@pytest.mark.parametrize("key, value", [("signals.train_excitation.duration", 1e308),
+                                        ("signals.train_excitation.duration", 1e12),
+                                        ("dt", 5e-324)])
+def test_signal_over_the_sample_budget_exits_3(tmp_path, capsys, key, value):
+    # refused from the sample count alone, before any array is allocated
+    assert _generate_with_config_value(tmp_path, key, value) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "samples, over the budget of 10000000" in err
+
+
+def test_disturbance_magnitude_without_a_finite_double_exits_2(tmp_path, capsys):
+    assert _generate_with_config_value(tmp_path, "disturbance.magnitude", 1e308) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "disturbance magnitude must be non-negative, and twice it" in err
 
 
 @pytest.mark.parametrize("command, held, asked", [
@@ -781,18 +844,21 @@ def _config_leaves(doc, path=()):
 _FUZZ_STRINGS = sorted({"", "x", "deg", "kPa", *SIGNAL_KINDS, *MODEL_KINDS,
                         *esn.WEIGHT_DISTRIBUTIONS, *FILTER_INIT_MODES, *DISTURBANCE_MODES})
 _FUZZ_SPECIALS = [None, True, "x", math.nan, math.inf, -math.inf, [], {}, [1.0, 2.0, 3.0]]
+_FUZZ_EXTREMES = [1e308, -1e308, 1e-308, 5e-324]
 
 
 def _fuzz_value(old):
     """A value to put in place of ``old``: a wrong type, a non-finite number,
-    or a multiple of a number, which keeps signals a few seconds long and
-    reservoirs at 40 units or fewer."""
+    a multiple of a number, which keeps signals a few seconds long and
+    reservoirs at 40 units or fewer, or, in place of a float, a finite
+    extreme. No int is drawn large: as a size it would be allocated."""
     specials = st.sampled_from(_FUZZ_SPECIALS)
     if isinstance(old, str):
         return st.sampled_from(_FUZZ_STRINGS) | specials
     if isinstance(old, (int, float)) and not isinstance(old, bool):
         scaled = st.sampled_from([-1, 0, 0.5, 2, 4]).map(lambda f: type(old)(old * f))
-        return scaled | st.integers(-1, 3) | specials
+        drawn = scaled | st.integers(-1, 3) | specials
+        return drawn | st.sampled_from(_FUZZ_EXTREMES) if isinstance(old, float) else drawn
     return st.sampled_from([0, 1, 2.5]) | specials
 
 
@@ -813,3 +879,19 @@ def test_cli_survives_any_one_config_leaf(data):
             json.dump(doc, fh)
         for command in ("generate", "train", "simulate"):
             assert main(["--config", cfg_path, command]) in (0, 2, 3), command
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_cli_survives_any_one_fprc_artifact_param(workspace, data):
+    # evaluate and simulate exit with a documented code, whatever one param holds
+    doc = json.loads((workspace["out"] / "models" / "fprc.json").read_text())
+    name = data.draw(st.sampled_from(sorted(doc["params"])), label="param")
+    doc["params"][name] = data.draw(_fuzz_value(doc["params"][name]), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        artifact = os.path.join(tmp, "fprc.json")
+        with open(artifact, "w") as fh:
+            json.dump(doc, fh)
+        args = _out_with(workspace, pathlib.Path(tmp) / "out", "data/test.csv")
+        for command in (["evaluate"], ["simulate", "--scenario", "sine05"]):
+            assert main([*args, *command, "--model-artifact", artifact]) in (0, 2, 3), command

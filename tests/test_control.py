@@ -10,8 +10,7 @@ from pneurc.control import (ControllerGains, RUN_LOG_COLUMNS, RunLog,
 from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
                            NumericError)
 from pneurc.fprc import drive_reservoir
-from pneurc.plant import (INPUT_PRESSURE_LIMIT, ActuatorConfig, DisturbanceSpec,
-                          PlayOperatorStack, ReservoirConfig)
+from pneurc.plant import ActuatorConfig, DisturbanceSpec, PlayOperatorStack, ReservoirConfig
 from pneurc.signals import CSV_BLOCK_ROWS, TimeSeries, format_float
 
 
@@ -29,8 +28,7 @@ class ConstantModel:
         n = len(theta_d)
         disturbed = np.zeros(n)
         if self.reservoir is not None:
-            _, _, disturbed = drive_reservoir(theta_d, self.reservoir, 7.0,
-                                              INPUT_PRESSURE_LIMIT, dt, disturbance)
+            _, _, disturbed = drive_reservoir(theta_d, self.reservoir, 7.0, dt, disturbance)
         return (np.full(n, self.p_ff), np.full(n, 1.0), np.full(n, 2.0),
                 np.full(n, 3.0), disturbed)
 
@@ -259,19 +257,17 @@ def test_shoelace_degenerate():
 
 
 def test_extract_hysteresis_loop_cycles():
-    x = np.array([0.0, 1.0, 1.0, 0.0] * 2)
-    y = np.array([0.0, 0.0, 1.0, 1.0] * 2)
+    # a unit square, then a square of side 2: the last cycle is the second
+    x = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0, 0.0])
+    y = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0])
     log = make_log(n=8, theta_d=x, theta=y)
     pts_last, area_last = extract_hysteresis_loop(log, "theta_d_deg", "theta_deg",
-                                                  period_steps=4, cycle="last")
-    assert area_last == pytest.approx(1.0)
+                                                  period_steps=4)
+    assert area_last == pytest.approx(4.0)
     np.testing.assert_array_equal(pts_last, np.column_stack([x[4:], y[4:]]))
-    _, area_first = extract_hysteresis_loop(log, "theta_d_deg", "theta_deg",
-                                            period_steps=4, cycle="first")
-    assert area_first == pytest.approx(1.0)
-    # whole run as one polygon: the doubled traversal doubles the signed sum
+    # whole run as one polygon: both traversals add to the signed sum
     _, area_whole = extract_hysteresis_loop(log, "theta_d_deg", "theta_deg")
-    assert area_whole == pytest.approx(2.0)
+    assert area_whole == pytest.approx(5.0)
 
 
 def test_extract_hysteresis_loop_validation():
@@ -280,9 +276,6 @@ def test_extract_hysteresis_loop_validation():
         extract_hysteresis_loop(log, "theta_d_deg", "theta_deg", period_steps=2)
     with pytest.raises(InvalidDataError):
         extract_hysteresis_loop(log, "theta_d_deg", "theta_deg", period_steps=9)
-    with pytest.raises(InvalidSpecError):
-        extract_hysteresis_loop(log, "theta_d_deg", "theta_deg", period_steps=4,
-                                cycle="middle")
     with pytest.raises(InvalidDataError):
         extract_hysteresis_loop(make_log(n=0), "theta_d_deg", "theta_deg")
     with pytest.raises(InvalidDataError):

@@ -163,14 +163,13 @@ def test_generate_dataset_matches_manual_simulation(default_config):
                             duration=2.0, unit="kPa").render()
     params = default_config.fprc_params()
     ds = generate_dataset(excitation, default_config.build_actuator(),
-                          default_config.build_reservoir(), k_in=params.k_in,
-                          input_limit=params.input_limit)
+                          default_config.build_reservoir(), k_in=params.k_in)
     act = default_config.build_actuator()
     res = default_config.build_reservoir()
     for k in range(len(ds)):
         theta = plant_step(act, excitation.values[k], excitation.dt)
         assert ds.theta[k] == theta
-        p_i = convert_angle(theta, params.k_in, params.input_limit)
+        p_i = convert_angle(theta, params.k_in, res.input_limit)
         assert ds.p_i[k] == p_i
         assert ds.p_o[k] == plant_step(res, p_i, excitation.dt)
     np.testing.assert_array_equal(ds.p_exp, excitation.values)
@@ -182,8 +181,7 @@ def test_generate_dataset_requires_pressure_excitation(default_config):
                               duration=1.0, unit="deg").render()
     with pytest.raises(InvalidSpecError, match="kPa"):
         generate_dataset(angle_series, default_config.build_actuator(),
-                         default_config.build_reservoir(), k_in=7.0,
-                         input_limit=450.0)
+                         default_config.build_reservoir(), k_in=7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,10 @@ def test_config_wires_params(default_config):
     assert fprc.k_in == 7.0
     assert fprc.epsilon == 0.01
     assert (fprc.n_y, fprc.n_u, fprc.n_c) == (5, 3, 8)
-    assert fprc.input_limit == default_config.plant.reservoir.input_range
+    # the reservoir input limit is the reservoir's own, not a model parameter
+    assert not hasattr(fprc, "input_limit")
+    res = default_config.build_reservoir()
+    assert res.input_limit == default_config.plant.reservoir.input_range
     seeded = dataclasses.replace(default_config, seed=9)
     assert seeded.esn_params().seed == 9
 

@@ -52,7 +52,7 @@ def fprc_ticker(model, reservoir, dt, disturbance):
         disturbed = False
         if disturbance is not None:
             disturbed = apply_disturbance(reservoir, disturbance, k * dt, rng)
-        p_i = convert_angle(theta_d, params.k_in, params.input_limit)
+        p_i = convert_angle(theta_d, params.k_in, reservoir.input_limit)
         p_o = plant_step(reservoir, p_i, dt)
         if filt is None:
             filt = p_o if params.filter_init == "first-sample" else 0.0

@@ -10,7 +10,7 @@ from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
 from pneurc.fprc import (FILTER_INIT_MODES, FprcModel, FprcParams, FprcTrainer,
                          _lowpass_series, convert_angle, drive_reservoir,
                          fprc_collect_training, fprc_weight_analysis)
-from pneurc.fuzzy import FuzzyRuleSet, fuzzy_infer_batch
+from pneurc.fuzzy import fuzzy_infer_batch
 from pneurc.training import ridge_solve
 
 
@@ -27,12 +27,12 @@ def make_dataset(theta, p_exp, p_o=None, dt=1 / 200):
 
 
 def test_convert_angle():
-    assert convert_angle(30.0, 7.0) == 210.0
-    assert convert_angle(100.0, 7.0) == 450.0   # clamped to the supply limit
-    assert convert_angle(-5.0, 7.0) == 0.0
+    assert convert_angle(30.0, 7.0, 450.0) == 210.0
+    assert convert_angle(100.0, 7.0, 450.0) == 450.0   # clamped to the supply limit
+    assert convert_angle(-5.0, 7.0, 450.0) == 0.0
     assert convert_angle(100.0, 7.0, limit=800.0) == 700.0
     with pytest.raises(NumericError):
-        convert_angle(float("nan"), 7.0)
+        convert_angle(float("nan"), 7.0, 450.0)
 
 
 def test_params_validation():
@@ -141,7 +141,7 @@ def test_collect_validation():
 def test_simulated_record_matches_generated_dataset(small_dataset, default_config):
     params = default_config.fprc_params()
     p_i, p_o, disturbed = drive_reservoir(small_dataset.theta, default_config.build_reservoir(),
-                                          params.k_in, params.input_limit, small_dataset.dt)
+                                          params.k_in, small_dataset.dt)
     np.testing.assert_array_equal(p_i, small_dataset.p_i)
     np.testing.assert_array_equal(p_o, small_dataset.p_o)
     np.testing.assert_array_equal(disturbed, 0.0)
@@ -190,16 +190,25 @@ def test_feedforward_run_matches_vectorized_evaluate(small_dataset, default_conf
 
 
 def test_feedforward_requires_reservoir(small_dataset, default_config):
+    # run drives the reservoir, so run checks it; feedforward only binds it
     model = FprcTrainer(default_config.fprc_params(), seed=1).fit([small_dataset])
-    with pytest.raises(InvalidSpecError):
-        model.feedforward()
+    ff = model.feedforward()
+    with pytest.raises(InvalidSpecError, match="needs a reservoir"):
+        ff(small_dataset.theta, small_dataset.dt)
+    with pytest.raises(InvalidSpecError, match="needs a reservoir"):
+        model.run(small_dataset.theta, small_dataset.dt)
 
 
 def test_model_dim_check():
     params = FprcParams(n_y=5, n_u=3)
-    rs = FuzzyRuleSet(centers=np.zeros((1, 4)), w_out=np.zeros((1, 5)), sigma=1.0)
     with pytest.raises(DimensionError):
-        FprcModel(params, rs)
+        FprcModel(params, np.zeros((1, 4)), np.zeros((1, 5)))
+
+
+def test_model_reads_out_with_the_params_sigma():
+    params = FprcParams(n_y=1, n_u=1, sigma=3.0)
+    model = FprcModel(params, np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros((2, 3)))
+    assert model.ruleset.sigma == 3.0
 
 
 def test_trainer_rejects_empty_fit(default_config):
@@ -255,22 +264,21 @@ def test_model_json_round_trip_property(tmp_path_factory, data):
         n_c=data.draw(st.integers(1, 5)), sigma=data.draw(positive),
         fuzziness=data.draw(st.floats(1.001, 10.0)), alpha=data.draw(positive),
         fcm_tol=data.draw(positive), fcm_max_iter=data.draw(st.integers(1, 10 ** 6)),
-        input_limit=data.draw(positive),
         filter_init=data.draw(st.sampled_from(FILTER_INIT_MODES)))
     reservoir_features = data.draw(st.booleans())
     dim = params.n_y + (params.n_u if reservoir_features else 0)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     scale = 10.0 ** data.draw(st.integers(-5, 5))
-    ruleset = FuzzyRuleSet(centers=rng.normal(size=(params.n_c, dim)) * scale,
-                           w_out=rng.normal(size=(params.n_c, dim + 1)) * scale,
-                           sigma=params.sigma)
-    model = FprcModel(params, ruleset, reservoir_features)
+    centers = rng.normal(size=(params.n_c, dim)) * scale
+    w_out = rng.normal(size=(params.n_c, dim + 1)) * scale
+    model = FprcModel(params, centers, w_out, reservoir_features)
     path = tmp_path_factory.mktemp("fprc") / "model.json"
     model.save(path)
     loaded = FprcModel.load(path)
     assert loaded.params == params and loaded.kind == model.kind
-    np.testing.assert_array_equal(loaded.ruleset.centers, ruleset.centers)
-    np.testing.assert_array_equal(loaded.ruleset.w_out, ruleset.w_out)
+    np.testing.assert_array_equal(loaded.ruleset.centers, centers)
+    np.testing.assert_array_equal(loaded.ruleset.w_out, w_out)
+    assert loaded.ruleset.sigma == params.sigma
 
 
 def test_model_load_rejects_unknown_format(tmp_path):

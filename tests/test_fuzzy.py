@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from pneurc.errors import (DegenerateClusteringError, DimensionError,
                            InvalidDataError, InvalidSpecError)
-from pneurc.fprc import fprc_collect_training
+from pneurc.fprc import FprcParams, fprc_collect_training
 from pneurc.fuzzy import (FuzzyRuleSet, _draw_initial_centers, _sq_distances, fcm_cluster,
                           fcm_objective, fuzzy_infer_batch, rule_outputs,
                           train_fuzzy_readout)
@@ -312,6 +312,25 @@ def test_ruleset_validation():
         FuzzyRuleSet(centers=np.zeros((1, 2)), w_out=np.zeros((1, 3)), sigma=0.0)
     with pytest.raises(DegenerateClusteringError):
         FuzzyRuleSet(centers=np.zeros((2, 2)), w_out=np.zeros((2, 3)), sigma=1.0)
+
+
+@pytest.mark.parametrize("sigma", [1e308, 1.35e154, 1.5e-162, 5e-324, -1.0, np.nan])
+def test_sigma_is_refused_unless_two_sigma_squared_is_positive_and_finite(sigma):
+    with pytest.raises(InvalidSpecError, match="sigma"):
+        FuzzyRuleSet(centers=np.zeros((1, 2)), w_out=np.zeros((1, 3)), sigma=sigma)
+    with pytest.raises(InvalidSpecError, match="sigma"):
+        FprcParams(sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [9e153, 1e-161])
+def test_extreme_accepted_sigma_reads_out_finite(sigma):
+    rs = FuzzyRuleSet(centers=np.array([[0.0], [3.0]]),
+                      w_out=np.array([[1.0, 2.0], [0.0, -1.0]]), sigma=sigma)
+    assert FprcParams(sigma=sigma).sigma == sigma
+    # a tiny width overflows d2 / (2 sigma^2) to inf: those memberships are 0
+    with np.errstate(over="ignore"):
+        y = fuzzy_infer_batch(rs, np.array([[0.5], [1.5], [4.0]]))
+    assert np.all(np.isfinite(y))
 
 
 def test_infer_rejects_bad_states(rng):

@@ -280,6 +280,8 @@ def test_disturbance_spec_validation():
         DisturbanceSpec(mode="zap")
     with pytest.raises(InvalidSpecError):
         DisturbanceSpec(magnitude=-1.0)
+    with pytest.raises(InvalidSpecError, match="twice it"):  # rng.uniform(-m, m) overflows
+        DisturbanceSpec(magnitude=1e308)
     with pytest.raises(InvalidSpecError):
         DisturbanceSpec(seed=-1)
     assert set(DISTURBANCE_MODES) == {"additive-pressure", "state-kick"}

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pneurc.config import ExperimentConfig
-from pneurc.errors import InvalidSpecError
-from pneurc.signals import DEFAULT_DT, SignalSpec, TimeSeries, format_float
+from pneurc.errors import InvalidSpecError, ResourceError
+from pneurc.signals import (DEFAULT_DT, MAX_RENDER_SAMPLES, SignalSpec, TimeSeries,
+                           format_float)
 
 
 def sine(freq, amplitude, offset, duration, phase=0.0):
@@ -48,7 +49,7 @@ def test_default_rate_is_200_hz():
 
 def test_duration_property_round_trips():
     ts = sine(0.5, 1.0, 0.0, duration=2.0).render(0.01)
-    assert ts.duration == pytest.approx(2.0)
+    assert len(ts) * ts.dt == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +140,15 @@ def test_sweep_constant_frequency_reduces_to_sine():
 
 # ---------------------------------------------------------------------------
 # TimeSeries container
+
+
+@pytest.mark.parametrize("duration, dt", [(1e308, DEFAULT_DT), (1e12, DEFAULT_DT),
+                                          (1.0, 5e-324)])
+def test_render_refuses_a_sample_count_over_the_budget(duration, dt):
+    # refused from the count alone: no value just over the budget is tried,
+    # since that one would be allocated
+    with pytest.raises(ResourceError, match=f"over the budget of {MAX_RENDER_SAMPLES}"):
+        sine(0.5, 1.0, 0.0, duration=duration).render(dt)
 
 
 def test_timeseries_rejects_bad_values():

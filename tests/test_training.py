@@ -304,6 +304,24 @@ def test_kfold_cv_fold_error_is_the_same_forked_or_serial(monkeypatch):
         assert multiprocessing.active_children() == []
 
 
+class NanTrainer(StubTrainer):
+    """Its fold 2 model predicts NaN, which ``argmin`` takes as the minimum."""
+
+    def fit_states(self, X, y, fold=0):
+        model = super().fit_states(X, y, fold)
+        if fold == 2:
+            model.c = float("nan")
+        return model
+
+
+def test_kfold_cv_refuses_a_selected_fold_that_is_not_finite(monkeypatch):
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        with pytest.raises(NumericError, match=r"^fold 2 is selected with e_bar nan$"):
+            kfold_cv(make_dataset(np.arange(100.0)), NanTrainer(), k=4)
+        assert multiprocessing.active_children() == []
+
+
 def cold_run_lengths(trainer, theta, n, k):
     """Reservoir steps kfold_cv should take per fold-edge run: run 0 (the
     spine) over the whole record; every later run up to the first sample
