@@ -21,10 +21,10 @@ import os
 import sys
 
 from . import control, training
-from .config import ExperimentConfig, MODEL_KINDS
+from .config import ExperimentConfig, FprcParams, MODEL_KINDS
 from .datasets import Dataset, generate_dataset
 from .errors import InvalidDataError, InvalidSpecError, NumericError, PneurcError
-from .parallel import fork_map
+from .parallel import fork_map, one_blas_thread
 from .signals import write_json
 
 
@@ -96,8 +96,9 @@ def _load_dataset(path: str) -> Dataset:
 def _write_dataset(cfg: ExperimentConfig, job) -> int:
     """Write the dataset of one (excitation, path) job; returns its row count."""
     excitation, path = job
+    k_in = FprcParams(k_in=cfg.model.fprc.k_in).k_in  # checks k_in, the one model value used
     ds = generate_dataset(excitation.render(cfg.dt), cfg.build_actuator(),
-                          cfg.build_reservoir(), cfg.fprc_params().k_in)
+                          cfg.build_reservoir(), k_in)
     ds.save_csv(path)
     return len(ds)
 
@@ -239,6 +240,7 @@ _COMMANDS = {"generate": cmd_generate, "train": cmd_train, "evaluate": cmd_evalu
 
 
 def main(argv=None) -> int:
+    one_blas_thread()  # so that work done here has the bits of a worker's
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import mmap
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -215,12 +216,14 @@ class EsnTrainer(Trainer):
         self._template = esn_init(params)
 
     def states(self, record):
-        """Extended states and targets of a record driven from a cold state,
-        without the first ``washout`` rows."""
-        washout = self.params.washout
-        _check_washout(len(record), washout)
-        rows = esn_collect_states(self._template.cold_copy(), record.theta)
-        return rows[washout:], record.p_exp[washout:]
+        """Extended states and targets of a record driven from a cold state
+        (``_chunked_replay``), without the first ``washout`` rows."""
+        washout, n, d = self.params.washout, len(record), self._template.extended_dim
+        _check_washout(n, washout)
+        if 8 * n * d > _MAX_RESERVOIR_BYTES:
+            raise ResourceError(f"{n} rows of {d} extended-state values need more "
+                                f"than {_MAX_RESERVOIR_BYTES // 1024 ** 3} GiB")
+        return _chunked_replay(self._template, record.theta)[washout:], record.p_exp[washout:]
 
     def rejoin(self, record, spine, at: int):
         """The rows of ``states(record)`` before the run rejoins the spine.
@@ -231,8 +234,8 @@ class EsnTrainer(Trainer):
         the two rows are then equal, and so is every later one, because
         the same state, input and weights give the same next state.
         Returns the rows before that sample, all of them if there is none.
-        The run is driven in blocks of ``_REPLAY_BLOCK_ROWS`` rows, so an
-        early rejoin allocates one block, not the whole record.
+        The run is driven in blocks of ``_REPLAY_BLOCK_ROWS`` rows into one
+        ``_mapped`` array, so an early rejoin commits one block of it.
         """
         p = self.params
         _check_washout(len(record), p.washout)
@@ -240,18 +243,26 @@ class EsnTrainer(Trainer):
         skip = max(0, p.n_y - 1 - p.washout, p.n_y - 1 - at)
         known = (spine[0][skip:, 1 + p.n_y:], at + skip)
         model = self._template.cold_copy()
-        blocks = []
+        rows = _mapped((len(record), self._template.extended_dim))
         for lo in range(0, len(record), _REPLAY_BLOCK_ROWS):
             hi = min(lo + _REPLAY_BLOCK_ROWS, len(record))
-            blocks.append(esn_collect_states(model, record.theta, lo, hi, known))
-            if len(blocks[-1]) < hi - lo:
+            block = esn_collect_states(model, record.theta, lo, hi, known)
+            end = lo + len(block)
+            rows[lo:end] = block
+            if end < hi:
                 break
-        rows = np.vstack(blocks)
-        return rows[p.washout:], record.p_exp[p.washout:len(rows)]
+        return rows[p.washout:end], record.p_exp[p.washout:end]
 
     def fit_states(self, X, y, fold: int = 0) -> "TrainedEsn":
+        return self.with_readout(ridge_solve(X, y, self.alpha))
+
+    def readout(self, model: "TrainedEsn") -> np.ndarray:
+        return model.model.w_out
+
+    def with_readout(self, w_out: np.ndarray) -> "TrainedEsn":
+        """The trained ESN of a readout, around this trainer's frozen weights."""
         fitted = self._template.cold_copy()
-        fitted.w_out = ridge_solve(X, y, self.alpha)
+        fitted.w_out = w_out
         return TrainedEsn(fitted)
 
 
@@ -272,26 +283,54 @@ def _replay_spans(n: int) -> list:
     return [(max(b - w, 0), b, hi) for b, hi in zip(seams, seams[1:] + [n])]
 
 
-def _replay_chunk(trained: "TrainedEsn", theta: np.ndarray, span: tuple,
+def _mapped(shape) -> np.ndarray:
+    """A zeroed float array in an anonymous shared mapping of its own, which
+    forked workers can write to and which commits a page when first written."""
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size).reshape(shape)
+
+
+def _replay_chunk(model: EsnModel, theta: np.ndarray, out: np.ndarray, read, span: tuple,
                   state: np.ndarray | None = None) -> tuple:
-    """Predictions of samples seam..hi-1 of a span (lo, seam, hi), with the
-    reservoir state at the seam and after sample hi - 1. The reservoir
-    starts at sample lo from ``state``, a cold one if None, and runs in
-    blocks of ``_REPLAY_BLOCK_ROWS`` rows, holding one at a time."""
+    """Drive ``model``'s reservoir over a span (lo, seam, hi) of an angle
+    record from ``state`` at sample lo (cold if None) in blocks of
+    ``_REPLAY_BLOCK_ROWS`` rows, writing the rows of samples seam..hi-1, or
+    ``read`` of them, to ``out``. Returns the states at the seam and at hi."""
     lo, seam, hi = span
-    model = trained.model.cold_copy()
+    model = model.cold_copy()
     if state is not None:
         model.state = state
     at_seam = model.state
-    out = np.empty(hi - seam)
     for a in range(lo, hi, _REPLAY_BLOCK_ROWS):
         b = min(a + _REPLAY_BLOCK_ROWS, hi)
         rows = esn_collect_states(model, theta, a, b)
         if a >= seam:
-            out[a - seam:b - seam] = trained.predict(rows)
+            out[a:b] = rows if read is None else read(rows)
         elif b == seam:
             at_seam = model.state
-    return out, at_seam, model.state
+    return at_seam, model.state
+
+
+def _chunked_replay(model: EsnModel, theta: np.ndarray, read=None) -> np.ndarray:
+    """The extended-state rows of an angle record driven from a cold state,
+    or ``read`` of them, one value per sample, which time chunks on worker
+    processes (``_replay_spans``) write to one ``_mapped`` array.
+
+    A later chunk starts cold one block before its seam; once its state
+    there has the bytes the chunk before it ends with, the echo-state
+    property makes its rows those of one run from sample 0. A chunk whose
+    state differs at its seam is recomputed here from that final state, so
+    the result is one run's either way.
+    """
+    out = _mapped((theta.size, model.extended_dim) if read is None else (theta.size,))
+    spans = _replay_spans(theta.size)
+    chunks = fork_map(functools.partial(_replay_chunk, model, theta, out, read), spans)
+    state = chunks[0][1]
+    for (_, seam, hi), (at_seam, final) in zip(spans[1:], chunks[1:]):
+        if at_seam.tobytes() != state.tobytes():
+            final = _replay_chunk(model, theta, out, read, (seam, seam, hi), state)[1]
+        state = final
+    return out
 
 
 class TrainedEsn:
@@ -310,26 +349,8 @@ class TrainedEsn:
 
     def _replay(self, theta) -> np.ndarray:
         """Readout over an angle record from a cold state, one value per
-        sample, in time chunks on worker processes (``_replay_spans``).
-
-        A later chunk starts cold one block before its seam; once its state
-        there has the bytes the chunk before it ends with, the echo-state
-        property makes every later state, and so its predictions, those of
-        one run from sample 0. A chunk whose state differs at its seam is
-        recomputed here from that final state, so the result is that of one
-        run either way.
-        """
-        theta = np.asarray(theta, dtype=float)
-        spans = _replay_spans(theta.size)
-        chunks = fork_map(functools.partial(_replay_chunk, self, theta), spans)
-        out, _, state = chunks[0]
-        parts = [out]
-        for (_, seam, hi), (out, at_seam, final) in zip(spans[1:], chunks[1:]):
-            if at_seam.tobytes() != state.tobytes():
-                out, _, final = _replay_chunk(self, theta, (seam, seam, hi), state)
-            parts.append(out)
-            state = final
-        return np.concatenate(parts)
+        sample (``_chunked_replay``)."""
+        return _chunked_replay(self.model, np.asarray(theta, dtype=float), self.predict)
 
     def replay_processes(self, n: int) -> int:
         """Processes a replay of ``n`` samples runs on, one per chunk."""

@@ -233,7 +233,8 @@ def _normalized_memberships_batch(ruleset: FuzzyRuleSet, X: np.ndarray) -> np.nd
     """
     d2 = _sq_distances(ruleset.centers, X)
     d2 -= np.min(d2, axis=0)
-    b = np.exp(d2 / (-2.0 * ruleset.sigma ** 2), out=d2)
+    with np.errstate(over="ignore"):  # a tiny sigma sends far states to -inf, weight 0
+        b = np.exp(d2 / (-2.0 * ruleset.sigma ** 2), out=d2)
     return b / np.sum(b, axis=0)
 
 

@@ -50,13 +50,16 @@ def _run_item(index: int):
 
 
 def _start_worker() -> None:
-    """Mark this process as a worker and hold its OpenBLAS, if numpy loaded
-    one, to one thread: the workers already fill the CPUs, and BLAS threads
-    on top of them spin."""
+    """Mark this process a worker, at one BLAS thread: the workers fill the CPUs."""
     global _IN_WORKER
+    _IN_WORKER = True
+    one_blas_thread()
+
+
+def one_blas_thread() -> None:
+    """Hold this process's OpenBLAS, if numpy loaded one, to one thread."""
     import ctypes
 
-    _IN_WORKER = True
     with contextlib.suppress(OSError):  # /proc/self/maps is Linux's
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
             paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line}

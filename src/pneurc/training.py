@@ -160,12 +160,19 @@ class Trainer:
     the first rows of ``states(record)``, ending where the rest equal
     ``spine``'s rows bit for bit. ``spine`` is the ``states`` of the
     series the record was cut from; its row r holds sample ``at + r`` of
-    the record (``at`` may be negative). The default never rejoins.
+    the record (``at`` may be negative). The default never rejoins. A fold
+    worker sends back ``readout(model)``, and ``with_readout`` rebuilds it.
     """
 
     def rejoin(self, record, spine, at: int):
         """Rows of ``states(record)`` up to where the spine repeats them."""
         return self.states(record)
+
+    def readout(self, model):
+        return model
+
+    def with_readout(self, readout):
+        return readout
 
     def fit(self, segments, fold: int = 0):
         """Fit on independent records, each driven from a cold start."""
@@ -196,18 +203,19 @@ def kfold_cv(dataset, trainer, k: int = 5):
     on run 0 up to e_i followed by run i+1, and validates on the first
     e_{i+1} - e_i samples of run i.
 
-    Run 0, the spine, is the whole record driven from sample 0; it covers
-    every later run. The folds are the items of one ``fork_map``, whose
-    workers inherit the spine: fold i drives run i over its validation
-    block (i >= 1) and run i+1 to the end (i + 1 < k) through
-    ``trainer.rejoin``, which may stop a run where its rows start to equal
-    the spine's bit for bit (an ESN's state forgets its cold start); the
-    run's later rows are then read from the spine. Equal means equal
-    bytes, so the folds are exactly those of runs driven to their ends. A
-    trainer that drives a reservoir thus steps it n + sum_{j>=1} (r_j +
-    min(r_j, e_{j+1} - e_j)) times, where r_j is the number of samples run
-    j takes to rejoin the spine, or its length if it never does: at most
-    3.8 n at k = 5. Each process holds the spine and one fold's arrays.
+    Run 0, the spine, is the whole record driven from sample 0 (an ESN's
+    in chunks on workers, as it replays); it covers every later run. The
+    folds are the items of one ``fork_map``, whose workers inherit the
+    spine: fold i drives run i over its validation block (i >= 1) and run
+    i+1 to the end (i + 1 < k) through ``trainer.rejoin``, which may stop a
+    run where its rows start to equal the spine's bit for bit (an ESN's
+    state forgets its cold start); the run's later rows are then read from
+    the spine. Equal means equal bytes, so the folds are exactly those of
+    runs driven to their ends. A trainer that drives a reservoir thus steps
+    it sum_{j>=1} (r_j + min(r_j, e_{j+1} - e_j)) times past the spine,
+    where r_j is the number of samples run j takes to rejoin the spine, or
+    its length if it never does: at most 2.8 n at k = 5. A fold sends back
+    its errors and ``trainer.readout``: an ESN's weights, not its reservoir.
 
     Returns (best_model, CvReport).
     """
@@ -224,11 +232,11 @@ def kfold_cv(dataset, trainer, k: int = 5):
     best = int(np.argmin([f.e_bar for f in results]))  # the first minimum, or first NaN
     if not np.isfinite(results[best].e_bar):
         raise NumericError(f"fold {best} is selected with e_bar {results[best].e_bar}")
-    return folds[best][1], CvReport(folds=results, best_index=best)
+    return trainer.with_readout(folds[best][1]), CvReport(folds=results, best_index=best)
 
 
 def _fold(dataset, trainer, spine, edges, i: int):
-    """(FoldResult, model) of fold i of ``kfold_cv``."""
+    """(FoldResult, ``trainer.readout`` of the model) of fold i of ``kfold_cv``."""
     n = edges[-1]
     washout = n - len(spine[1])
 
@@ -249,7 +257,7 @@ def _fold(dataset, trainer, spine, edges, i: int):
     model = trainer.fit_states(X, y, fold=i)
     result = FoldResult(index=i, e_train=rmse(model.predict(X), y),
                         e_val=rmse(model.predict(val[0]), val[1]))
-    return result, model
+    return result, trainer.readout(model)
 
 
 def weight_contributions(w_out: np.ndarray, n_y: int, n_u: int) -> dict:

@@ -626,6 +626,64 @@ def test_sigma_without_a_positive_finite_square_exits_2(workspace, tmp_path, cap
     assert not (tmp_path / "out" / "reports").exists()
 
 
+def test_evaluate_of_a_tiny_accepted_sigma_prints_no_warning(workspace, tmp_path):
+    # 2 sigma^2 = 2e-322 is finite and positive, and far states' exponents
+    # overflow to -inf, a membership of 0, without a RuntimeWarning
+    doc = json.loads((workspace["out"] / "models" / "fprc.json").read_text())
+    doc["params"]["sigma"] = 1e-161
+    artifact = tmp_path / "fprc.json"
+    artifact.write_text(json.dumps(doc))
+    args = _out_with(workspace, tmp_path / "out", "data/test.csv")
+    proc = subprocess.run([sys.executable, "-m", "pneurc.cli", *args, "evaluate",
+                           "--model-artifact", str(artifact)], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_generate_checks_only_the_model_value_it_uses(tmp_path, capsys):
+    # a sigma whose square overflows is train's to refuse; generate reads k_in alone
+    for name in ("sigma", "k_in"):
+        (tmp_path / name).mkdir()
+    assert _generate_with_config_value(tmp_path / "sigma", "model.fprc.sigma", 1e308) == 0
+    assert _generate_with_config_value(tmp_path / "k_in", "model.fprc.k_in", 0.0) == 2
+    assert capsys.readouterr().err.endswith("error: k_in must be positive\n")
+
+
+_ESN_AT_CPUS = r"""
+import sys
+from pneurc import cli, esn, parallel
+
+cpus = int(sys.argv[1])
+# a worker still counts one usable CPU
+parallel.usable_cpus = esn.usable_cpus = lambda: 1 if parallel._IN_WORKER else cpus
+for command in ("train", "evaluate"):
+    assert cli.main([*sys.argv[2:], command, "--model", "esn"]) == 0
+"""
+
+
+def test_esn_outputs_do_not_depend_on_usable_cpus_at_default_threading(workspace, tmp_path):
+    # at one usable CPU the spine, folds and replay run in the CLI process,
+    # at two in workers; the CLI process holds BLAS to one thread like them
+    cfg = workspace["cfg"]
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(
+        cfg.model, esn=dataclasses.replace(cfg.model.esn, reservoir_size=200)))
+    cfg.to_json(tmp_path / "config.json")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    outputs = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}"
+        _out_with(workspace, out, "data/train.csv", "data/test.csv")
+        proc = subprocess.run([sys.executable, "-c", _ESN_AT_CPUS, str(cpus), "--config",
+                               str(tmp_path / "config.json"), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[cpus] = {name: (out / name).read_bytes() for name in (
+            "models/esn.npz", "models/esn_cv.json", "models/esn_cv.csv",
+            "reports/evaluate_esn.json")}
+    assert outputs[1] == outputs[2]
+
+
 @pytest.mark.parametrize("key, value", [("signals.train_excitation.duration", 1e308),
                                         ("signals.train_excitation.duration", 1e12),
                                         ("dt", 5e-324)])

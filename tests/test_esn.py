@@ -283,10 +283,10 @@ recomputed = []
 chunk = esn._replay_chunk
 
 
-def counted(trained, theta, span, state=None):
+def counted(model, theta, out, read, span, state=None):
     if state is not None:  # only the parent passes a state: a seam that did not match
         recomputed.append(span)
-    return chunk(trained, theta, span, state)
+    return chunk(model, theta, out, read, span, state)
 
 
 esn._replay_chunk = counted
@@ -324,9 +324,52 @@ def test_default_reservoir_rejoins_within_one_block_of_a_seam(esn_trained, test_
     # of the run from sample 0
     w = esn._REPLAY_BLOCK_ROWS
     seam = 2 * w
-    true_state = esn._replay_chunk(esn_trained, test_dataset.theta, (0, 0, seam))[2]
-    at_seam = esn._replay_chunk(esn_trained, test_dataset.theta, (seam - w, seam, seam))[1]
+    out = np.empty(seam)
+    model, theta = esn_trained.model, test_dataset.theta
+    true_state = esn._replay_chunk(model, theta, out, esn_trained.predict, (0, 0, seam))[1]
+    at_seam = esn._replay_chunk(model, theta, out, esn_trained.predict, (seam - w, seam, seam))[0]
     assert at_seam.tobytes() == true_state.tobytes()
+
+
+@pytest.mark.parametrize("distribution, size, recomputed", [("uniform", 40, [0, 0, 0]),
+                                                            ("uniform-sym", 120, [0, 1, 2])])
+def test_states_in_chunks_have_the_bytes_of_one_run(monkeypatch, distribution, size,
+                                                    recomputed):
+    # blocks of 400 rows make 2,000 samples 1, 2 or 3 chunks; the uniform
+    # draw rejoins within a chunk's warm-up block, the uniform-sym draw does
+    # not and takes the recompute in this process at every later seam
+    monkeypatch.setattr(esn, "_REPLAY_BLOCK_ROWS", 400)
+    ds = linear_plant_dataset(n=2000)
+    trainer = EsnTrainer(EsnParams(reservoir_size=size, washout=20, seed=3,
+                                   weight_distribution=distribution))
+    want = esn_collect_states(trainer._template.cold_copy(), ds.theta)[20:]
+    seams = []
+    chunk = esn._replay_chunk
+
+    def counted(model, theta, out, read, span, state=None):
+        if state is not None:  # only this process passes a state: a seam that did not match
+            seams.append(span)
+        return chunk(model, theta, out, read, span, state)
+
+    monkeypatch.setattr(esn, "_replay_chunk", counted)
+    for cpus, n_recomputed in zip((1, 2, 3), recomputed):
+        monkeypatch.setattr(esn, "usable_cpus", lambda: cpus)
+        seams.clear()
+        X, y = trainer.states(ds)
+        assert X.tobytes() == want.tobytes(), cpus
+        assert y.tobytes() == ds.p_exp[20:].tobytes()
+        assert len(seams) == n_recomputed, cpus
+
+
+def test_states_of_an_oversized_record_exit_3_before_any_step(monkeypatch):
+    # 10**9 angle taps a row: refused from the sizes alone, before any allocation
+    calls = []
+    monkeypatch.setattr(esn, "esn_update", lambda *args: calls.append(args))
+    trainer = EsnTrainer(EsnParams(reservoir_size=8, washout=4, n_y=10 ** 9))
+    with pytest.raises(ResourceError, match=r"^100 rows of 1000000009 extended-state values "
+                                            r"need more than 4 GiB$"):
+        trainer.states(linear_plant_dataset(n=100))
+    assert calls == []
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 500), (250, 600)])

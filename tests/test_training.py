@@ -389,6 +389,21 @@ def test_kfold_cv_with_two_folds_stops_run_1_where_it_rejoins_run_0(monkeypatch,
     check_cv_steps(monkeypatch, small_dataset, "uniform", 30, 2, True)
 
 
+def test_kfold_cv_caller_steps_no_reservoir_and_keeps_one(monkeypatch, small_dataset):
+    # on two CPUs the spine's chunks and the folds run in workers, whose
+    # steps this process does not count; a fold sends back its readout, and
+    # the winner is rebuilt around the trainer's own frozen weights
+    for module in (parallel, esn):
+        monkeypatch.setattr(module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(esn, "_REPLAY_BLOCK_ROWS", 350)  # 1,199 samples: two chunks
+    trainer = EsnTrainer(EsnParams(reservoir_size=30, washout=20, seed=3), alpha=1e-4)
+    calls = count_steps(monkeypatch)
+    model, _ = kfold_cv(small_dataset.slice(0, 1199), trainer, k=5)
+    assert calls == []
+    assert model.model.w_reservoir is trainer._template.w_reservoir
+    assert model.model.w_input is trainer._template.w_input
+
+
 @st.composite
 def small_esn_cv(draw):
     k = draw(st.integers(2, 6))
