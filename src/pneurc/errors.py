@@ -7,6 +7,9 @@ and data problems exit with 2, numeric, state and resource failures with
 import zipfile
 from contextlib import contextmanager
 
+# the memory one step may ask for; larger sizes are refused before allocation
+MAX_ARRAY_BYTES = 4 * 1024 ** 3
+
 
 class PneurcError(Exception):
     """Base class for all package-specific errors."""
@@ -50,6 +53,13 @@ class ResourceError(PneurcError):
     """A requested allocation exceeds the configured memory budget."""
 
     exit_code = 3
+
+
+def check_size(values: int, message: str) -> None:
+    """Raise ResourceError(``message``, its %s the budget) when ``values``
+    float64 values need more than MAX_ARRAY_BYTES."""
+    if 8 * values > MAX_ARRAY_BYTES:
+        raise ResourceError(message % f"{MAX_ARRAY_BYTES // 1024 ** 3} GiB")
 
 
 @contextmanager

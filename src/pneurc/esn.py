@@ -15,16 +15,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (InvalidDataError, InvalidSpecError, NumericError,
-                     ResourceError, StateError, decoding)
+from .errors import (InvalidDataError, InvalidSpecError, NumericError, StateError,
+                     check_size, decoding)
 from .parallel import fork_map, usable_cpus
 from .signals import decode, tap_matrix
 from .training import Trainer, ridge_solve
 
 WEIGHT_DISTRIBUTIONS = ("uniform", "uniform-sym", "normal")
-
-# refuse reservoirs whose dense recurrent matrix would exceed this budget
-_MAX_RESERVOIR_BYTES = 4 * 1024 ** 3
 
 # rows of extended state a replay holds at once (about 6.6 MB at 800 units)
 _REPLAY_BLOCK_ROWS = 1024
@@ -120,9 +117,7 @@ def esn_init(params: EsnParams) -> EsnModel:
     equals ``params.spectral_radius``.
     """
     r = params.reservoir_size
-    if r * r * 8 > _MAX_RESERVOIR_BYTES:
-        raise ResourceError(f"reservoir_size {r} needs more than "
-                            f"{_MAX_RESERVOIR_BYTES // 1024 ** 3} GiB for its recurrent matrix")
+    check_size(r * r, f"reservoir_size {r} needs more than %s for its recurrent matrix")
     rng = np.random.default_rng(params.seed)
     if params.weight_distribution == "uniform":
         w_in = rng.uniform(0.0, 1.0, r)
@@ -166,11 +161,11 @@ def esn_collect_states(model: EsnModel, theta_series, start: int = 0,
     reservoir with those samples; the model must hold the state after
     samples 0..start-1, as the call for the previous block leaves it.
 
-    ``known`` = (states, at) ends the run where it rejoins another run of
-    the same reservoir: states[r] is the reservoir state that run holds at
-    sample at + r of this record. The run stops at the first such
-    sample where its own state has the same bytes, without updating on it,
-    and returns the rows before it; the model is left holding that state.
+    ``known`` rows end the run where it rejoins another run of the same
+    reservoir: known[k] is that run's row for sample k of this record. The
+    run stops at its first row with the bytes of known[k], without updating
+    on sample k, and returns the rows before it; the model is left holding
+    that row's state.
     """
     theta = np.asarray(theta_series, dtype=float)
     if theta.ndim != 1:
@@ -184,19 +179,16 @@ def esn_collect_states(model: EsnModel, theta_series, start: int = 0,
         raise NumericError(f"ESN input must be finite, got {theta[k]!r} at sample {k}")
     n_y = model.params.n_y
     rows = np.empty((stop - start, model.extended_dim))
-    states = rows[:, 1 + n_y:]
-    other, at = (states[:0], 0) if known is None else known
-    end = stop
-    for k in range(start, stop):
-        if 0 <= k - at < len(other) and model.state.tobytes() == other[k - at].tobytes():
-            end = k
-            break
-        states[k - start] = model.state
-        esn_update(model, theta[k])
-    rows = rows[:end - start]
     first = max(start - n_y + 1, 0)  # the taps of row start reach back n_y - 1 samples
     rows[:, 0] = 1.0
-    rows[:, 1:1 + n_y] = tap_matrix(theta[first:end], n_y)[start - first:]
+    rows[:, 1:1 + n_y] = tap_matrix(theta[first:stop], n_y)[start - first:]
+    states = rows[:, 1 + n_y:]
+    known = rows[:0] if known is None else known
+    for k in range(start, stop):
+        states[k - start] = model.state
+        if k < len(known) and rows[k - start].tobytes() == known[k].tobytes():
+            return rows[:k - start]
+        esn_update(model, theta[k])
     return rows
 
 
@@ -210,7 +202,7 @@ class EsnTrainer(Trainer):
 
     kind = "esn"
 
-    def __init__(self, params: EsnParams, alpha: float = 1e-3):
+    def __init__(self, params: EsnParams, alpha: float):
         self.params = params
         self.alpha = alpha
         self._template = esn_init(params)
@@ -220,38 +212,28 @@ class EsnTrainer(Trainer):
         (``_chunked_replay``), without the first ``washout`` rows."""
         washout, n, d = self.params.washout, len(record), self._template.extended_dim
         _check_washout(n, washout)
-        if 8 * n * d > _MAX_RESERVOIR_BYTES:
-            raise ResourceError(f"{n} rows of {d} extended-state values need more "
-                                f"than {_MAX_RESERVOIR_BYTES // 1024 ** 3} GiB")
+        check_size(n * d, f"{n} rows of {d} extended-state values need more than %s")
         return _chunked_replay(self._template, record.theta)[washout:], record.p_exp[washout:]
 
-    def rejoin(self, record, spine, at: int):
-        """The rows of ``states(record)`` before the run rejoins the spine.
-
-        The record is driven from a cold state and stops at the first
-        sample where its reservoir state has the same bytes as the spine's
-        row there, among the samples where both runs' angle taps are full:
-        the two rows are then equal, and so is every later one, because
-        the same state, input and weights give the same next state.
-        Returns the rows before that sample, all of them if there is none.
-        The run is driven in blocks of ``_REPLAY_BLOCK_ROWS`` rows into one
-        ``_mapped`` array, so an early rejoin commits one block of it.
+    def rejoin(self, record, spine):
+        """The rows of ``states(record)`` before the record's cold run
+        reaches a row with the bytes of the spine's row k for its sample k
+        (``esn_collect_states(known=spine)``). The run is driven in blocks
+        of ``_REPLAY_BLOCK_ROWS`` rows into one ``_mapped`` array, so an
+        early rejoin commits one block of it.
         """
-        p = self.params
-        _check_washout(len(record), p.washout)
-        # spine row r, sample at + r, is compared once its taps and the record's are full
-        skip = max(0, p.n_y - 1 - p.washout, p.n_y - 1 - at)
-        known = (spine[0][skip:, 1 + p.n_y:], at + skip)
+        washout = self.params.washout
+        _check_washout(len(record), washout)
         model = self._template.cold_copy()
         rows = _mapped((len(record), self._template.extended_dim))
         for lo in range(0, len(record), _REPLAY_BLOCK_ROWS):
             hi = min(lo + _REPLAY_BLOCK_ROWS, len(record))
-            block = esn_collect_states(model, record.theta, lo, hi, known)
+            block = esn_collect_states(model, record.theta, lo, hi, spine)
             end = lo + len(block)
             rows[lo:end] = block
             if end < hi:
                 break
-        return rows[p.washout:end], record.p_exp[p.washout:end]
+        return rows[washout:end], record.p_exp[washout:end]
 
     def fit_states(self, X, y, fold: int = 0) -> "TrainedEsn":
         return self.with_readout(ridge_solve(X, y, self.alpha))

@@ -236,7 +236,7 @@ class FprcModel:
 class FprcTrainer(Trainer):
     """Collects pipeline features, clusters them, and fits the readout."""
 
-    def __init__(self, params: FprcParams, seed: int = 0, reservoir_features: bool = True):
+    def __init__(self, params: FprcParams, seed: int, reservoir_features: bool = True):
         self.params = params
         self.seed = seed
         self.reservoir_features = reservoir_features

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateClusteringError, DimensionError,
-                     InvalidDataError, InvalidSpecError)
+                     InvalidDataError, InvalidSpecError, check_size)
 from .training import ridge_solve
 
 _CENTER_COLLAPSE_TOL = 1e-12
@@ -81,9 +81,16 @@ def _collapsed_pair(centers: np.ndarray, pairs=None):
     |c| ~ 100 (about 1e-9) would swamp the tolerance, and its distance
     between two equal rows often rounds to a small positive value.
     ``pairs`` is ``np.triu_indices(n_c, k=1)``, passed by callers that check
-    the same number of centers repeatedly.
+    the same number of centers repeatedly; a call without it first checks
+    the pairs' size against the memory budget.
     """
-    i, j = np.triu_indices(centers.shape[0], k=1) if pairs is None else pairs
+    if pairs is None:
+        n_c, d = centers.shape
+        # the pairs' two indices and four (pairs, d) arrays are held at once
+        check_size(n_c * (n_c - 1) // 2 * (2 + 4 * d),
+                   f"the collapse check of {n_c} centers of dimension {d} needs more than %s")
+        pairs = np.triu_indices(n_c, k=1)
+    i, j = pairs
     gaps = np.sqrt(np.sum((centers[i] - centers[j]) ** 2, axis=1))
     close = np.flatnonzero(gaps < _CENTER_COLLAPSE_TOL)
     return (int(i[close[0]]), int(j[close[0]])) if close.size else None
@@ -134,8 +141,10 @@ def fcm_cluster(data, n_c: int, m: float = 2.0, tol: float = 1e-4,
     if max_iter < 1 or not 0.0 < tol < np.inf:  # also refuses a NaN tol
         raise InvalidSpecError(f"max_iter must be >= 1 and tol finite and positive, "
                                f"got max_iter={max_iter}, tol={tol}")
+    check_size(2 * n_c * X.shape[0],
+               f"fuzzy c-means of {X.shape[0]} rows in {n_c} clusters needs more than %s")
 
-    centers = X[_draw_initial_centers(X, n_c, seed)]
+    centers = X[_draw_initial_centers(X, n_c, seed)]  # checks the pairs' size first
 
     # cluster-major throughout, in buffers allocated once per fit: d2 holds
     # the distances and u the memberships, then u^m in place; total and
@@ -245,6 +254,8 @@ def fuzzy_infer_batch(ruleset: FuzzyRuleSet, X) -> np.ndarray:
         raise DimensionError(f"X must be (N, {ruleset.state_dim}), got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise InvalidDataError("states must be finite")
+    n_c, n = ruleset.centers.shape[0], X.shape[0]  # memberships, rule outputs, their product
+    check_size(3 * n_c * n, f"the readout of {n} rows by {n_c} rules needs more than %s")
     beta = _normalized_memberships_batch(ruleset, X)
     rule_outputs = ruleset.w_out[:, 1:] @ X.T
     rule_outputs += ruleset.w_out[:, :1]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidDataError, InvalidSpecError, ResourceError
+from .errors import DimensionError, InvalidDataError, InvalidSpecError, ResourceError, check_size
 
 DEFAULT_DT = 1.0 / 200.0
 MAX_RENDER_SAMPLES = 10 ** 7  # the longest signal rendered: about 14 h at 200 Hz
@@ -191,6 +191,7 @@ def csv_line(path, row: int) -> int:
 
 def tap_matrix(series: np.ndarray, n_taps: int) -> np.ndarray:
     """Row k holds [v(k), v(k-1), ..., v(k-n_taps+1)], zero padded."""
+    check_size(len(series) * n_taps, f"{len(series)} rows of {n_taps} taps need more than %s")
     if len(series) == 0:
         return np.zeros((0, n_taps))
     padded = np.concatenate([np.zeros(n_taps - 1), series])

@@ -156,15 +156,15 @@ class Trainer:
     ``predict(X)`` reads rows out. States are causal: the rows of a prefix
     of a record are the first rows of the record's states.
 
-    ``rejoin(record, spine, at)`` may return fewer rows than ``states``:
-    the first rows of ``states(record)``, ending where the rest equal
-    ``spine``'s rows bit for bit. ``spine`` is the ``states`` of the
-    series the record was cut from; its row r holds sample ``at + r`` of
-    the record (``at`` may be negative). The default never rejoins. A fold
-    worker sends back ``readout(model)``, and ``with_readout`` rebuilds it.
+    ``rejoin(record, spine)`` returns the rows of ``states(record)`` up to
+    the record's first row k with the bytes of ``spine[k]``, the row of a
+    longer run for the same sample: the same row, input and weights give
+    the same next row, so the spine holds the rest. The default never
+    rejoins. A fold worker sends back ``readout(model)``, and
+    ``with_readout`` rebuilds it.
     """
 
-    def rejoin(self, record, spine, at: int):
+    def rejoin(self, record, spine):
         """Rows of ``states(record)`` up to where the spine repeats them."""
         return self.states(record)
 
@@ -189,7 +189,7 @@ def _stack(parts):
     return np.vstack([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def kfold_cv(dataset, trainer, k: int = 5):
+def kfold_cv(dataset, trainer, k: int):
     """Blocked k-fold cross validation over a time-series dataset.
 
     Fold i holds out the block [e_i, e_{i+1}) between fold edges and fits
@@ -198,24 +198,19 @@ def kfold_cv(dataset, trainer, k: int = 5):
     e_val^2); the fold with minimal e_bar wins, ties resolved toward the
     lower index, and a winner that is not finite raises NumericError.
 
-    Every training segment and validation block starts cold at a fold edge
-    e_j and is a prefix of run j, the run from e_j to the end. Fold i trains
-    on run 0 up to e_i followed by run i+1, and validates on the first
-    e_{i+1} - e_i samples of run i.
-
-    Run 0, the spine, is the whole record driven from sample 0 (an ESN's
-    in chunks on workers, as it replays); it covers every later run. The
-    folds are the items of one ``fork_map``, whose workers inherit the
-    spine: fold i drives run i over its validation block (i >= 1) and run
-    i+1 to the end (i + 1 < k) through ``trainer.rejoin``, which may stop a
-    run where its rows start to equal the spine's bit for bit (an ESN's
-    state forgets its cold start); the run's later rows are then read from
-    the spine. Equal means equal bytes, so the folds are exactly those of
-    runs driven to their ends. A trainer that drives a reservoir thus steps
-    it sum_{j>=1} (r_j + min(r_j, e_{j+1} - e_j)) times past the spine,
-    where r_j is the number of samples run j takes to rejoin the spine, or
-    its length if it never does: at most 2.8 n at k = 5. A fold sends back
-    its errors and ``trainer.readout``: an ESN's weights, not its reservoir.
+    A segment or block starting at fold edge e_j is a prefix of run j, the
+    run from e_j to the end: fold i trains on run 0 up to e_i and run i+1,
+    and validates on the head of run i. Run 0, the spine, is the whole
+    record driven from sample 0 (an ESN's in chunks on workers, as it
+    replays). The folds are the items of one ``fork_map``, whose workers
+    inherit the spine: fold i drives run i over its validation block
+    (i >= 1) and run i+1 to the end (i + 1 < k) through ``trainer.rejoin``
+    and takes the rest of each run from the spine, so the folds are those
+    of runs driven to their ends. A reservoir is thus stepped
+    sum_{j>=1} (r_j + min(r_j, e_{j+1} - e_j)) times past the spine, where
+    r_j is the number of samples run j takes to rejoin the spine, or its
+    length if it never does: at most 2.8 n at k = 5. A fold sends back its
+    errors and ``trainer.readout``: an ESN's weights, not its reservoir.
 
     Returns (best_model, CvReport).
     """
@@ -243,8 +238,8 @@ def _fold(dataset, trainer, spine, edges, i: int):
     def rows(j, stop):
         """Run j's rows for samples [e_j + washout, stop): its own, then the spine's."""
         own = ((), ())
-        if j > 0:
-            own = trainer.rejoin(dataset.slice(edges[j], stop), spine, washout - edges[j])
+        if j > 0:  # kfold_cv's block check makes e_j > washout
+            own = trainer.rejoin(dataset.slice(edges[j], stop), spine[0][edges[j] - washout:])
         m = len(own[1])
         parts = [own] if m > 0 else []
         lo, hi = edges[j] + m, stop - washout
@@ -373,7 +368,7 @@ def _sweep_cell(config, train_ds, test_ds, k: int, settings: dict) -> SweepCell:
     return cell
 
 
-def run_sweep(axis: str, values, config, train_ds, test_ds, k: int = 5) -> SweepResult:
+def run_sweep(axis: str, values, config, train_ds, test_ds, k: int) -> SweepResult:
     """Train and evaluate across one hyperparameter axis.
 
     Cells are independent and run in worker processes (``fork_map``): a
@@ -429,7 +424,7 @@ class BenchmarkResult:
                 "replay_processes": self.replay_processes}
 
 
-def benchmark_execution(trainer, train_ds, test_ds, repetitions: int = 10,
+def benchmark_execution(trainer, train_ds, test_ds, repetitions: int,
                         refit_each_rep: bool = True) -> BenchmarkResult:
     """Time the training and test procedures of one model.
 

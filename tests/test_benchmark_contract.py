@@ -3,8 +3,9 @@
 ``perfbench/workloads.py`` drives pneurc through its CLI and its library
 API. Each workload here sets up and runs one untraced pass on a few
 seconds of signal, so a change that breaks a call the benchmark makes
-fails this suite. The workloads module is loaded from its file and not
-changed.
+fails this suite, and ``perfbench/tracing.py``'s probes are looked up as
+a traced pass installs them, so that removing a probed function does too.
+Both modules are loaded from their files and not changed.
 """
 import importlib.util
 import math
@@ -13,18 +14,25 @@ import sys
 
 import pytest
 
-WORKLOADS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load("workloads")
+tracing = _load("tracing")
+
+# probes of functions that no longer exist, which a traced pass reports as
+# absent; the benchmark's own revision re-points them
+ABSENT_PROBES = {"pneurc.datasets.actuator_step", "pneurc.control.actuator_step",
+                 "pneurc.datasets.reservoir_step", "pneurc.fprc.reservoir_step",
+                 "pneurc.fprc.FprcFeedforward.step", "pneurc.esn.EsnFeedforward.step"}
 
 
 def shorten(doc: dict) -> None:
@@ -51,3 +59,11 @@ def test_workload_runs_without_failed_ops(tmp_path, workload_type):
     assert workloads.check_ops(setup_ops + pass_ops, None) == []
     for name, value, _ in workload.report([pass_ops]):
         assert math.isfinite(value), name
+
+
+def test_every_probe_target_resolves_but_the_known_absent():
+    with tracing.Instrumentation(tracing.Tracer(), tracing.PROBES) as installed:
+        absent = set(installed.absent)
+        resolved = set(installed.originals)
+    assert absent == ABSENT_PROBES
+    assert len(resolved) == len(tracing.PROBES) - len(ABSENT_PROBES)

@@ -315,6 +315,47 @@ def test_train_of_an_oversized_reservoir_exits_3(workspace, tmp_path, capsys):
                                        "than 4 GiB for its recurrent matrix\n")
 
 
+@pytest.mark.parametrize("kind, model, message", [
+    ("fprc", {"n_y": 10 ** 9}, "4800 rows of 1000000000 taps need more than 4 GiB"),
+    ("fprc", {"fprc": {"n_u": 10 ** 9}}, "4800 rows of 1000000000 taps need more than 4 GiB"),
+    ("fuzzy-linear", {"n_y": 10 ** 9}, "4800 rows of 1000000000 taps need more than 4 GiB"),
+    ("esn", {"n_y": 10 ** 9}, "4800 rows of 1000000041 extended-state values need more "
+                              "than 4 GiB"),
+], ids=["fprc-n_y", "fprc-n_u", "fuzzy-linear-n_y", "esn-n_y"])
+def test_train_of_taps_over_the_memory_budget_exits_3(workspace, tmp_path, capsys, kind,
+                                                      model, message):
+    # refused from the sizes alone, before the tap rows are allocated
+    doc = workspace["cfg"].to_dict()
+    for key, value in model.items():
+        if isinstance(value, dict):
+            doc["model"][key].update(value)
+        else:
+            doc["model"][key] = value
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    _out_with(workspace, tmp_path / "out", "data/train.csv")
+    assert main(["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out"),
+                 "train", "--model", kind]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    assert not (tmp_path / "out" / "models").exists()
+
+
+def test_artifact_of_rules_over_the_memory_budget_exits_3(workspace, tmp_path, capsys):
+    # 6,000 rules over 8 taps: the collapse check of their centers is refused
+    # from its size (4.9 GB) when the artifact loads
+    doc = json.loads((workspace["out"] / "models" / "fprc.json").read_text())
+    doc["centers"] = np.arange(48_000.0).reshape(6000, 8).tolist()
+    doc["w_out"] = np.zeros((6000, 9)).tolist()
+    bad = tmp_path / "fprc.json"
+    bad.write_text(json.dumps(doc))
+    args = _out_with(workspace, tmp_path / "out", "data/test.csv")
+    for command in (["evaluate"], ["simulate", "--scenario", "sine05"]):
+        assert main([*args, *command, "--model-artifact", str(bad)]) == 3, command
+    err = capsys.readouterr().err
+    assert err.count("numeric failure: the collapse check of 6000 centers of dimension 8 "
+                     "needs more than 4 GiB") == 2
+    assert not (tmp_path / "out" / "reports").exists()
+
+
 def test_commands_leave_no_worker_running(workspace, tmp_path):
     args = _out_with(workspace, tmp_path / "out", "models/fprc.json")
     for command in (["generate"], ["simulate"], ["sweep", "--axis", "epsilon",
@@ -953,3 +994,29 @@ def test_cli_survives_any_one_fprc_artifact_param(workspace, data):
         args = _out_with(workspace, pathlib.Path(tmp) / "out", "data/test.csv")
         for command in (["evaluate"], ["simulate", "--scenario", "sine05"]):
             assert main([*args, *command, "--model-artifact", artifact]) in (0, 2, 3), command
+
+
+@pytest.fixture(scope="module")
+def esn_artifact(workspace, tmp_path_factory):
+    """An ESN trained on the workspace's training record."""
+    out = tmp_path_factory.mktemp("esn") / "out"
+    assert main([*_out_with(workspace, out, "data/train.csv"), "train", "--model", "esn"]) == 0
+    return out / "models" / "esn.npz"
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_cli_survives_any_one_esn_artifact_param(workspace, esn_artifact, data):
+    # evaluate exits with a documented code, whatever one param holds
+    with np.load(esn_artifact) as archive:
+        arrays = dict(archive)
+    params = json.loads(arrays["params"].item())
+    name = data.draw(st.sampled_from(sorted(params)), label="param")
+    params[name] = data.draw(_fuzz_value(params[name]), label="value")
+    arrays["params"] = np.array(json.dumps(params, sort_keys=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        artifact = os.path.join(tmp, "esn.npz")
+        np.savez(artifact, **arrays)
+        args = _out_with(workspace, pathlib.Path(tmp) / "out", "data/test.csv")
+        assert main([*args, "evaluate", "--model", "esn",
+                     "--model-artifact", artifact]) in (0, 2, 3)

@@ -216,8 +216,8 @@ def test_washout_requires_rows():
     params = EsnParams(**TINY)
     short = make_dataset(np.zeros(4), np.zeros(4))
     with pytest.raises(InvalidDataError, match="washout"):
-        EsnTrainer(params).fit([short])
-    trained = EsnTrainer(params).fit([make_dataset(np.arange(9.0), np.arange(9.0))])
+        EsnTrainer(params, alpha=1e-3).fit([short])
+    trained = EsnTrainer(params, alpha=1e-3).fit([make_dataset(np.arange(9.0), np.arange(9.0))])
     with pytest.raises(InvalidDataError, match="washout"):
         trained.evaluate(short)
     with pytest.raises(InvalidDataError):
@@ -341,7 +341,7 @@ def test_states_in_chunks_have_the_bytes_of_one_run(monkeypatch, distribution, s
     monkeypatch.setattr(esn, "_REPLAY_BLOCK_ROWS", 400)
     ds = linear_plant_dataset(n=2000)
     trainer = EsnTrainer(EsnParams(reservoir_size=size, washout=20, seed=3,
-                                   weight_distribution=distribution))
+                                   weight_distribution=distribution), alpha=1e-3)
     want = esn_collect_states(trainer._template.cold_copy(), ds.theta)[20:]
     seams = []
     chunk = esn._replay_chunk
@@ -365,41 +365,44 @@ def test_states_of_an_oversized_record_exit_3_before_any_step(monkeypatch):
     # 10**9 angle taps a row: refused from the sizes alone, before any allocation
     calls = []
     monkeypatch.setattr(esn, "esn_update", lambda *args: calls.append(args))
-    trainer = EsnTrainer(EsnParams(reservoir_size=8, washout=4, n_y=10 ** 9))
+    trainer = EsnTrainer(EsnParams(reservoir_size=8, washout=4, n_y=10 ** 9), alpha=1e-3)
     with pytest.raises(ResourceError, match=r"^100 rows of 1000000009 extended-state values "
                                             r"need more than 4 GiB$"):
         trainer.states(linear_plant_dataset(n=100))
     assert calls == []
 
 
-@pytest.mark.parametrize("lo, hi", [(0, 500), (250, 600)])
+@pytest.mark.parametrize("lo, hi", [(12, 500), (250, 600)])
 def test_rejoin_stops_where_the_spine_repeats_the_rows(lo, hi):
+    # the spine is the run from sample 0; kfold_cv starts a record past its washout
     ds = linear_plant_dataset(n=600)
     trainer = EsnTrainer(EsnParams(reservoir_size=20, washout=10, seed=5), alpha=1e-6)
-    spine = trainer.states(ds.slice(100, 600))  # rows of samples 110..599
+    spine = trainer.states(ds)  # rows of samples 10..599
     X, y = trainer.states(ds.slice(lo, hi))  # rows of samples lo + 10..hi - 1
-    own_X, own_y = trainer.rejoin(ds.slice(lo, hi), spine, at=110 - lo)
+    own_X, own_y = trainer.rejoin(ds.slice(lo, hi), spine[0][lo - 10:])
     m = len(own_y)
     assert 0 < m < len(y)
     assert own_X.tobytes() == X[:m].tobytes() and own_y.tobytes() == y[:m].tobytes()
     # every later row of the record is the spine's row of the same sample
-    first = lo + 10 + m - 110
+    first = lo + m
     assert X[m:].tobytes() == spine[0][first:first + len(y) - m].tobytes()
     np.testing.assert_array_equal(y[m:], spine[1][first:first + len(y) - m])
 
 
-@pytest.mark.parametrize("lo, hi, rejoined", [(300, 600, 304), (0, 400, 104)])
+@pytest.mark.parametrize("lo, hi, rejoined", [(300, 600, 304), (2, 400, 6)])
 def test_rejoin_waits_until_both_runs_taps_are_full(lo, hi, rejoined):
     # a leak rate of 1 keeps every reservoir state at zero, so the states
     # match from the first sample; the rows match only once the record's
-    # taps (from sample lo + 4) and the spine's (from sample 104) are full
+    # taps are full (from sample lo + 4), and the spine's are by then: a
+    # record starting at sample 2 starts inside the spine's tap window
     ds = linear_plant_dataset(n=600)
-    trainer = EsnTrainer(EsnParams(reservoir_size=5, leak_rate=1.0, washout=0, n_y=5, seed=5))
-    spine = trainer.states(ds.slice(100, 600))
-    own_X, own_y = trainer.rejoin(ds.slice(lo, hi), spine, at=100 - lo)
+    trainer = EsnTrainer(EsnParams(reservoir_size=5, leak_rate=1.0, washout=0, n_y=5, seed=5),
+                         alpha=1e-3)
+    spine = trainer.states(ds)
+    own_X, own_y = trainer.rejoin(ds.slice(lo, hi), spine[0][lo:])
     assert len(own_y) == rejoined - lo
     X = trainer.states(ds.slice(lo, hi))[0]
-    assert X[len(own_y):].tobytes() == spine[0][rejoined - 100:hi - 100].tobytes()
+    assert X[len(own_y):].tobytes() == spine[0][rejoined:hi].tobytes()
 
 
 def test_collect_states_rejoins_on_equal_bytes_only():
@@ -407,13 +410,17 @@ def test_collect_states_rejoins_on_equal_bytes_only():
     theta = np.arange(1.0, 12.0)
     full = esn_collect_states(model.cold_copy(), theta)
     driven = model.cold_copy()
-    rows = esn_collect_states(driven, theta, known=(full[5:, 3:], 5))
+    known = full.copy()
+    known[:5] = np.nan  # rows of samples 0..4 that no run has
+    rows = esn_collect_states(driven, theta, known=known)
     assert rows.tobytes() == full[:5].tobytes()
     np.testing.assert_array_equal(driven.state, full[5, 3:])  # not updated on sample 5
-    # the cold state is +0.0 everywhere: -0.0 compares equal to it, but its
-    # bytes differ, so the run does not stop there
-    assert len(esn_collect_states(model.cold_copy(), theta, known=(np.zeros((1, 8)), 0))) == 0
-    assert len(esn_collect_states(model.cold_copy(), theta, known=(np.full((1, 8), -0.0), 0))) == 11
+    # the cold row holds +0.0 in its padded tap and its state: -0.0 compares
+    # equal to it, but its bytes differ, so the run does not stop there
+    assert len(esn_collect_states(model.cold_copy(), theta, known=full[:1])) == 0
+    signed = full[:1].copy()
+    signed[signed == 0.0] = -0.0
+    assert len(esn_collect_states(model.cold_copy(), theta, known=signed)) == 11
 
 
 def test_trainer_multi_segment_fit():

@@ -213,7 +213,7 @@ def test_model_reads_out_with_the_params_sigma():
 
 def test_trainer_rejects_empty_fit(default_config):
     with pytest.raises(InvalidDataError):
-        FprcTrainer(default_config.fprc_params()).fit([])
+        FprcTrainer(default_config.fprc_params(), seed=0).fit([])
 
 
 def test_trainer_fold_changes_clustering_seed(small_dataset, default_config):

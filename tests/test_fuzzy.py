@@ -5,8 +5,9 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pneurc import fuzzy
 from pneurc.errors import (DegenerateClusteringError, DimensionError,
-                           InvalidDataError, InvalidSpecError)
+                           InvalidDataError, InvalidSpecError, ResourceError)
 from pneurc.fprc import FprcParams, fprc_collect_training
 from pneurc.fuzzy import (FuzzyRuleSet, _draw_initial_centers, _sq_distances, fcm_cluster,
                           fcm_objective, fuzzy_infer_batch, rule_outputs,
@@ -341,3 +342,36 @@ def test_infer_rejects_bad_states(rng):
         fuzzy_infer_batch(rs, np.full((5, 3), np.nan))
     with pytest.raises(DimensionError):
         rule_outputs(rs, np.zeros(2))
+
+
+# memory budget: each case is refused from its sizes, before the arrays
+# it names are allocated, so none of them may run without the check
+
+
+def test_fcm_of_clusters_over_the_memory_budget_is_refused_before_the_draw(monkeypatch):
+    # 40,000 clusters of 40,000 rows: two (n_c, N) buffers of 12.8 GB each
+    drawn = []
+    monkeypatch.setattr(fuzzy, "_draw_initial_centers", lambda *args: drawn.append(args))
+    with pytest.raises(ResourceError, match=r"^fuzzy c-means of 40000 rows in 40000 clusters "
+                                            r"needs more than 4 GiB$"):
+        fcm_cluster(np.arange(40_000.0)[:, None], 40_000)
+    assert drawn == []
+
+
+def test_collapse_check_over_the_memory_budget_is_refused(rng):
+    # 6,000 centers of dimension 8: 17,997,000 pairs, each with two indices
+    # and four rows of 8 values held at once, need 4.9 GB
+    message = r"^the collapse check of 6000 centers of dimension 8 needs more than 4 GiB$"
+    with pytest.raises(ResourceError, match=message):
+        FuzzyRuleSet(centers=rng.normal(size=(6000, 8)), w_out=np.zeros((6000, 9)), sigma=2.0)
+    with pytest.raises(ResourceError, match=message):  # at the first draw of centers
+        fcm_cluster(rng.normal(size=(6000, 8)), 6000)
+
+
+def test_readout_over_the_memory_budget_is_refused():
+    # 1,000 rules over 200,000 rows: three (n_c, N) arrays of 1.6 GB each
+    ruleset = FuzzyRuleSet(centers=np.arange(1000.0)[:, None], w_out=np.zeros((1000, 2)),
+                           sigma=2.0)
+    with pytest.raises(ResourceError, match=r"^the readout of 200000 rows by 1000 rules "
+                                            r"needs more than 4 GiB$"):
+        fuzzy_infer_batch(ruleset, np.zeros((200_000, 1)))

@@ -8,7 +8,7 @@ import pytest
 from pneurc.config import ExperimentConfig
 from pneurc.errors import InvalidSpecError, ResourceError
 from pneurc.signals import (DEFAULT_DT, MAX_RENDER_SAMPLES, SignalSpec, TimeSeries,
-                           format_float)
+                           format_float, tap_matrix)
 
 
 def sine(freq, amplitude, offset, duration, phase=0.0):
@@ -265,3 +265,10 @@ def test_signal_spec_frequency_arity():
     with pytest.raises(InvalidSpecError):
         SignalSpec(kind="warble", amplitude=1.0, offset=0.0,
                    frequencies=(0.1,), duration=1.0)
+
+
+def test_tap_matrix_over_the_memory_budget_is_refused_before_padding():
+    # 100 rows of 10**9 taps: 800 GB, and a padding row of 8 GB
+    with pytest.raises(ResourceError, match=r"^100 rows of 1000000000 taps need more "
+                                            r"than 4 GiB$"):
+        tap_matrix(np.zeros(100), 10 ** 9)

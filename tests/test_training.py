@@ -488,7 +488,7 @@ def test_weight_contributions_validation():
 
 def test_sweep_unknown_axis():
     with pytest.raises(InvalidSpecError, match="axis"):
-        run_sweep("gamma", None, None, None, None)
+        run_sweep("gamma", None, None, None, None, k=5)
 
 
 def test_sweep_epsilon_cells(default_config, train_dataset, test_dataset):
