@@ -125,6 +125,11 @@ class ExperimentConfig:
             raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
         if self.dt <= 0.0:
             raise InvalidSpecError("dt must be positive")
+        for device in ("actuator", "reservoir"):
+            tau = getattr(self.plant, device).lag_time_constant
+            if self.dt >= 2.0 * tau:  # the forward-Euler lag would not contract
+                raise InvalidSpecError(f"plant.{device}.lag_time_constant must exceed "
+                                       f"dt / 2 = {self.dt / 2}, got {tau}")
         if self.cv_folds < 2:
             raise InvalidSpecError("cv_folds must be >= 2")
         if self.bench_repetitions < 1:

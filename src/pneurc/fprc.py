@@ -23,9 +23,6 @@ from .plant import DisturbanceSpec, Plant, drive
 from .signals import decode, tap_matrix, write_json
 from .training import Trainer, normalize_minmax, weight_contributions
 
-FILTER_INIT_MODES = ("first-sample", "zero")
-
-
 @dataclass(frozen=True)
 class FprcConfig:
     """The pipeline hyperparameters a config sets under ``model.fprc``.
@@ -41,7 +38,6 @@ class FprcConfig:
     fuzziness: float = 2.0
     fcm_tol: float = 1e-4
     fcm_max_iter: int = 300
-    filter_init: str = "first-sample"
 
 
 @dataclass(frozen=True)
@@ -62,8 +58,6 @@ class FprcParams(FprcConfig):
         if self.n_c < 1:
             raise InvalidSpecError("n_c must be >= 1")
         check_sigma(self.sigma)
-        if self.filter_init not in FILTER_INIT_MODES:
-            raise InvalidSpecError(f"filter_init must be one of {FILTER_INIT_MODES}")
 
     def replace(self, **kw) -> "FprcParams":
         return replace(self, **kw)
@@ -95,16 +89,15 @@ def drive_reservoir(theta, reservoir: Plant, k_in: float, dt: float,
 def _lowpass_series(p_o: np.ndarray, params: FprcParams) -> np.ndarray:
     """First-order low pass p~(k) = eps p_o(k) + (1 - eps) p~(k-1).
 
-    The filter memory starts at the first sample (or at zero, per the
-    configured init mode), so there is no startup transient by default.
-    The loop makes the transposed-direct-form-II operations of
-    ``scipy.signal.lfilter([eps], [1, -(1 - eps)], p_o, zi=[(1 - eps) init])``
+    The filter memory starts at the first sample, so there is no startup
+    transient. The loop makes the transposed-direct-form-II operations of
+    ``scipy.signal.lfilter([eps], [1, -(1 - eps)], p_o, zi=[(1 - eps) p_o[0]])``
     in the same order, so its output is bit-identical to that call's.
     """
     eps = params.epsilon
     keep = 1.0 - eps
     samples = p_o.tolist()
-    z = keep * (samples[0] if params.filter_init == "first-sample" else 0.0)
+    z = keep * samples[0]
     out = []
     for x in samples:
         y = z + eps * x

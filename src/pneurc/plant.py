@@ -4,7 +4,8 @@ A stack of weighted play (backlash) operators provides rate-independent
 hysteresis with memory; a first-order lag on top gives each device its
 time response. The rig uses this one device twice, with different
 constants: the pneumatic bending actuator (pressure in, bend angle out)
-and the sensing reservoir (pressure in, internal pressure out).
+and the sensing reservoir (pressure in, internal pressure out). The one
+disturbance is an additive random kick to a plant's output.
 """
 from __future__ import annotations
 
@@ -13,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, NumericError
+from .errors import InvalidSpecError, NumericError, check_size
 
 INPUT_PRESSURE_LIMIT = 450.0  # kPa, supply-side hard limit
 
-DISTURBANCE_MODES = ("additive-pressure", "state-kick")
+# bytes one play operator takes: its float64 array entries and the step loop's
+# Python floats, tuple and list slots (a build peaks at 168 on 64-bit CPython)
+OPERATOR_BYTES = 256
 
 
 class PlayOperatorStack:
@@ -33,7 +36,7 @@ class PlayOperatorStack:
     as an array.
     """
 
-    def __init__(self, radii, weights, states=None, last_input: float = 0.0):
+    def __init__(self, radii, weights, states=None):
         self.radii = np.asarray(radii, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         if self.radii.ndim != 1 or self.radii.size == 0:
@@ -46,7 +49,6 @@ class PlayOperatorStack:
             raise InvalidSpecError("radii and weights must be finite")
         self._ops = list(zip(self.radii.tolist(), self.weights.tolist()))
         self.states = np.zeros_like(self.radii) if states is None else states
-        self.last_input = float(last_input)
 
     @property
     def states(self) -> np.ndarray:
@@ -61,24 +63,20 @@ class PlayOperatorStack:
         self._states = values.tolist()
 
     @classmethod
-    def uniform(cls, n_ops: int, input_span: float, output_span: float,
-                radius_span: float | None = None) -> "PlayOperatorStack":
-        """Equal-weight stack with radii spread uniformly from 0.
+    def uniform(cls, n_ops: int, input_span: float, output_span: float) -> "PlayOperatorStack":
+        """Equal-weight stack with radii spread uniformly from 0 to an eighth
+        of the input span, which gives loop widths proportionate to a
+        pneumatic artificial muscle.
 
         Weights are scaled so the virgin ascending branch reaches
-        ``output_span`` at ``input_span``. ``radius_span`` defaults to an
-        eighth of the input span, which gives loop widths proportionate
-        to a pneumatic artificial muscle.
+        ``output_span`` at ``input_span``.
         """
         if n_ops < 1:
             raise InvalidSpecError("n_ops must be >= 1")
         if input_span <= 0.0 or output_span <= 0.0:
             raise InvalidSpecError("input_span and output_span must be positive")
-        if radius_span is None:
-            radius_span = input_span / 8.0
-        if radius_span < 0.0 or radius_span >= input_span:
-            raise InvalidSpecError("radius_span must lie in [0, input_span)")
-        radii = np.linspace(0.0, radius_span, n_ops) if n_ops > 1 else np.array([0.0])
+        check_size(n_ops * OPERATOR_BYTES // 8, f"{n_ops} play operators need more than %s")
+        radii = np.linspace(0.0, input_span / 8.0, n_ops) if n_ops > 1 else np.array([0.0])
         w = output_span / float(np.sum(input_span - radii))
         return cls(radii=radii, weights=np.full(n_ops, w))
 
@@ -103,7 +101,6 @@ class PlayOperatorStack:
                     x = hi
             states[j] = x
             y += w * x
-        self.last_input = float(u)
         return y
 
     def run(self, u_sequence) -> np.ndarray:
@@ -112,7 +109,7 @@ class PlayOperatorStack:
 
     def copy(self) -> "PlayOperatorStack":
         return PlayOperatorStack(radii=self.radii.copy(), weights=self.weights.copy(),
-                                 states=self.states, last_input=self.last_input)
+                                 states=self.states)
 
 
 @dataclass
@@ -161,13 +158,11 @@ class ActuatorConfig:
     n_ops: int = 8
     full_scale_pressure: float = 370.0
     bend_range: float = 60.0
-    radius_span: float | None = None
     lag_time_constant: float = 0.05
 
     def build(self) -> Plant:
         """The bending actuator: pressure to angle (deg), no upper input clamp."""
-        stack = PlayOperatorStack.uniform(self.n_ops, self.full_scale_pressure, self.bend_range,
-                                          self.radius_span)
+        stack = PlayOperatorStack.uniform(self.n_ops, self.full_scale_pressure, self.bend_range)
         return Plant(hysteresis=stack, lag_time_constant=self.lag_time_constant,
                      output_bounds=(0.0, self.bend_range), input_limit=math.inf,
                      baseline=0.0)
@@ -180,7 +175,6 @@ class ReservoirConfig:
     n_ops: int = 8
     input_range: float = INPUT_PRESSURE_LIMIT
     pressure_span: float = 250.0
-    radius_span: float | None = None
     baseline_pressure: float = 100.0
     lag_time_constant: float = 0.05
 
@@ -190,8 +184,7 @@ class ReservoirConfig:
         Pre-pressurized to ``baseline_pressure``; the play stack adds the
         hysteretic response of the fabric-constrained chamber on top.
         """
-        stack = PlayOperatorStack.uniform(self.n_ops, self.input_range, self.pressure_span,
-                                          self.radius_span)
+        stack = PlayOperatorStack.uniform(self.n_ops, self.input_range, self.pressure_span)
         return Plant(hysteresis=stack, lag_time_constant=self.lag_time_constant,
                      output_bounds=(0.0, math.inf), input_limit=self.input_range,
                      baseline=self.baseline_pressure)
@@ -218,18 +211,16 @@ def plant_step(plant: Plant, p_in: float, dt: float) -> float:
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    """Random perturbation applied to a plant inside a time window."""
+    """Random perturbation inside a time window: before each sample, an
+    additive kick drawn uniformly from [-magnitude, magnitude] to the
+    plant's output."""
 
     t_start: float = 10.0
     t_end: float = 25.0
-    mode: str = "additive-pressure"
     magnitude: float = 8.0
     seed: int = 123
 
     def __post_init__(self):
-        if self.mode not in DISTURBANCE_MODES:
-            raise InvalidSpecError(f"unknown disturbance mode {self.mode!r}, "
-                                   f"expected one of {DISTURBANCE_MODES}")
         if self.t_start >= self.t_end:
             raise InvalidSpecError("disturbance window must satisfy t_start < t_end")
         if not (0.0 <= self.magnitude and math.isfinite(2.0 * self.magnitude)):
@@ -253,17 +244,9 @@ def apply_disturbance(plant: Plant, spec: DisturbanceSpec, t: float,
     """
     if not (spec.t_start <= t < spec.t_end):
         return False
-    if spec.mode == "additive-pressure":
-        lo, hi = plant.output_bounds
-        kicked = plant.output + rng.uniform(-spec.magnitude, spec.magnitude)
-        plant.output = float(min(max(kicked, lo), hi))
-    else:  # state-kick
-        stack = plant.hysteresis
-        kicked = stack.states + rng.uniform(-spec.magnitude, spec.magnitude, stack.radii.size)
-        # keep each operator inside its play band around the last input
-        lo = stack.last_input - stack.radii
-        hi = stack.last_input + stack.radii
-        stack.states = np.minimum(np.maximum(kicked, lo), hi)
+    lo, hi = plant.output_bounds
+    kicked = plant.output + rng.uniform(-spec.magnitude, spec.magnitude)
+    plant.output = float(min(max(kicked, lo), hi))
     return True
 
 

@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import os
-import types
 import typing
 from array import array
 from dataclasses import dataclass
@@ -72,8 +71,7 @@ def decode(tp, value, path: str):
     Dataclasses come from mappings that hold no unknown field and every
     required one, ``dict[str, X]`` and ``tuple[X, ...]`` from mappings and
     lists; a scalar must have its annotated type exactly, except that an
-    int is taken where a float is expected, and None only where allowed.
-    A float must be finite.
+    int is taken where a float is expected. A float must be finite.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
@@ -94,9 +92,6 @@ def decode(tp, value, path: str):
         return {k: decode(args[1], v, f"{path}.{k}") for k, v in value.items()}
     if origin is tuple and isinstance(value, (list, tuple)):
         return tuple(decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    if origin is types.UnionType:  # X | None
-        (inner,) = [a for a in args if a is not type(None)]
-        return None if value is None else decode(inner, value, path)
     if tp is float and type(value) in (int, float):
         try:
             number = float(value)

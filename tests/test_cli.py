@@ -19,8 +19,6 @@ from pneurc import cli, errors, esn
 from pneurc.cli import main
 from pneurc.config import (MODEL_KINDS, EsnConfig, ExperimentConfig, SignalsConfig)
 from pneurc.datasets import Dataset
-from pneurc.fprc import FILTER_INIT_MODES
-from pneurc.plant import DISTURBANCE_MODES
 from pneurc.signals import SIGNAL_KINDS
 
 
@@ -644,6 +642,19 @@ def test_artifact_holding_an_input_limit_exits_2_naming_it(workspace, tmp_path, 
     assert f"{bad}: params: unknown fields ['input_limit']" in err
 
 
+def test_artifact_holding_a_filter_init_exits_2_naming_it(workspace, tmp_path, capsys):
+    # the low pass starts at the first sample; artifacts held that as a mode
+    doc = json.loads((workspace["out"] / "models" / "fprc.json").read_text())
+    doc["params"]["filter_init"] = "first-sample"
+    bad = tmp_path / "fprc.json"
+    bad.write_text(json.dumps(doc))
+    args = _out_with(workspace, tmp_path / "out", "data/test.csv")
+    assert main([*args, "evaluate", "--model-artifact", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}: params: unknown fields ['filter_init']" in err
+
+
 @pytest.mark.parametrize("sigma", [1e308, 1.35e154, 1.5e-162, 1e-200])
 def test_sigma_without_a_positive_finite_square_exits_2(workspace, tmp_path, capsys, sigma):
     # from the config through train, and from an artifact through evaluate and simulate
@@ -734,6 +745,40 @@ def test_signal_over_the_sample_budget_exits_3(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "samples, over the budget of 10000000" in err
+
+
+@pytest.mark.parametrize("device", ["actuator", "reservoir"])
+def test_plant_lag_of_half_a_sample_exits_2(tmp_path, capsys, device):
+    # forward Euler on the lag stops contracting at dt = 2 tau
+    key = f"plant.{device}.lag_time_constant"
+    assert _generate_with_config_value(tmp_path, key, ExperimentConfig().dt / 2) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{key} must exceed dt / 2 = 0.0025, got 0.0025" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("device", ["actuator", "reservoir"])
+def test_plant_lag_over_half_a_sample_generates(tmp_path, device):
+    # between dt / 2 and dt the lag overshoots its target but still decays
+    key = f"plant.{device}.lag_time_constant"
+    assert _generate_with_config_value(tmp_path, key, 0.6 * ExperimentConfig().dt) == 0
+
+
+@pytest.mark.parametrize("device", ["actuator", "reservoir"])
+def test_play_stack_over_the_memory_budget_exits_3(tmp_path, capsys, monkeypatch, device):
+    linspace = np.linspace
+
+    def guarded(start, stop, num, **kwargs):
+        # the other device keeps its default stack of 8 operators
+        assert num <= 8, "allocated before the budget check"
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+    assert _generate_with_config_value(tmp_path, f"plant.{device}.n_ops", 10 ** 12) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "1000000000000 play operators need more than 4 GiB" in err
 
 
 def test_disturbance_magnitude_without_a_finite_double_exits_2(tmp_path, capsys):
@@ -941,7 +986,7 @@ def _config_leaves(doc, path=()):
 
 
 _FUZZ_STRINGS = sorted({"", "x", "deg", "kPa", *SIGNAL_KINDS, *MODEL_KINDS,
-                        *esn.WEIGHT_DISTRIBUTIONS, *FILTER_INIT_MODES, *DISTURBANCE_MODES})
+                        *esn.WEIGHT_DISTRIBUTIONS})
 _FUZZ_SPECIALS = [None, True, "x", math.nan, math.inf, -math.inf, [], {}, [1.0, 2.0, 3.0]]
 _FUZZ_EXTREMES = [1e308, -1e308, 1e-308, 5e-324]
 

@@ -16,8 +16,7 @@ from pneurc.datasets import Dataset
 from pneurc.esn import EsnParams, EsnTrainer, esn_update
 from pneurc.fprc import FprcTrainer, convert_angle
 from pneurc.fuzzy import rule_outputs
-from pneurc.plant import (DISTURBANCE_MODES, INPUT_PRESSURE_LIMIT, DisturbanceSpec,
-                          apply_disturbance, plant_step)
+from pneurc.plant import INPUT_PRESSURE_LIMIT, DisturbanceSpec, apply_disturbance, plant_step
 from pneurc.signals import TimeSeries
 
 TOL = 1e-9
@@ -55,7 +54,7 @@ def fprc_ticker(model, reservoir, dt, disturbance):
         p_i = convert_angle(theta_d, params.k_in, reservoir.input_limit)
         p_o = plant_step(reservoir, p_i, dt)
         if filt is None:
-            filt = p_o if params.filter_init == "first-sample" else 0.0
+            filt = p_o
         filt = params.epsilon * p_o + (1.0 - params.epsilon) * filt
         push(p_taps, filt)
         x = np.concatenate([theta_taps, p_taps])
@@ -131,9 +130,8 @@ def compare_fprc(model, reference, default_config, disturbance=None):
     return log
 
 
-@pytest.mark.parametrize("mode", DISTURBANCE_MODES)
-def test_fprc_run_matches_per_tick_reference(fprc_model, default_config, mode):
-    spec = DisturbanceSpec(t_start=0.5, t_end=1.5, mode=mode, magnitude=8.0, seed=3)
+def test_fprc_run_matches_per_tick_reference(fprc_model, default_config):
+    spec = DisturbanceSpec(t_start=0.5, t_end=1.5, magnitude=8.0, seed=3)
     log = compare_fprc(fprc_model, ref_sine(), default_config, disturbance=spec)
     in_window = (log.t >= 0.5) & (log.t < 1.5)
     np.testing.assert_array_equal(log.disturbed, in_window.astype(float))
@@ -170,11 +168,10 @@ def test_esn_run_matches_per_tick_reference(default_config):
 @settings(max_examples=25)
 @given(values=st.lists(st.floats(-20.0, 90.0), min_size=1, max_size=300),
        start=st.floats(0.0, 1.5), length=st.floats(0.005, 1.0),
-       mode=st.sampled_from(DISTURBANCE_MODES), magnitude=st.floats(0.0, 30.0),
-       seed=st.integers(0, 2 ** 16))
+       magnitude=st.floats(0.0, 30.0), seed=st.integers(0, 2 ** 16))
 def test_fprc_run_matches_per_tick_reference_property(fprc_model, default_config, values,
-                                                      start, length, mode, magnitude, seed):
+                                                      start, length, magnitude, seed):
     reference = TimeSeries(values=np.array(values), dt=1 / 200, unit="deg")
-    spec = DisturbanceSpec(t_start=start, t_end=start + length, mode=mode,
-                           magnitude=magnitude, seed=seed)
+    spec = DisturbanceSpec(t_start=start, t_end=start + length, magnitude=magnitude,
+                           seed=seed)
     compare_fprc(fprc_model, reference, default_config, disturbance=spec)

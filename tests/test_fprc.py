@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from pneurc.datasets import Dataset
 from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
                            NumericError)
-from pneurc.fprc import (FILTER_INIT_MODES, FprcModel, FprcParams, FprcTrainer,
-                         _lowpass_series, convert_angle, drive_reservoir,
-                         fprc_collect_training, fprc_weight_analysis)
+from pneurc.fprc import (FprcModel, FprcParams, FprcTrainer, _lowpass_series,
+                         convert_angle, drive_reservoir, fprc_collect_training,
+                         fprc_weight_analysis)
 from pneurc.fuzzy import fuzzy_infer_batch
 from pneurc.training import ridge_solve
 
@@ -44,8 +44,6 @@ def test_params_validation():
         FprcParams(epsilon=1.5)
     with pytest.raises(InvalidSpecError):
         FprcParams(n_u=0)
-    with pytest.raises(InvalidSpecError):
-        FprcParams(filter_init="steady")
     assert FprcParams(epsilon=1.0).epsilon == 1.0
     assert FprcParams().replace(n_c=2).n_c == 2
 
@@ -58,8 +56,10 @@ def test_lowpass_first_sample_init():
 
 
 def test_lowpass_zero_init():
-    out = _lowpass_series(np.array([120.0]), FprcParams(epsilon=0.01, filter_init="zero"))
-    assert out[0] == pytest.approx(1.2)
+    # a filter that starts from zero memory is a record that starts at zero
+    out = _lowpass_series(np.array([0.0, 120.0]), FprcParams(epsilon=0.01))
+    assert out[0] == 0.0
+    assert out[1] == pytest.approx(1.2)
 
 
 def test_lowpass_matches_scalar_recursion(rng):
@@ -72,28 +72,34 @@ def test_lowpass_matches_scalar_recursion(rng):
 
 
 LOWPASS_EPSILONS = (1e-3, 0.01, 0.1, 0.37, 1.0)
+# the record as it is, whose first sample the filter starts at, or behind a
+# zero sample, which starts it from zero memory
+RECORD_STARTS = ("first-sample", "zero")
 
 
-@pytest.mark.parametrize("mode", FILTER_INIT_MODES)
+def _started(record: np.ndarray, start: str) -> np.ndarray:
+    return record if start == "first-sample" else np.concatenate([[0.0], record])
+
+
+@pytest.mark.parametrize("start", RECORD_STARTS)
 @pytest.mark.parametrize("eps", LOWPASS_EPSILONS)
-def test_lowpass_step_response_closed_form(eps, mode):
+def test_lowpass_step_response_closed_form(eps, start):
     # a unit step from zero memory reaches 1 - (1 - eps)^(k+1) after k+1 samples;
     # from first-sample memory it starts settled
-    out = _lowpass_series(np.ones(3000), FprcParams(epsilon=eps, filter_init=mode))
+    out = _lowpass_series(_started(np.ones(3000), start), FprcParams(epsilon=eps))
     k = np.arange(3000)
-    expected = 1.0 - (1.0 - eps) ** (k + 1) if mode == "zero" else np.ones(3000)
-    np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
+    expected = 1.0 - (1.0 - eps) ** (k + 1) if start == "zero" else np.ones(3000)
+    np.testing.assert_allclose(out[-3000:], expected, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", FILTER_INIT_MODES)
+@pytest.mark.parametrize("start", RECORD_STARTS)
 @pytest.mark.parametrize("eps", LOWPASS_EPSILONS)
-def test_lowpass_matches_lfilter_bitwise(train_dataset, eps, mode):
+def test_lowpass_matches_lfilter_bitwise(train_dataset, eps, start):
     # scipy is not a dependency; where it is installed, lfilter is the oracle
     signal = pytest.importorskip("scipy.signal")
-    p_o = train_dataset.p_o
-    init = p_o[0] if mode == "first-sample" else 0.0
-    ref, _ = signal.lfilter([eps], [1.0, -(1.0 - eps)], p_o, zi=np.array([(1.0 - eps) * init]))
-    out = _lowpass_series(p_o, FprcParams(epsilon=eps, filter_init=mode))
+    p_o = _started(train_dataset.p_o, start)
+    ref, _ = signal.lfilter([eps], [1.0, -(1.0 - eps)], p_o, zi=np.array([(1.0 - eps) * p_o[0]]))
+    out = _lowpass_series(p_o, FprcParams(epsilon=eps))
     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
@@ -263,8 +269,7 @@ def test_model_json_round_trip_property(tmp_path_factory, data):
         n_u=data.draw(st.integers(1, 4)), n_y=data.draw(st.integers(1, 4)),
         n_c=data.draw(st.integers(1, 5)), sigma=data.draw(positive),
         fuzziness=data.draw(st.floats(1.001, 10.0)), alpha=data.draw(positive),
-        fcm_tol=data.draw(positive), fcm_max_iter=data.draw(st.integers(1, 10 ** 6)),
-        filter_init=data.draw(st.sampled_from(FILTER_INIT_MODES)))
+        fcm_tol=data.draw(positive), fcm_max_iter=data.draw(st.integers(1, 10 ** 6)))
     reservoir_features = data.draw(st.booleans())
     dim = params.n_y + (params.n_u if reservoir_features else 0)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))

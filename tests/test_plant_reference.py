@@ -106,15 +106,13 @@ def reservoir_step(res: ReservoirPlant, p_in: float, dt: float) -> float:
 
 
 def reference_actuator(cfg: ActuatorConfig) -> ActuatorPlant:
-    stack = PlayOperatorStack.uniform(cfg.n_ops, cfg.full_scale_pressure, cfg.bend_range,
-                                      cfg.radius_span)
+    stack = PlayOperatorStack.uniform(cfg.n_ops, cfg.full_scale_pressure, cfg.bend_range)
     return ActuatorPlant(hysteresis=stack, lag_time_constant=cfg.lag_time_constant,
                          output_bounds=(0.0, cfg.bend_range))
 
 
 def reference_reservoir(cfg: ReservoirConfig) -> ReservoirPlant:
-    stack = PlayOperatorStack.uniform(cfg.n_ops, cfg.input_range, cfg.pressure_span,
-                                      cfg.radius_span)
+    stack = PlayOperatorStack.uniform(cfg.n_ops, cfg.input_range, cfg.pressure_span)
     return ReservoirPlant(hysteresis=stack, lag_time_constant=cfg.lag_time_constant,
                           baseline_pressure=cfg.baseline_pressure,
                           input_limit=cfg.input_range)
