@@ -119,7 +119,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     train_ds = _load_dataset(_dataset_paths(cfg, args.reverse)[0])
     trainer = cfg.trainer(kind)
     model, report = training.kfold_cv(train_ds, trainer, k=cfg.cv_folds)
-    # the report makes models/, which the artifact shares and np.savez does not make
+    # the report makes models/, which the artifact shares and `save` does not make
     report_path = os.path.join(cfg.out_dir, "models", f"{kind}_cv")
     write_json(report_path + ".json", report.to_dict())
     report.to_csv(report_path + ".csv")
