@@ -251,37 +251,21 @@ class EsnTrainer(Trainer):
         return TrainedEsn(fitted)
 
 
-def _warmup(params: EsnParams) -> float:
-    """Samples a later replay chunk steps cold before its seam: twice the
-    steps in which c ** k falls below 2 ** -53, where
-    c = leak + (1 - leak) * spectral radius bounds how much one leaky tanh
-    update shrinks a difference of states when ||W|| is the spectral radius
-    ``esn_init`` scales W to. Infinite for c >= 1 (leak 1), whose cold
-    start never forgets."""
-    c = params.leak_rate + (1.0 - params.leak_rate) * params.spectral_radius
-    return math.inf if c >= 1.0 else 2 * math.ceil(math.log(2.0 ** -53) / math.log(c))
-
-
-def _replay_spans(n: int, warmup: float) -> list:
+def _replay_spans(n: int) -> list:
     """Chunks (lo, seam, hi) of a replay of ``n`` samples, one per usable
     CPU: a chunk drives the reservoir over samples lo..hi-1 and keeps the
     predictions from its seam on. Chunk 0 is (0, 0, b_1); chunk j >= 1
-    steps cold over the ``warmup`` samples before its seam b_j. Seams fall
-    on block boundaries, so each chunk computes the same blocks as one run
-    from sample 0, and each steps about (n + (p - 1) warmup) / p samples,
-    warm-up included, for p chunks. p is at most one less than the record's
-    blocks, so a record shorter than three blocks is one chunk; it is less
-    where a warm-up would reach sample 0 or a chunk would keep no sample,
-    and 1 where the warm-up is infinite.
+    warms up over the block before its seam b_j. Seams fall on block
+    boundaries, so each chunk computes the same blocks as one run from
+    sample 0, and each steps about (n + (p - 1) w) / p samples, warm-up
+    included, for p chunks of block size w. That share is held to two
+    blocks or more, so a record shorter than three blocks is one chunk.
     """
-    b, w = _REPLAY_BLOCK_ROWS, min(warmup, n)
-    for p in range(min(usable_cpus(), n // b - 1), 1, -1):
-        share = (n + (p - 1) * w) / p
-        seams = [0] + [b * math.floor((j * share - (j - 1) * w) / b + 0.5) for j in range(1, p)]
-        ends = seams[1:] + [n]
-        if seams[1] > w and all(s < e for s, e in zip(seams, ends)):
-            return [(max(s - w, 0), s, e) for s, e in zip(seams, ends)]
-    return [(0, 0, n)]
+    w = _REPLAY_BLOCK_ROWS
+    p = max(1, min(usable_cpus(), n // w - 1))
+    share = (n + (p - 1) * w) / p
+    seams = [0] + [w * math.floor((j * share - (j - 1) * w) / w + 0.5) for j in range(1, p)]
+    return [(max(b - w, 0), b, hi) for b, hi in zip(seams, seams[1:] + [n])]
 
 
 def _mapped(shape) -> np.ndarray:
@@ -294,21 +278,21 @@ def _mapped(shape) -> np.ndarray:
 def _replay_chunk(model: EsnModel, theta: np.ndarray, out: np.ndarray, read, span: tuple,
                   state: np.ndarray | None = None) -> tuple:
     """Drive ``model``'s reservoir over a span (lo, seam, hi) of an angle
-    record from ``state`` at sample lo (cold if None): step it, building no
-    rows, up to the seam, then in blocks of ``_REPLAY_BLOCK_ROWS`` rows,
-    writing the rows of samples seam..hi-1, or ``read`` of them, to ``out``.
-    Returns the states at the seam and at hi."""
+    record from ``state`` at sample lo (cold if None) in blocks of
+    ``_REPLAY_BLOCK_ROWS`` rows, writing the rows of samples seam..hi-1, or
+    ``read`` of them, to ``out``. Returns the states at the seam and at hi."""
     lo, seam, hi = span
     model = model.cold_copy()
     if state is not None:
         model.state = state
-    for k in range(lo, seam):
-        esn_update(model, theta[k])
     at_seam = model.state
-    for a in range(seam, hi, _REPLAY_BLOCK_ROWS):
+    for a in range(lo, hi, _REPLAY_BLOCK_ROWS):
         b = min(a + _REPLAY_BLOCK_ROWS, hi)
         rows = esn_collect_states(model, theta, a, b)
-        out[a:b] = rows if read is None else read(rows)
+        if a >= seam:
+            out[a:b] = rows if read is None else read(rows)
+        elif b == seam:
+            at_seam = model.state
     return at_seam, model.state
 
 
@@ -317,14 +301,14 @@ def _chunked_replay(model: EsnModel, theta: np.ndarray, read=None) -> np.ndarray
     or ``read`` of them, one value per sample, which time chunks on worker
     processes (``_replay_spans``) write to one ``_mapped`` array.
 
-    A later chunk starts cold ``_warmup`` samples before its seam; once its
-    state there has the bytes the chunk before it ends with, the echo-state
+    A later chunk starts cold one block before its seam; once its state
+    there has the bytes the chunk before it ends with, the echo-state
     property makes its rows those of one run from sample 0. A chunk whose
     state differs at its seam is recomputed here from that final state, so
     the result is one run's either way.
     """
     out = _mapped((theta.size, model.extended_dim) if read is None else (theta.size,))
-    spans = _replay_spans(theta.size, _warmup(model.params))
+    spans = _replay_spans(theta.size)
     chunks = fork_map(functools.partial(_replay_chunk, model, theta, out, read), spans)
     state = chunks[0][1]
     for (_, seam, hi), (at_seam, final) in zip(spans[1:], chunks[1:]):
@@ -355,7 +339,7 @@ class TrainedEsn:
 
     def replay_processes(self, n: int) -> int:
         """Processes a replay of ``n`` samples runs on, one per chunk."""
-        return len(_replay_spans(n, _warmup(self.model.params)))
+        return len(_replay_spans(n))
 
     def evaluate(self, ds) -> tuple[np.ndarray, np.ndarray]:
         """Replay a dataset from a cold state; rows before washout are

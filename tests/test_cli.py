@@ -401,8 +401,7 @@ def test_bench(workspace):
     assert "cpu_per_step_us" not in json.dumps(metrics)
     # the ESN replays in one process per chunk, FPRC and fuzzy-linear in one
     n_test = metrics["esn"]["n_test_steps"]
-    warmup = esn._warmup(workspace["cfg"].esn_params())
-    assert timing["esn"]["replay_processes"] == len(esn._replay_spans(n_test, warmup))
+    assert timing["esn"]["replay_processes"] == len(esn._replay_spans(n_test))
     assert timing["fprc"]["replay_processes"] == timing["fuzzy-linear"]["replay_processes"] == 1
 
 

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -264,7 +264,7 @@ def test_replay_in_blocks_matches_one_readout(monkeypatch):
 # Runs in a fresh interpreter under one BLAS thread: the replay's chunks run
 # in workers held to one thread, and a one- and a two-thread mat-vec may
 # differ in their last bits, so the serial oracle must use one thread too.
-# Prints, per weight draw, leak rate and forced CPU count: chunks, equal bytes, and how
+# Prints, per weight draw and forced CPU count: chunks, equal bytes, and how
 # many chunks were recomputed from the chunk before them.
 _CHUNKED_REPLAY_CHECK = r"""
 import numpy as np
@@ -296,9 +296,8 @@ esn._replay_chunk = counted
 rng = np.random.default_rng(0)
 n = 4500  # not a whole number of blocks
 theta = 30.0 + 20.0 * np.sin(np.linspace(0.0, 40.0, n)) + rng.normal(0.0, 0.1, n)
-for dist, leak in (("uniform", 0.8), ("uniform", 0.95), ("uniform-sym", 0.8)):
-    model = esn_init(EsnParams(reservoir_size=80, leak_rate=leak, weight_distribution=dist,
-                               seed=3))
+for dist in ("uniform", "uniform-sym"):
+    model = esn_init(EsnParams(reservoir_size=80, weight_distribution=dist, seed=3))
     model.w_out = rng.standard_normal(model.extended_dim)
     trained = TrainedEsn(model)
     want = serial_replay(trained, theta).tobytes()
@@ -306,7 +305,7 @@ for dist, leak in (("uniform", 0.8), ("uniform", 0.95), ("uniform-sym", 0.8)):
         esn.usable_cpus = lambda: cpus
         recomputed.clear()
         same = trained._replay(theta).tobytes() == want
-        print(dist, leak, cpus, trained.replay_processes(n), same, len(recomputed))
+        print(dist, cpus, trained.replay_processes(n), same, len(recomputed))
 """
 
 
@@ -315,23 +314,19 @@ def test_chunked_replay_has_the_bytes_of_one_serial_run():
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    # the uniform draw rejoins within its warm-up at every seam, at leak 0.95
-    # too, whose 2,414-sample warm-up is over twice one block; the
-    # uniform-sym draw's chunk from seam 2,048 does not and is recomputed
+    # the uniform draw rejoins within the warm-up block at every seam; the
+    # uniform-sym draw does not, and each later chunk is recomputed
     assert proc.stdout.split("\n")[:-1] == [
-        "uniform 0.8 1 1 True 0", "uniform 0.8 2 2 True 0", "uniform 0.8 3 3 True 0",
-        "uniform 0.95 1 1 True 0", "uniform 0.95 2 2 True 0", "uniform 0.95 3 3 True 0",
-        "uniform-sym 0.8 1 1 True 0", "uniform-sym 0.8 2 2 True 1",
-        "uniform-sym 0.8 3 3 True 1"]
+        "uniform 1 1 True 0", "uniform 2 2 True 0", "uniform 3 3 True 0",
+        "uniform-sym 1 1 True 0", "uniform-sym 2 2 True 1", "uniform-sym 3 3 True 2"]
 
 
 def test_default_reservoir_rejoins_within_one_block_of_a_seam(esn_trained, test_dataset):
     # the fast path of the chunked replay: on the default draw, a chunk
-    # started cold one warm-up (576 samples, under one block) before its
-    # seam holds, at the seam, the bytes of the run from sample 0
-    w = esn._warmup(esn_trained.model.params)
-    assert w == 576 < esn._REPLAY_BLOCK_ROWS
-    seam = 2 * esn._REPLAY_BLOCK_ROWS
+    # started cold one block before its seam holds, at the seam, the bytes
+    # of the run from sample 0
+    w = esn._REPLAY_BLOCK_ROWS
+    seam = 2 * w
     out = np.empty(seam)
     model, theta = esn_trained.model, test_dataset.theta
     true_state = esn._replay_chunk(model, theta, out, esn_trained.predict, (0, 0, seam))[1]
@@ -367,32 +362,6 @@ def test_states_in_chunks_have_the_bytes_of_one_run(monkeypatch, distribution, s
         assert X.tobytes() == want.tobytes(), cpus
         assert y.tobytes() == ds.p_exp[20:].tobytes()
         assert len(seams) == n_recomputed, cpus
-
-
-@settings(max_examples=25, deadline=None)
-@given(leak=st.floats(0.0, 1.0), radius=st.floats(0.01, 0.99), n=st.integers(1, 1500),
-       size=st.integers(1, 20), seed=st.integers(0, 2 ** 32))
-@example(leak=1.0, radius=0.4, n=1500, size=8, seed=0)
-def test_chunked_replay_has_the_bytes_of_one_serial_run_property(leak, radius, n, size, seed):
-    # 16-row blocks: a warm-up of c = leak + (1 - leak) radius spans 2 to
-    # thousands of samples, so a record of up to 1,500 takes 1 to 3 chunks;
-    # leak 1 never forgets its cold start and is always one chunk
-    model = esn_init(EsnParams(reservoir_size=size, leak_rate=leak, spectral_radius=radius,
-                               seed=seed))
-    model.w_out = np.random.default_rng(seed).standard_normal(model.extended_dim)
-    trained, theta = TrainedEsn(model), linear_plant_dataset(n, seed % 7).theta
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(esn, "_REPLAY_BLOCK_ROWS", 16)
-        cold = model.cold_copy()
-        rows = [esn_collect_states(cold, theta, lo, min(lo + 16, n)) for lo in range(0, n, 16)]
-        want_rows = np.vstack(rows).tobytes()
-        want = np.concatenate([trained.predict(block) for block in rows]).tobytes()
-        for cpus in (1, 2, 3):
-            mp.setattr(esn, "usable_cpus", lambda: cpus)
-            assert trained._replay(theta).tobytes() == want, cpus
-            assert esn._chunked_replay(model, theta).tobytes() == want_rows, cpus
-            if leak == 1.0 or cpus == 1:
-                assert trained.replay_processes(n) == 1
 
 
 def test_states_of_an_oversized_record_exit_3_before_any_step(monkeypatch):
