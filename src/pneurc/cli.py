@@ -49,10 +49,12 @@ def _build_parser() -> _Parser:
     sub.add_parser("generate", help="run the identification experiments and write datasets")
 
     tr = sub.add_parser("train", help="cross-validated training of one model")
-    tr.add_argument("--model", choices=MODEL_KINDS, help="override the configured model kind")
+    tr.add_argument("--model", choices=MODEL_KINDS, default="fprc",
+                    help="model kind (default: %(default)s)")
 
     ev = sub.add_parser("evaluate", help="evaluate a trained model on the test dataset")
-    ev.add_argument("--model", choices=MODEL_KINDS, help="override the configured model kind")
+    ev.add_argument("--model", choices=MODEL_KINDS, default="fprc",
+                    help="model kind (default: %(default)s)")
     ev.add_argument("--model-artifact", metavar="PATH", help="explicit artifact path")
 
     sim = sub.add_parser("simulate", help="run the tracking scenario suite")
@@ -115,7 +117,7 @@ def cmd_generate(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_train(args, cfg: ExperimentConfig) -> int:
-    kind = args.model or cfg.model.kind
+    kind = args.model
     train_ds = _load_dataset(_dataset_paths(cfg, args.reverse)[0])
     trainer = cfg.trainer(kind)
     model, report = training.kfold_cv(train_ds, trainer, k=cfg.cv_folds)
@@ -133,7 +135,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
-    kind = args.model or cfg.model.kind
+    kind = args.model
     eval_ds = _load_dataset(_dataset_paths(cfg, args.reverse)[1])
     model = cfg.load_model(kind, args.model_artifact)
     yhat, y = model.evaluate(eval_ds)

@@ -1,5 +1,6 @@
-"""Experiment configuration: one strict, serializable schema that fully
-determines datasets, models, and simulation runs.
+"""Experiment configuration: one strict, serializable schema that fixes
+the signals, the plants, every model's hyperparameters and the controller.
+Which model a command trains or evaluates is the command's ``--model``.
 
 The schema nests the domain's own frozen dataclasses (``SignalSpec``,
 ``ActuatorConfig``, ``FprcConfig``, ``ControllerGains``, ...), which hold
@@ -23,7 +24,7 @@ from .errors import InvalidDataError, InvalidSpecError
 from .esn import EsnConfig, EsnParams, EsnTrainer, TrainedEsn
 from .fprc import FprcConfig, FprcModel, FprcParams, FprcTrainer
 from .plant import ActuatorConfig, DisturbanceSpec, Plant, ReservoirConfig
-from .signals import DEFAULT_DT, SignalSpec, decode, write_json
+from .signals import DEFAULT_DT, DEFAULT_N_Y, SignalSpec, decode, write_json
 
 MODEL_KINDS = ("fprc", "esn", "fuzzy-linear")
 
@@ -50,44 +51,35 @@ class PlantConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    kind: str = "fprc"
-    n_y: int = FprcParams.n_y
+    n_y: int = DEFAULT_N_Y
     alpha: float = FprcParams.alpha
     esn: EsnConfig = field(default_factory=EsnConfig)
     fprc: FprcConfig = field(default_factory=FprcConfig)
 
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise InvalidSpecError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-
 
 def _default_train_excitation() -> SignalSpec:
     return SignalSpec(kind="chirp-linear", amplitude=175.0, offset=175.0,
-                      frequencies=(0.1, 1.0), duration=120.0, unit="kPa")
+                      frequencies=(0.1, 1.0), duration=120.0)
 
 
 def _default_test_excitation() -> SignalSpec:
     return SignalSpec(kind="multisine", amplitude=35.0, offset=175.0,
-                      frequencies=COMPLEX_FREQS, duration=80.0,
-                      phase=-0.5 * np.pi, unit="kPa")
+                      frequencies=COMPLEX_FREQS, duration=80.0, phase=-0.5 * np.pi)
 
 
 def _default_scenarios() -> dict:
     half_pi = 0.5 * np.pi
     return {
         "sine02": SignalSpec(kind="sine", amplitude=27.5, offset=32.5,
-                             frequencies=(0.2,), duration=20.0, phase=-half_pi, unit="deg"),
+                             frequencies=(0.2,), duration=20.0, phase=-half_pi),
         "sine05": SignalSpec(kind="sine", amplitude=27.5, offset=32.5,
-                             frequencies=(0.5,), duration=20.0, phase=-half_pi, unit="deg"),
+                             frequencies=(0.5,), duration=20.0, phase=-half_pi),
         "chirp": SignalSpec(kind="chirp-quadratic", amplitude=27.5, offset=32.5,
-                            frequencies=(0.1, 0.01125), duration=80.0,
-                            phase=-half_pi, unit="deg"),
+                            frequencies=(0.1, 0.01125), duration=80.0, phase=-half_pi),
         "complex": SignalSpec(kind="multisine", amplitude=6.5, offset=40.5,
-                              frequencies=COMPLEX_FREQS, duration=100.0,
-                              phase=-half_pi, unit="deg"),
+                              frequencies=COMPLEX_FREQS, duration=100.0, phase=-half_pi),
         "disturbance": SignalSpec(kind="sine", amplitude=27.5, offset=32.5,
-                                  frequencies=(0.3,), duration=30.0,
-                                  phase=-half_pi, unit="deg"),
+                                  frequencies=(0.3,), duration=30.0, phase=-half_pi),
     }
 
 

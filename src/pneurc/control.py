@@ -125,8 +125,6 @@ def run_closed_loop(reference: TimeSeries, model, actuator: Plant,
     commanded pressure p_d = p_ff + p_fb is logged unclamped and clamp
     events are counted.
     """
-    if reference.unit != "deg":
-        raise InvalidSpecError(f"reference must be an angle in deg, got {reference.unit!r}")
     if model is None and not feedback:
         raise InvalidSpecError("need a feedforward model, feedback, or both")
     dt = reference.dt

@@ -87,9 +87,6 @@ def generate_dataset(excitation: TimeSeries, actuator: Plant, reservoir: Plant,
     the same conversion the feedforward uses, and the reservoir response
     is recorded. All columns share the sample clock of the excitation.
     """
-    if excitation.unit != "kPa":
-        raise InvalidSpecError(f"excitation must be a pressure in kPa, got unit "
-                               f"{excitation.unit!r}")
     dt = excitation.dt
     theta, _ = drive(actuator, excitation.values, dt)
     p_i, p_o, _ = drive_reservoir(theta, reservoir, k_in, dt)

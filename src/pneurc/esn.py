@@ -21,7 +21,7 @@ from numpy.lib import format as npy
 from .errors import (InvalidDataError, InvalidSpecError, NumericError, StateError,
                      check_size, decoding)
 from .parallel import fork_map, usable_cpus
-from .signals import decode, tap_matrix
+from .signals import DEFAULT_N_Y, decode, tap_matrix
 from .training import Trainer, ridge_solve
 
 WEIGHT_DISTRIBUTIONS = ("uniform", "uniform-sym", "normal")
@@ -50,7 +50,7 @@ class EsnParams(EsnConfig):
     """All reservoir hyperparameters: the config's plus the angle taps and
     the weight seed, which it sets elsewhere."""
 
-    n_y: int = 5
+    n_y: int = DEFAULT_N_Y
     seed: int = 0
 
     def __post_init__(self):

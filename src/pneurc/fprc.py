@@ -20,7 +20,7 @@ from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
 from .fuzzy import (FuzzyRuleSet, check_sigma, fcm_cluster, fuzzy_infer_batch,
                     train_fuzzy_readout)
 from .plant import DisturbanceSpec, Plant, drive
-from .signals import decode, tap_matrix, write_json
+from .signals import DEFAULT_N_Y, decode, tap_matrix, write_json
 from .training import Trainer, normalize_minmax, weight_contributions
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class FprcParams(FprcConfig):
     """All pipeline hyperparameters: the config's plus the angle taps and
     the ridge strength, which it sets elsewhere."""
 
-    n_y: int = 5
+    n_y: int = DEFAULT_N_Y
     alpha: float = 1e-3
 
     def __post_init__(self):

@@ -1,7 +1,7 @@
 """Excitation and reference signals, CSV and JSON helpers and tap matrices.
 
 :meth:`SignalSpec.render` samples t = 0, dt, ..., duration - dt (endpoint
-exclusive) on a uniform grid and returns a unit-tagged :class:`TimeSeries`.
+exclusive) on a uniform grid and returns a :class:`TimeSeries`.
 The default sample time matches the 200 Hz refresh rate used by the control
 harness.
 """
@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DimensionError, InvalidDataError, InvalidSpecError, ResourceError, check_size
 
 DEFAULT_DT = 1.0 / 200.0
+DEFAULT_N_Y = 5  # angle taps a feedforward model reads: theta(k) back to theta(k-4)
 MAX_RENDER_SAMPLES = 10 ** 7  # the longest signal rendered: about 14 h at 200 Hz
 
 SIGNAL_KINDS = ("sine", "multisine", "chirp-linear", "chirp-quadratic")
@@ -196,11 +197,10 @@ def tap_matrix(series: np.ndarray, n_taps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled scalar signal with an engineering unit tag."""
+    """Uniformly sampled scalar signal."""
 
     values: np.ndarray
     dt: float
-    unit: str = "deg"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -235,7 +235,6 @@ class SignalSpec:
     frequencies: tuple[float, ...]
     duration: float
     phase: float = 0.0
-    unit: str = "deg"
 
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
@@ -296,4 +295,4 @@ class SignalSpec:
             values = np.zeros_like(t)
             for f in self.frequencies:
                 values += np.sin(2.0 * np.pi * f * t + self.phase)
-        return TimeSeries(self.amplitude * values + self.offset, dt, self.unit)
+        return TimeSeries(self.amplitude * values + self.offset, dt)

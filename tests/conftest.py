@@ -62,7 +62,7 @@ def small_dataset(default_config) -> Dataset:
     from pneurc.signals import SignalSpec
 
     spec = SignalSpec(kind="sine", amplitude=150.0, offset=180.0,
-                      frequencies=(0.4,), duration=6.0, unit="kPa")
+                      frequencies=(0.4,), duration=6.0)
     return _generate(default_config, spec)
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from pneurc import cli, errors, esn
 from pneurc.cli import main
-from pneurc.config import (MODEL_KINDS, EsnConfig, ExperimentConfig, SignalsConfig)
+from pneurc.config import EsnConfig, ExperimentConfig, SignalsConfig
 from pneurc.datasets import Dataset
 from pneurc.signals import SIGNAL_KINDS
 
@@ -107,6 +107,47 @@ def _out_with(workspace, out, *files):
         (out / name).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(workspace["out"] / name, out / name)
     return ["--config", workspace["cfg_path"], "--out", str(out)]
+
+
+def test_train_and_evaluate_default_to_fprc(workspace, tmp_path, capsys):
+    args = _out_with(workspace, tmp_path / "out", "data/train.csv", "data/test.csv")
+    assert main([*args, "train"]) == 0
+    models = tmp_path / "out" / "models"
+    assert sorted(p.name for p in models.iterdir()) == ["fprc.json", "fprc_cv.csv",
+                                                         "fprc_cv.json"]
+    explicit = _out_with(workspace, tmp_path / "explicit", "data/train.csv")
+    assert main([*explicit, "train", "--model", "fprc"]) == 0
+    assert (models / "fprc.json").read_bytes() == (
+        tmp_path / "explicit" / "models" / "fprc.json").read_bytes()
+    assert main([*args, "evaluate"]) == 0
+    assert "fprc RMSE on test dataset" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "reports" / "evaluate_fprc.json").read_text())
+    assert report["model"] == "fprc"
+    # evaluate reads models/fprc.json: without it, it names that file
+    (models / "fprc.json").unlink()
+    assert main([*args, "evaluate"]) == 2
+    assert f"{models / 'fprc.json'} not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, command", [
+    (("model",), "kind", "fprc", "train"),
+    (("model",), "kind", "esn", "evaluate"),
+    (("signals", "scenarios", "sine05"), "unit", "deg", "simulate"),
+    (("signals", "train_excitation"), "unit", "kPa", "generate"),
+])
+def test_config_holding_a_removed_key_exits_2_naming_it(workspace, tmp_path, capsys,
+                                                       section, key, value, command):
+    doc = json.loads(pathlib.Path(workspace["cfg_path"]).read_text())
+    parent, name = _leaf_parent(doc, section)
+    parent[name][key] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"config.{'.'.join(section)}: unknown fields ['{key}']" in err
+    assert not out.exists()
 
 
 def test_train_reads_only_the_training_dataset(workspace, tmp_path, capsys):
@@ -985,8 +1026,7 @@ def _config_leaves(doc, path=()):
             yield from _config_leaves(item, path + (i,))
 
 
-_FUZZ_STRINGS = sorted({"", "x", "deg", "kPa", *SIGNAL_KINDS, *MODEL_KINDS,
-                        *esn.WEIGHT_DISTRIBUTIONS})
+_FUZZ_STRINGS = sorted({"", "x", *SIGNAL_KINDS, *esn.WEIGHT_DISTRIBUTIONS})
 _FUZZ_SPECIALS = [None, True, "x", math.nan, math.inf, -math.inf, [], {}, [1.0, 2.0, 3.0]]
 _FUZZ_EXTREMES = [1e308, -1e308, 1e-308, 5e-324]
 

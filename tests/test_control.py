@@ -40,8 +40,7 @@ class DivergingModel(ConstantModel):
 
 def ref_sine(duration=2.0, dt=1 / 200, amplitude=20.0, offset=25.0, freq=0.5):
     t = np.arange(round(duration / dt)) * dt
-    return TimeSeries(values=amplitude * np.sin(2 * np.pi * freq * t) + offset,
-                      dt=dt, unit="deg")
+    return TimeSeries(values=amplitude * np.sin(2 * np.pi * freq * t) + offset, dt=dt)
 
 
 def make_log(n=10, **overrides):
@@ -106,10 +105,6 @@ def test_open_loop_has_no_feedback():
 
 
 def test_loop_validation():
-    bad_unit = TimeSeries(values=np.zeros(10), dt=0.005, unit="kPa")
-    with pytest.raises(InvalidSpecError):
-        run_closed_loop(bad_unit, ConstantModel(), ActuatorConfig().build(),
-                        ControllerGains())
     with pytest.raises(InvalidSpecError):
         run_closed_loop(ref_sine(), None, ActuatorConfig().build(),
                         ControllerGains(), feedback=False)

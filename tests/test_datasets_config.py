@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from pneurc.config import (MODEL_KINDS, ActuatorConfig, ExperimentConfig, ModelConfig,
                            ReservoirConfig, SignalsConfig)
-from pneurc.control import run_closed_loop
+from pneurc.control import SCENARIO_NAMES, run_closed_loop
 from pneurc.datasets import CSV_HEADER, Dataset, generate_dataset
 from pneurc.errors import InvalidDataError, InvalidSpecError
 from pneurc.esn import WEIGHT_DISTRIBUTIONS
@@ -160,7 +160,7 @@ def test_dataset_csv_rejects_non_uniform_clock(tmp_path):
 
 def test_generate_dataset_matches_manual_simulation(default_config):
     excitation = SignalSpec(kind="sine", amplitude=100.0, offset=150.0, frequencies=(0.5,),
-                            duration=2.0, unit="kPa").render()
+                            duration=2.0).render()
     params = default_config.fprc_params()
     ds = generate_dataset(excitation, default_config.build_actuator(),
                           default_config.build_reservoir(), k_in=params.k_in)
@@ -174,14 +174,6 @@ def test_generate_dataset_matches_manual_simulation(default_config):
         assert ds.p_o[k] == plant_step(res, p_i, excitation.dt)
     np.testing.assert_array_equal(ds.p_exp, excitation.values)
     assert ds.dt == excitation.dt
-
-
-def test_generate_dataset_requires_pressure_excitation(default_config):
-    angle_series = SignalSpec(kind="sine", amplitude=10.0, offset=20.0, frequencies=(0.5,),
-                              duration=1.0, unit="deg").render()
-    with pytest.raises(InvalidSpecError, match="kPa"):
-        generate_dataset(angle_series, default_config.build_actuator(),
-                         default_config.build_reservoir(), k_in=7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +226,10 @@ def test_config_validation():
         ExperimentConfig(cv_folds=1)
     with pytest.raises(InvalidSpecError):
         ExperimentConfig(bench_repetitions=0)
-    with pytest.raises(InvalidSpecError, match="kind"):
-        ModelConfig(kind="transformer")
     with pytest.raises(InvalidSpecError, match="scenarios"):
         SignalsConfig(scenarios={"sine02": SignalSpec(kind="sine", amplitude=1.0,
                                                       offset=2.0, frequencies=(0.2,),
-                                                      duration=1.0, unit="deg")})
+                                                      duration=1.0)})
 
 
 def test_config_paths(default_config):
@@ -320,7 +310,6 @@ def test_config_load_model_round_trips_an_artifact(tmp_path, small_dataset, kind
 def test_default_signal_shapes(default_config):
     train = default_config.signals.train_excitation.render(default_config.dt)
     test = default_config.signals.test_excitation.render(default_config.dt)
-    assert train.unit == "kPa" and test.unit == "kPa"
     assert len(train) == round(120.0 / default_config.dt)
     assert len(test) == round(80.0 / default_config.dt)
     # excitations stay inside the supply range with margin for the actuator
@@ -328,7 +317,6 @@ def test_default_signal_shapes(default_config):
     assert test.values.min() >= 0.0 and test.values.max() <= 450.0
     for name, spec in default_config.signals.scenarios.items():
         ref = spec.render(default_config.dt)
-        assert ref.unit == "deg", name
         # the complex reference peaks a fraction of a degree past the bend
         # limit; the actuator saturates there, mirroring the physical rig
         assert ref.values.min() >= 0.0 and ref.values.max() <= 61.0
@@ -346,12 +334,17 @@ def test_sub_config_validation_happens_at_build():
 
 DEFAULT_WITH_PI = pathlib.Path(__file__).parent / "data" / "default_config_with_pi_gains.json"
 PI_KEYS = ["pi_fprc_ki", "pi_fprc_kp", "pi_ideal", "pi_main_ki", "pi_main_kp"]
-# keys the fixture holds that the config no longer takes, each a switch no
-# workload set: (section path, key, the value the fixture holds)
+# keys the fixture holds that the config no longer takes: switches no
+# workload set, signal units that each signal's role fixes, and the model
+# kind that --model picks: (section path, key, the value the fixture holds)
 REMOVED_KEYS = [(("model", "fprc"), "filter_init", "first-sample"),
                 (("disturbance",), "mode", "additive-pressure"),
                 (("plant", "actuator"), "radius_span", None),
-                (("plant", "reservoir"), "radius_span", None)]
+                (("plant", "reservoir"), "radius_span", None),
+                (("signals", "train_excitation"), "unit", "kPa"),
+                (("signals", "test_excitation"), "unit", "kPa"),
+                *((("signals", "scenarios", name), "unit", "deg") for name in SCENARIO_NAMES),
+                (("model",), "kind", "fprc")]
 
 
 def canonical_json(doc: dict) -> str:
@@ -424,7 +417,7 @@ def test_config_takes_the_benchmark_edits(tmp_path):
 
 # string keys that take one of a fixed set of values; the signal kind stays
 # as it is, because it fixes how many frequencies the spec holds
-STRING_CHOICES = {"weight_distribution": WEIGHT_DISTRIBUTIONS, "unit": ("deg", "kPa")}
+STRING_CHOICES = {"weight_distribution": WEIGHT_DISTRIBUTIONS}
 
 
 def draw_like(data, value, key=""):
@@ -434,7 +427,7 @@ def draw_like(data, value, key=""):
     if isinstance(value, list):
         return [draw_like(data, v, key) for v in value]
     if key == "kind":
-        return data.draw(st.sampled_from(MODEL_KINDS)) if value in MODEL_KINDS else value
+        return value
     if key in STRING_CHOICES:
         return data.draw(st.sampled_from(STRING_CHOICES[key]))
     if isinstance(value, str):

@@ -104,7 +104,7 @@ def assert_run_matches(log, expected):
 
 def ref_sine(duration=2.0, dt=1 / 200):
     t = np.arange(round(duration / dt)) * dt
-    return TimeSeries(values=20.0 * np.sin(2 * np.pi * 0.5 * t) + 25.0, dt=dt, unit="deg")
+    return TimeSeries(values=20.0 * np.sin(2 * np.pi * 0.5 * t) + 25.0, dt=dt)
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +171,7 @@ def test_esn_run_matches_per_tick_reference(default_config):
        magnitude=st.floats(0.0, 30.0), seed=st.integers(0, 2 ** 16))
 def test_fprc_run_matches_per_tick_reference_property(fprc_model, default_config, values,
                                                       start, length, magnitude, seed):
-    reference = TimeSeries(values=np.array(values), dt=1 / 200, unit="deg")
+    reference = TimeSeries(values=np.array(values), dt=1 / 200)
     spec = DisturbanceSpec(t_start=start, t_end=start + length, magnitude=magnitude,
                            seed=seed)
     compare_fprc(fprc_model, reference, default_config, disturbance=spec)

@@ -28,7 +28,7 @@ def chirp_quadratic(amplitude, offset, c2, c1, phase, duration):
 
 def sweep(f_start, f_end, amplitude, offset, duration):
     return SignalSpec(kind="chirp-linear", amplitude=amplitude, offset=offset,
-                      frequencies=(f_start, f_end), duration=duration, unit="kPa")
+                      frequencies=(f_start, f_end), duration=duration)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_default_specs_render_their_closed_form(dt):
                                              "chirp-quadratic"}
     for spec in specs:
         ts = spec.render(dt)
-        assert ts.dt == dt and ts.unit == spec.unit
+        assert ts.dt == dt
         np.testing.assert_array_equal(ts.values, closed_form(spec, dt))
 
 
@@ -238,7 +238,7 @@ def with_train_excitation(spec: dict) -> dict:
 
 def test_signal_spec_dict_round_trip():
     spec = SignalSpec(kind="chirp-linear", amplitude=175.0, offset=175.0,
-                      frequencies=(0.1, 1.0), duration=120.0, unit="kPa")
+                      frequencies=(0.1, 1.0), duration=120.0)
     doc = with_train_excitation(dataclasses.asdict(spec))
     assert ExperimentConfig.from_dict(doc).signals.train_excitation == spec
 
