@@ -22,7 +22,7 @@ import numpy as np
 from .control import SCENARIO_NAMES, ControllerGains
 from .errors import InvalidDataError, InvalidSpecError
 from .esn import EsnConfig, EsnParams, EsnTrainer, TrainedEsn
-from .fprc import FprcConfig, FprcModel, FprcParams, FprcTrainer
+from .fprc import FPRC_KINDS, FprcConfig, FprcModel, FprcParams, FprcTrainer
 from .plant import ActuatorConfig, DisturbanceSpec, Plant, ReservoirConfig
 from .signals import DEFAULT_DT, DEFAULT_N_Y, SignalSpec, decode, write_json
 
@@ -148,8 +148,6 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="ascii") as fh:
                 d = json.load(fh)
-        except FileNotFoundError:
-            raise
         except UnicodeDecodeError as exc:
             raise InvalidSpecError(f"{path}: not ASCII text ({exc})") from exc
         except ValueError as exc:  # JSONDecodeError, or an int of over 4,300 digits
@@ -190,7 +188,7 @@ class ExperimentConfig:
         ``fprc_params()`` for the fprc and fuzzy-linear kinds."""
         if kind == "esn":
             return EsnTrainer(self.esn_params(), alpha=self.model.alpha)
-        if kind in ("fprc", "fuzzy-linear"):
+        if kind in FPRC_KINDS:
             return FprcTrainer(self.fprc_params().replace(**fprc_overrides), seed=self.seed,
                                reservoir_features=(kind == "fprc"))
         raise InvalidSpecError(f"unknown model kind {kind!r}")

@@ -156,7 +156,7 @@ def run_closed_loop(reference: TimeSeries, model, actuator: Plant,
         cols["p_d"].append(p_d)
         prev_error = error
     cols = {name: np.array(values, dtype=float) for name, values in cols.items()}
-    return RunLog(t=np.arange(n) * dt, theta_d=reference.values.copy(), p_ff=p_ff,
+    return RunLog(t=reference.times, theta_d=reference.values.copy(), p_ff=p_ff,
                   p_i=p_i, p_o=p_o, p_o_filt=p_o_filt, disturbed=disturbed,
                   scenario=scenario, method=method, clamp_steps=clamp_steps, **cols)
 

@@ -278,21 +278,21 @@ def _mapped(shape) -> np.ndarray:
 def _replay_chunk(model: EsnModel, theta: np.ndarray, out: np.ndarray, read, span: tuple,
                   state: np.ndarray | None = None) -> tuple:
     """Drive ``model``'s reservoir over a span (lo, seam, hi) of an angle
-    record from ``state`` at sample lo (cold if None) in blocks of
-    ``_REPLAY_BLOCK_ROWS`` rows, writing the rows of samples seam..hi-1, or
-    ``read`` of them, to ``out``. Returns the states at the seam and at hi."""
+    record from ``state`` at sample lo (cold if None): warm up over samples
+    lo..seam-1 in one call, at most one block as ``_replay_spans`` sets it,
+    then write the rows of samples seam..hi-1, or ``read`` of them, to
+    ``out`` in blocks of ``_REPLAY_BLOCK_ROWS`` rows. Returns the states at
+    the seam and at hi."""
     lo, seam, hi = span
     model = model.cold_copy()
     if state is not None:
         model.state = state
+    esn_collect_states(model, theta, lo, seam)
     at_seam = model.state
-    for a in range(lo, hi, _REPLAY_BLOCK_ROWS):
+    for a in range(seam, hi, _REPLAY_BLOCK_ROWS):
         b = min(a + _REPLAY_BLOCK_ROWS, hi)
         rows = esn_collect_states(model, theta, a, b)
-        if a >= seam:
-            out[a:b] = rows if read is None else read(rows)
-        elif b == seam:
-            at_seam = model.state
+        out[a:b] = rows if read is None else read(rows)
     return at_seam, model.state
 
 

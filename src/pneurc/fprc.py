@@ -17,11 +17,15 @@ import numpy as np
 
 from .errors import (DimensionError, InvalidDataError, InvalidSpecError,
                      NumericError, decoding)
-from .fuzzy import (FuzzyRuleSet, check_sigma, fcm_cluster, fuzzy_infer_batch,
-                    train_fuzzy_readout)
+from .fuzzy import (FCM_FUZZINESS, FCM_MAX_ITER, FCM_TOL, FuzzyRuleSet, check_sigma,
+                    fcm_cluster, fuzzy_infer_batch, train_fuzzy_readout)
 from .plant import DisturbanceSpec, Plant, drive
 from .signals import DEFAULT_N_Y, decode, tap_matrix, write_json
 from .training import Trainer, normalize_minmax, weight_contributions
+
+# the model kinds of the variants with reservoir taps and without
+FPRC_KINDS = ("fprc", "fuzzy-linear")
+
 
 @dataclass(frozen=True)
 class FprcConfig:
@@ -35,9 +39,9 @@ class FprcConfig:
     n_u: int = 3
     n_c: int = 8
     sigma: float = 2.0
-    fuzziness: float = 2.0
-    fcm_tol: float = 1e-4
-    fcm_max_iter: int = 300
+    fuzziness: float = FCM_FUZZINESS
+    fcm_tol: float = FCM_TOL
+    fcm_max_iter: int = FCM_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -114,15 +118,13 @@ def _feature_matrix(theta: np.ndarray, p_filt: np.ndarray | None,
     return X if p_filt is None else np.hstack([X, tap_matrix(p_filt, params.n_u)])
 
 
-def fprc_collect_training(theta, p_exp, p_o=None, params: FprcParams = None,
+def fprc_collect_training(theta, p_exp, p_o=None, *, params: FprcParams,
                           reservoir_features: bool = True):
     """Assemble the training design matrix and targets from a record.
 
     The recorded reservoir pressure ``p_o`` is required when reservoir
     features are enabled. Returns (X, y).
     """
-    if params is None:
-        raise InvalidSpecError("params are required")
     theta = np.asarray(theta, dtype=float)
     p_exp = np.asarray(p_exp, dtype=float)
     if theta.ndim != 1 or theta.shape != p_exp.shape:
@@ -157,7 +159,7 @@ class FprcModel:
 
     @property
     def kind(self) -> str:
-        return "fprc" if self.reservoir_features else "fuzzy-linear"
+        return FPRC_KINDS[not self.reservoir_features]
 
     def predict(self, X) -> np.ndarray:
         """Readout of state rows as ``fprc_collect_training`` assembles them."""
@@ -217,7 +219,7 @@ class FprcModel:
                 doc = json.load(fh)
             if not isinstance(doc, dict) or doc.get("format_version") != 1:
                 raise InvalidDataError(f"{path}: unsupported model artifact format")
-            if doc["kind"] not in ("fprc", "fuzzy-linear"):
+            if doc["kind"] not in FPRC_KINDS:
                 raise InvalidDataError(f"{path}: unknown model kind {doc['kind']!r}")
             params = decode(FprcParams, doc["params"], "params")
             centers, w_out = np.array(doc["centers"], float), np.array(doc["w_out"], float)
@@ -234,9 +236,7 @@ class FprcTrainer(Trainer):
         self.seed = seed
         self.reservoir_features = reservoir_features
 
-    @property
-    def kind(self) -> str:
-        return "fprc" if self.reservoir_features else "fuzzy-linear"
+    kind = FprcModel.kind  # the model's kind, by the same reservoir_features
 
     def states(self, record):
         """Readout states and targets of every sample of a record (no washout)."""

@@ -17,6 +17,10 @@ from .training import ridge_solve
 
 _CENTER_COLLAPSE_TOL = 1e-12
 
+# fcm_cluster's defaults, which FprcConfig reads: fuzziness, center-shift
+# tolerance and iteration cap
+FCM_FUZZINESS, FCM_TOL, FCM_MAX_ITER = 2.0, 1e-4, 300
+
 
 def _sq_distances(centers: np.ndarray, X: np.ndarray, xx: np.ndarray | None = None,
                   out: np.ndarray | None = None,
@@ -69,11 +73,6 @@ def _objective(um: np.ndarray, d2: np.ndarray) -> float:
     return float(np.sum(um * d2))
 
 
-def fcm_objective(X: np.ndarray, centers: np.ndarray, u: np.ndarray, m: float) -> float:
-    """J = sum_ik u_ik^m ||x_k - c_i||^2, with u shaped (N, n_c)."""
-    return _objective(u.T ** m, _sq_distances(centers, X))
-
-
 def _collapsed_pair(centers: np.ndarray, pairs=None):
     """The lowest pair (i, j) of centers within _CENTER_COLLAPSE_TOL, or None.
 
@@ -116,8 +115,8 @@ def _draw_initial_centers(X: np.ndarray, n_c: int, seed) -> np.ndarray:
         f"could not draw {n_c} distinct initial centers from the data")
 
 
-def fcm_cluster(data, n_c: int, m: float = 2.0, tol: float = 1e-4,
-                max_iter: int = 300, seed: int = 0, return_history: bool = False):
+def fcm_cluster(data, n_c: int, m: float = FCM_FUZZINESS, tol: float = FCM_TOL,
+                max_iter: int = FCM_MAX_ITER, seed: int = 0, return_history: bool = False):
     """Fuzzy c-means clustering.
 
     Centers are initialized from ``n_c`` distinct data rows drawn with the

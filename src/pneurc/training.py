@@ -222,7 +222,8 @@ def kfold_cv(dataset, trainer, k: int):
         if size <= washout:
             raise InvalidDataError(f"fold {i} holds {size} samples, which leaves no rows "
                                    f"after washout {washout}")
-    folds = fork_map(functools.partial(_fold, dataset, trainer, spine, edges), range(k))
+    folds = fork_map(functools.partial(_fold, dataset, trainer, spine, edges, washout),
+                     range(k))
     results = [result for result, _ in folds]
     best = int(np.argmin([f.e_bar for f in results]))  # the first minimum, or first NaN
     if not np.isfinite(results[best].e_bar):
@@ -230,10 +231,9 @@ def kfold_cv(dataset, trainer, k: int):
     return trainer.with_readout(folds[best][1]), CvReport(folds=results, best_index=best)
 
 
-def _fold(dataset, trainer, spine, edges, i: int):
+def _fold(dataset, trainer, spine, edges, washout: int, i: int):
     """(FoldResult, ``trainer.readout`` of the model) of fold i of ``kfold_cv``."""
     n = edges[-1]
-    washout = n - len(spine[1])
 
     def rows(j, stop):
         """Run j's rows for samples [e_j + washout, stop): its own, then the spine's."""

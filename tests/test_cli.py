@@ -517,6 +517,16 @@ def test_directory_as_config_exits_2(tmp_path, capsys):
     assert f"{tmp_path}: cannot be read" in err
 
 
+def test_missing_config_exits_2(tmp_path, capsys):
+    # a missing file is one more unreadable config, not a bare OSError
+    path = tmp_path / "absent.json"
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{path}: cannot be read (No such file or directory)" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # importing scipy.signal once took most of every CLI process's start-up
     code = "import sys, pneurc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -1,4 +1,6 @@
 """The reservoir-plus-fuzzy feedforward pipeline and its linear ablation."""
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 from pneurc.datasets import Dataset
 from pneurc.errors import (DimensionError, InvalidDataError, InvalidSpecError,
                            NumericError)
-from pneurc.fprc import (FprcModel, FprcParams, FprcTrainer, _lowpass_series,
+from pneurc.fprc import (FprcConfig, FprcModel, FprcParams, FprcTrainer, _lowpass_series,
                          convert_angle, drive_reservoir, fprc_collect_training,
                          fprc_weight_analysis)
-from pneurc.fuzzy import fuzzy_infer_batch
+from pneurc.fuzzy import fcm_cluster, fuzzy_infer_batch
 from pneurc.training import ridge_solve
 
 
@@ -132,8 +134,6 @@ def test_collect_filters_recorded_pressure():
 
 def test_collect_validation():
     params = FprcParams()
-    with pytest.raises(InvalidSpecError):
-        fprc_collect_training([1.0], [1.0])
     with pytest.raises(InvalidDataError):
         fprc_collect_training([1.0, 2.0], [1.0], params=params)
     with pytest.raises(InvalidSpecError):
@@ -142,6 +142,14 @@ def test_collect_validation():
         fprc_collect_training([1.0, 2.0], [1.0, 2.0], p_o=[1.0], params=params)
     with pytest.raises(InvalidDataError):
         fprc_collect_training([], [], params=params, reservoir_features=False)
+
+
+def test_config_fcm_defaults_are_fcm_clusters():
+    # FprcConfig reads fcm_cluster's defaults rather than restating them
+    defaults = inspect.signature(fcm_cluster).parameters
+    config = FprcConfig()
+    assert (config.fuzziness, config.fcm_tol, config.fcm_max_iter) == (
+        defaults["m"].default, defaults["tol"].default, defaults["max_iter"].default)
 
 
 def test_simulated_record_matches_generated_dataset(small_dataset, default_config):

@@ -10,8 +10,7 @@ from pneurc.errors import (DegenerateClusteringError, DimensionError,
                            InvalidDataError, InvalidSpecError, ResourceError)
 from pneurc.fprc import FprcParams, fprc_collect_training
 from pneurc.fuzzy import (FuzzyRuleSet, _draw_initial_centers, _sq_distances, fcm_cluster,
-                          fcm_objective, fuzzy_infer_batch, rule_outputs,
-                          train_fuzzy_readout)
+                          fuzzy_infer_batch, rule_outputs, train_fuzzy_readout)
 from pneurc.training import ridge_solve
 
 
@@ -27,6 +26,12 @@ def naive_memberships(X, centers, m):
         for i in range(n_c):
             u[k, i] = 1.0 / np.sum((d[i] / d) ** (2.0 / (m - 1.0)))
     return u
+
+
+def fcm_objective(X, centers, u, m):
+    """J = sum_ik u_ik^m ||x_k - c_i||^2 by direct differences, with u shaped (N, n_c)."""
+    d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    return float(np.sum(u ** m * d2))
 
 
 def two_blobs(rng, n=200, sep=10.0):
